@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -66,13 +67,11 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
-        if text:
-            rows.append((lineno, [f.strip() for f in text.split(",")]))
-    if not rows:
-        raise IngestError(f"empty file: {path}")
+    def split_rows():
+        for lineno, line in enumerate(raw, start=1):
+            text = line.strip()
+            if text:
+                yield lineno, [f.strip() for f in text.split(",")]
 
     def parse_row(fields: list[str]) -> list[float] | None:
         try:
@@ -80,21 +79,26 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
         except ValueError:
             return None
 
-    if parse_row(rows[0][1]) is None:
-        rows = rows[1:]  # header
-        if not rows:
+    rows = split_rows()
+    first = next(rows, None)
+    if first is None:
+        raise IngestError(f"empty file: {path}")
+    if parse_row(first[1]) is None:
+        first = next(rows, None)  # header
+        if first is None:
             raise IngestError(f"empty file: {path} (header only)")
 
-    ncols = len(rows[0][1])
+    ncols = len(first[1])
     if schema == "auto":
         schema = {1: "value-only", 2: "time-value"}.get(ncols, "")
         if not schema:
-            raise IngestError(f"expected 1 or 2 columns, found {ncols} at line {rows[0][0]}")
+            raise IngestError(f"expected 1 or 2 columns, found {ncols} at line {first[0]}")
     want = 1 if schema == "value-only" else 2
 
-    times: list[float] = []
     values: list[float] = []
-    for lineno, fields in rows:
+    t0 = t_prev = 0.0
+    dt = 1.0
+    for lineno, fields in itertools.chain([first], rows):
         if len(fields) != want:
             raise IngestError(f"expected {want} column(s) at line {lineno}, found {len(fields)}")
         parsed = parse_row(fields)
@@ -102,28 +106,22 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
             raise IngestError(f"could not parse line {lineno}")
         if not all(math.isfinite(v) for v in parsed):
             raise IngestError(f"non-finite value at line {lineno}")
-        if want == 2:
-            times.append(parsed[0])
-            values.append(parsed[1])
+        values.append(parsed[-1])
+        if want == 1:
+            continue
+        t = parsed[0]
+        if len(values) == 1:
+            t0 = t
         else:
-            values.append(parsed[0])
-
-    if want == 1:
-        return UniformSignal(0.0, 1.0, np.asarray(values))
-
-    if len(times) < 2:
-        return UniformSignal(times[0], 1.0, np.asarray(values))
-    dt = times[1] - times[0]
-    if dt <= 0:
-        raise IngestError(f"timestamps must be strictly increasing (line {rows[1][0]})")
-    for idx in range(1, len(times)):
-        lineno = rows[idx][0]
-        step = times[idx] - times[idx - 1]
-        if step <= 0:
-            raise IngestError(f"timestamps must be strictly increasing (line {lineno})")
-        if abs(step - dt) > 1e-9 * abs(dt):
-            raise IngestError(f"non-uniform spacing at line {lineno}")
-    return UniformSignal(times[0], dt, np.asarray(values))
+            step = t - t_prev
+            if step <= 0:
+                raise IngestError(f"timestamps must be strictly increasing (line {lineno})")
+            if len(values) == 2:
+                dt = step
+            elif abs(step - dt) > 1e-9 * abs(dt):
+                raise IngestError(f"non-uniform spacing at line {lineno}")
+        t_prev = t
+    return UniformSignal(t0, dt, np.asarray(values))
 
 
 def write_series_csv(path: str, signal: UniformSignal) -> None:

@@ -36,7 +36,6 @@ __all__ = [
     "check_recursive_decomposition",
     "check_difference_identity",
     "check_macd_derivative",
-    "check_macd_derivative_central",
     "check_phase_corrected_form",
     "check_recursive_expansion",
     "check_lp_bound",
@@ -189,23 +188,6 @@ def check_macd_derivative(signal: UniformSignal, a: WindowSpec | int) -> Residua
     a = as_window(a, signal.dt)
     signal.require(2 * a.k, "the derivative-form check")
     return _report("macd_derivative", macd(signal, a), smoothed_derivative(signal, a), signal)
-
-
-def check_macd_derivative_central(signal: UniformSignal,
-                                  a: WindowSpec | int) -> ResidualReport:
-    """Approximate cross-check using a central difference for the derivative.
-
-    Replaces the exact lag-window difference quotient by the symmetric
-    two-sample estimate of the double average's slope.  Unlike every other
-    check this one carries an O(dt^2 * curvature) truncation error, so it is
-    reported but never gated at the exact-identity tolerance.
-    """
-    a = as_window(a, signal.dt)
-    signal.require(2 * a.k + 2, "the central-difference cross-check")
-    smooth = double_right_avg(signal, a)
-    central = (smooth.values[2:] - smooth.values[:-2]) / (2.0 * signal.dt)
-    der = UniformSignal(smooth.t0 + signal.dt, signal.dt, central * (a.k * signal.dt / 2.0))
-    return _report("macd_derivative_central", macd(signal, a), der, signal)
 
 
 def check_phase_corrected_form(signal: UniformSignal,

@@ -3,9 +3,12 @@
 Each operator in :mod:`macdkit.operators` is linear and time-invariant, so it
 has a finite impulse response: a list of integer sample lags (0 = current
 sample, positive = past, negative = future) with one weight per lag.
-:func:`build_kernel` turns a small declarative description into that kernel,
-and :func:`apply_kernel` evaluates it by direct convolution, which must agree
-with the direct operator evaluation on any signal.
+:func:`build_kernel` turns a small declarative description into that kernel
+by recursing on dense ``(first lag, contiguous weights)`` pairs: composition
+is :func:`numpy.convolve`, a sum adds the weights aligned on their lags and
+scaling multiplies them.  :func:`apply_kernel` evaluates a kernel with one
+valid-mode :func:`numpy.convolve`, which must agree with the direct operator
+evaluation on any signal.
 
 Descriptions are nested tuples:
 
@@ -24,6 +27,7 @@ Averaging compositions have weights summing to 1, difference kernels to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -90,11 +94,6 @@ class KernelRep:
         return lo, w
 
 
-def _from_items(items: dict[int, float], note: str) -> KernelRep:
-    offs = sorted(items)
-    return KernelRep(tuple(offs), np.array([items[o] for o in offs]), note)
-
-
 def box_kernel(k: int) -> KernelRep:
     """Trailing box average of ``k`` samples: weight ``1/k`` on lags 0..k-1."""
     if k < 1:
@@ -145,8 +144,7 @@ def macd_kernel(k: int) -> KernelRep:
 
 def triangular_kernel(k: int) -> KernelRep:
     """Self-convolution of the ``k``-sample box: the double-average kernel."""
-    kern = build_kernel(("compose", ("avg", k), ("avg", k)))
-    return KernelRep(kern.offsets, kern.weights, f"triangle k={k}")
+    return _kernel(("compose", ("avg", k), ("avg", k)), f"triangle k={k}")
 
 
 def smoothed_derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
@@ -158,8 +156,8 @@ def smoothed_derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
     ``k*dt/2``.  It reproduces :func:`macd_kernel` exactly.
     """
     a = k * dt
-    kern = build_kernel(("scale", a / 2.0, ("compose", ("deriv", k), ("avg", k))), dt=dt)
-    return KernelRep(kern.offsets, kern.weights, f"smoothed-deriv k={k}")
+    return _kernel(("scale", a / 2.0, ("compose", ("deriv", k), ("avg", k))),
+                   f"smoothed-deriv k={k}", dt)
 
 
 def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
@@ -181,28 +179,12 @@ def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
         )
         for i in range(1, n + 1)
     ]
-    kern = build_kernel(("sum", *terms), dt=dt)
-    return KernelRep(kern.offsets, kern.weights, f"expansion n={n} kb={kb}")
+    return _kernel(("sum", *terms), f"expansion n={n} kb={kb}", dt)
 
 
 def kernel_difference(k_short: int, k_long: int) -> KernelRep:
     """Expanded difference of two box kernels (short minus long)."""
-    kern = build_kernel(("diff", ("avg", k_short), ("avg", k_long)))
-    return KernelRep(kern.offsets, kern.weights, f"avg-diff {k_short}-{k_long}")
-
-
-def _kernel_items(kern: KernelRep) -> dict[int, float]:
-    return {o: float(w) for o, w in zip(kern.offsets, kern.weights)}
-
-
-def _convolve_items(a: dict[int, float], b: dict[int, float]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for oa in sorted(a):
-        wa = a[oa]
-        for ob in sorted(b):
-            key = oa + ob
-            out[key] = out.get(key, 0.0) + wa * b[ob]
-    return out
+    return _kernel(("diff", ("avg", k_short), ("avg", k_long)), f"avg-diff {k_short}-{k_long}")
 
 
 def build_kernel(description, dt: float = 1.0) -> KernelRep:
@@ -211,50 +193,55 @@ def build_kernel(description, dt: float = 1.0) -> KernelRep:
     See the module docstring for the description grammar.  ``dt`` only
     enters through difference-quotient stages.
     """
-    items = _build_items(description, dt)
-    if not items:
-        raise ValueError("empty composition")
-    return _from_items(items, _describe(description))
+    return _kernel(description, _describe(description), dt)
 
 
-def _build_items(description, dt: float) -> dict[int, float]:
+def _kernel(description, note: str, dt: float = 1.0) -> KernelRep:
+    lo, w = _dense(description, dt)
+    return KernelRep(tuple(range(lo, lo + w.size)), w, note)
+
+
+def _dense(description, dt: float) -> tuple[int, np.ndarray]:
+    """(first lag, contiguous weights) of a description."""
     if isinstance(description, KernelRep):
-        return _kernel_items(description)
+        return description.dense()
     if not isinstance(description, tuple) or not description:
         raise ValueError(f"malformed kernel description: {description!r}")
     head = description[0]
     if head == "avg":
-        return _kernel_items(box_kernel(description[1]))
+        return box_kernel(description[1]).dense()
     if head == "centered":
-        return _kernel_items(centered_box_kernel(description[1]))
+        return centered_box_kernel(description[1]).dense()
     if head == "delay":
-        return _kernel_items(delay_kernel(description[1]))
+        return delay_kernel(description[1]).dense()
     if head == "deriv":
-        return _kernel_items(derivative_kernel(description[1], dt))
+        return derivative_kernel(description[1], dt).dense()
     if head == "scale":
         _, alpha, inner = description
-        return {o: alpha * w for o, w in _build_items(inner, dt).items()}
-    if head == "compose":
-        parts = description[1:]
+        lo, w = _dense(inner, dt)
+        return lo, alpha * w
+    if head in ("compose", "sum"):
+        parts = [_dense(part, dt) for part in description[1:]]
         if not parts:
             raise ValueError("empty composition")
-        items = _build_items(parts[0], dt)
-        for part in parts[1:]:
-            items = _convolve_items(items, _build_items(part, dt))
-        return items
-    if head == "sum":
-        parts = description[1:]
-        if not parts:
-            raise ValueError("empty composition")
-        out: dict[int, float] = {}
-        for part in parts:
-            for o, w in _build_items(part, dt).items():
-                out[o] = out.get(o, 0.0) + w
-        return out
+        return reduce(_convolve if head == "compose" else _add, parts)
     if head == "diff":
         _, d1, d2 = description
-        return _build_items(("sum", d1, ("scale", -1.0, d2)), dt)
+        return _dense(("sum", d1, ("scale", -1.0, d2)), dt)
     raise ValueError(f"unknown kernel stage: {head!r}")
+
+
+def _convolve(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    return a[0] + b[0], np.convolve(a[1], b[1])
+
+
+def _add(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    (lo_a, w_a), (lo_b, w_b) = a, b
+    lo = min(lo_a, lo_b)
+    w = np.zeros(max(lo_a + w_a.size, lo_b + w_b.size) - lo)
+    w[lo_a - lo : lo_a - lo + w_a.size] += w_a
+    w[lo_b - lo : lo_b - lo + w_b.size] += w_b
+    return lo, w
 
 
 def _describe(description) -> str:
@@ -270,20 +257,22 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
     """Evaluate a kernel on a signal by direct convolution.
 
     The output covers exactly the indices where every tap lands inside the
-    input, matching the valid-range convention of the direct operators.
+    input, matching the valid-range convention of the direct operators.  The
+    taps span lags ``min(first, 0)..max(last, 0)``, zero-padded, so a
+    delay-only or advance-only kernel keeps the current sample's index in
+    that range.
     """
     n = len(signal)
-    first, last = kernel.offsets[0], kernel.offsets[-1]
-    lo = max(last, 0)
-    hi = (n - 1) + min(first, 0)
-    if hi < lo:
-        need = lo - min(first, 0)
+    ahead = min(kernel.offsets[0], 0)
+    lo = max(kernel.offsets[-1], 0)
+    span = lo - ahead + 1
+    if n < span:
         raise InsufficientSamplesError(
             f"insufficient samples for kernel '{kernel.scale_note}': "
-            f"signal has {n}, needs at least {need + 1}",
-            required=need + 1,
+            f"signal has {n}, needs at least {span}",
+            required=span,
         )
-    out = np.zeros(hi - lo + 1)
-    for o, w in zip(kernel.offsets, kernel.weights):
-        out += w * signal.values[lo - o : hi - o + 1]
+    taps = np.zeros(span)
+    taps[np.asarray(kernel.offsets) - ahead] = kernel.weights
+    out = np.convolve(signal.values, taps, mode="valid")
     return UniformSignal(signal.t0 + lo * signal.dt, signal.dt, out)

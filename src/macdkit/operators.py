@@ -6,16 +6,18 @@ arithmetic mean of the ``k`` most recent samples (the signal is treated as
 piecewise-constant on sample cells), which makes every algebraic relation
 between the operators exact rather than merely first-order in ``dt``.
 
-Window sums are evaluated either by direct convolution (small windows) or by
-a segmented two-pointer scheme whose rounding error is re-anchored with an
-exact block sum every few outputs, so large windows stay accurate without an
-O(n*k) cost.  Both paths reduce sums of identical values to identical
-floats, which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
+Window sums take one vectorised path for every window length: an exact
+anchor sum every ``max(32, k // 8)`` outputs, continued between anchors by a
+running sum of the entering-minus-leaving samples, so large windows stay
+accurate without an O(n*k) cost.  On a constant signal every step is exactly
+zero and every anchor sums identical values, so all window sums are the same
+float, which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import InsufficientSamplesError, UniformSignal, WindowSpec, as_window
 
@@ -29,17 +31,17 @@ __all__ = [
     "sliding_sums",
 ]
 
-# Direct convolution below this many multiply-adds; segmented rebasing above.
-_DIRECT_WORK_LIMIT = 1 << 25
-
 
 def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     """Sums of every length-``k`` window of ``values`` (length ``n - k + 1``).
 
-    Output ``j`` is the sum of ``values[j : j + k]``.  Accuracy is a few
-    units in the last place of the window sum regardless of the signal
-    length: the segmented path recomputes an exact anchor sum every
-    ``max(32, k // 8)`` outputs instead of letting a running sum drift.
+    Output ``j`` is the sum of ``values[j : j + k]``.  Every
+    ``max(32, k // 8)``-th output is an exact anchor sum of its window; the
+    outputs between two anchors add the entering-minus-leaving samples to the
+    earlier anchor, so rounding never drifts over more than one anchor
+    interval and accuracy is a few units in the last place of the window sum
+    whatever the signal length.  On constant input every window sum is the
+    same float.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
@@ -52,18 +54,14 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
         )
     if k == 1:
         return values.copy()
-    if n * k <= _DIRECT_WORK_LIMIT:
-        return np.convolve(values, np.ones(k), mode="valid")
     m = n - k + 1
-    out = np.empty(m)
     seg = max(32, k // 8)
-    for s in range(0, m, seg):
-        e = min(s + seg, m)
-        out[s] = values[s : s + k].sum()
-        if e > s + 1:
-            steps = values[s + k : e + k - 1] - values[s : e - 1]
-            out[s + 1 : e] = out[s] + np.cumsum(steps)
-    return out
+    starts = np.arange(0, m, seg)
+    # One row per anchor interval: the anchor sum, then the steps after it.
+    steps = np.zeros(starts.size * seg)
+    steps[1:m] = values[k:] - values[: m - 1]
+    steps[starts] = sliding_window_view(values, k)[starts].sum(axis=1)
+    return np.cumsum(steps.reshape(-1, seg), axis=1).reshape(-1)[:m]
 
 
 def right_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:

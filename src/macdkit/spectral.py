@@ -6,6 +6,12 @@ frequencies in [0, pi].  Unit-sum (averaging) kernels have ``H(0) = 1``;
 zero-sum (difference) kernels reject DC entirely, and the band-pass verdict
 additionally demands an interior response peak and attenuation at the
 Nyquist frequency relative to that peak.
+
+A grid of ``G`` points puts ``linspace(0, pi, G)`` on the bins of one real
+FFT of length ``N = 2*(G-1)``.  At those bins ``exp(-i*w*o)`` is periodic in
+the lag ``o`` with period ``N``, so each weight is folded into the FFT input
+at its lag modulo ``N``: future taps at negative lags and kernels spanning
+more than ``N`` lags stay exact, and memory is ``O(G)`` whatever the kernel.
 """
 
 from __future__ import annotations
@@ -70,9 +76,11 @@ def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> Frequ
     """Evaluate the kernel's frequency response on a uniform [0, pi] grid."""
     if grid_size < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid_size}")
+    size = 2 * (grid_size - 1)
+    folded = np.bincount(np.asarray(kernel.offsets) % size, weights=kernel.weights,
+                         minlength=size)
+    response = np.fft.rfft(folded)
     omega = np.linspace(0.0, np.pi, grid_size)
-    offsets = np.asarray(kernel.offsets, dtype=np.float64)
-    response = np.exp(-1j * np.outer(omega, offsets)) @ kernel.weights
     return FrequencyResponse(
         frequencies=omega,
         magnitudes=np.abs(response),

@@ -7,9 +7,14 @@ deliberately independent of the numpy paths in the package.
 import math
 
 
+def naive_window_sums(values, k):
+    """Exact (fsum) sum of each k-sample window."""
+    return [math.fsum(values[i - k + 1 : i + 1]) for i in range(k - 1, len(values))]
+
+
 def naive_right_avg(values, k):
     """Mean of each k-sample window, via exact summation."""
-    return [math.fsum(values[i - k + 1 : i + 1]) / k for i in range(k - 1, len(values))]
+    return [s / k for s in naive_window_sums(values, k)]
 
 
 def naive_macd(values, k):

@@ -46,6 +46,9 @@ def test_ingest_gap_reports_line_number(write):
         ingest_csv(write("gap.csv", "t,v\n0,1\n1,2\n3,4\n"))
     with pytest.raises(IngestError, match="non-uniform spacing at line 3"):
         ingest_csv(write("gap2.csv", "0,1\n1,2\n3,4\n"))
+    # The first bad line in file order wins over a later unparsable one.
+    with pytest.raises(IngestError, match="non-uniform spacing at line 4"):
+        ingest_csv(write("gap3.csv", "t,v\n0,1\n1,2\n3,4\n4,x\n"))
 
 
 def test_ingest_non_increasing_timestamps(write):

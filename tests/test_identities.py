@@ -27,7 +27,7 @@ from macdkit import (
     right_avg,
     smoothed_derivative,
 )
-from macdkit.identities import check_macd_derivative_central, default_tolerance
+from macdkit.identities import default_tolerance
 
 
 def ramp(n, dt=1.0):
@@ -113,17 +113,6 @@ def test_macd_derivative_constant_and_ramp():
 def test_macd_derivative_random_10k(random_signal):
     report = check_macd_derivative(random_signal(10_000), 8)
     assert report.max_rel_residual <= 1e-12
-
-
-def test_central_difference_cross_check_is_only_approximate(rng):
-    # Smooth signal: the symmetric-difference variant carries an O(dt^2)
-    # truncation error, far above the exact checks but still small.
-    t = np.linspace(0.0, 2 * np.pi, 1000)
-    sig = UniformSignal(0.0, float(t[1] - t[0]), np.sin(t))
-    exact = check_macd_derivative(sig, 4)
-    approx = check_macd_derivative_central(sig, 4)
-    assert exact.max_rel_residual <= 1e-12
-    assert 1e-9 < approx.max_rel_residual < 1e-2
 
 
 # --- phase-corrected form ---------------------------------------------------------

@@ -107,12 +107,17 @@ def test_build_kernel_rejects_bad_descriptions():
 
 def test_apply_kernel_matches_naive_convolution(random_signal):
     sig = random_signal(200)
-    kern = build_kernel(("diff", ("compose", ("avg", 3), ("delay", 2)), ("avg", 5)))
-    out = apply_kernel(kern, sig)
-    lo, expected = naive_kernel_apply(kern.offsets, kern.weights.tolist(),
-                                      sig.values.tolist())
-    assert sample_offset(out, sig) == lo
-    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+    kernels = [
+        build_kernel(("diff", ("compose", ("avg", 3), ("delay", 2)), ("avg", 5))),
+        KernelRep((-2,), [1.0]),  # advance only
+        KernelRep((3, 7), [0.5, -0.5]),  # delay only, with a gap
+    ]
+    for kern in kernels:
+        out = apply_kernel(kern, sig)
+        lo, expected = naive_kernel_apply(kern.offsets, kern.weights.tolist(),
+                                          sig.values.tolist())
+        assert sample_offset(out, sig) == lo
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
 
 
 def rel_dev(a, b):

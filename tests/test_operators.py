@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import macdkit.operators as ops
 from macdkit import (
     InsufficientSamplesError,
     UniformSignal,
@@ -18,7 +17,7 @@ from macdkit import (
     windowed_derivative,
 )
 
-from .oracles import naive_macd, naive_right_avg
+from .oracles import naive_macd, naive_right_avg, naive_window_sums
 
 
 def ramp(n, dt=1.0):
@@ -77,19 +76,25 @@ def test_right_avg_insufficient_samples():
     assert err.value.required == 3
 
 
-def test_sliding_sums_segmented_path_matches_direct(monkeypatch, random_signal):
+def test_sliding_sums_segmented_path_matches_direct(random_signal):
     sig = random_signal(3000)
-    direct = sliding_sums(sig.values, 300)
-    monkeypatch.setattr(ops, "_DIRECT_WORK_LIMIT", 0)
-    segmented = sliding_sums(sig.values, 300)
-    np.testing.assert_allclose(segmented, direct, rtol=0, atol=1e-11)
+    direct = np.convolve(sig.values, np.ones(300), "valid")
+    np.testing.assert_allclose(sliding_sums(sig.values, 300), direct, rtol=0, atol=1e-11)
 
 
-def test_sliding_sums_segmented_exact_on_constants(monkeypatch):
-    monkeypatch.setattr(ops, "_DIRECT_WORK_LIMIT", 0)
+def test_sliding_sums_segmented_exact_on_constants():
     vals = np.full(2000, 0.1)
     sums = sliding_sums(vals, 128)
     assert np.all(sums == sums[0])
+
+
+@pytest.mark.parametrize("k", [8, 300, 512, 2048])
+def test_sliding_sums_match_exact_window_sums(k, random_signal):
+    # Several anchor intervals at every k; 1e-12 is about a hundred ulps of
+    # a typical window sum of 2048 samples in [-1, 1].
+    sig = random_signal(3000)
+    expected = naive_window_sums(sig.values.tolist(), k)
+    np.testing.assert_allclose(sliding_sums(sig.values, k), expected, rtol=0, atol=1e-12)
 
 
 # --- centered_avg ----------------------------------------------------------

@@ -40,12 +40,13 @@ def test_dc_values():
 
 
 def test_magnitudes_match_naive_oracle():
-    kern = macd_kernel(5)
-    resp = transfer_function(kern, 257)
-    for idx in (0, 31, 100, 256):
-        expected = naive_transfer_magnitude(kern.offsets, kern.weights.tolist(),
-                                            resp.frequencies[idx])
-        assert resp.magnitudes[idx] == pytest.approx(expected, abs=1e-13)
+    # The last two kernels span more lags than the FFT behind the grid.
+    for kern, grid in [(macd_kernel(5), 257), (box_kernel(40), 3), (macd_kernel(64), 16)]:
+        resp = transfer_function(kern, grid)
+        for idx in range(grid):
+            expected = naive_transfer_magnitude(kern.offsets, kern.weights.tolist(),
+                                                resp.frequencies[idx])
+            assert resp.magnitudes[idx] == pytest.approx(expected, abs=1e-13)
 
 
 def test_frozen_dense_grid_peak_for_k8():
