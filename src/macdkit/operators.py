@@ -17,7 +17,6 @@ float, which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import InsufficientSamplesError, UniformSignal, WindowSpec, as_window
 
@@ -59,8 +58,14 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     starts = np.arange(0, m, seg)
     # One row per anchor interval: the anchor sum, then the steps after it.
     steps = np.zeros(starts.size * seg)
-    steps[1:m] = values[k:] - values[: m - 1]
-    steps[starts] = sliding_window_view(values, k)[starts].sum(axis=1)
+    np.subtract(values[k:], values[: m - 1], out=steps[1:m])
+    # Anchor sums reduce over [start, start + k) in place, with no copy of
+    # the windows.  The last bound is dropped when it is n: that window then
+    # runs to the end of the array, and reduceat accepts no index n.
+    bounds = np.stack([starts, starts + k], axis=1).reshape(-1)
+    if bounds[-1] == n:
+        bounds = bounds[:-1]
+    steps[starts] = np.add.reduceat(values, bounds)[::2]
     return np.cumsum(steps.reshape(-1, seg), axis=1).reshape(-1)[:m]
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg
-from macdkit.cli import IngestError, ingest_csv, main
+from macdkit import cli
+from macdkit.cli import IngestError, _load_uniform, _scan_csv, ingest_csv, main, write_series_csv
 
 
 @pytest.fixture
@@ -97,6 +100,76 @@ def test_ingest_missing_file(tmp_path):
         ingest_csv(str(tmp_path / "nope.csv"))
 
 
+# Cells that the scanner parses differently from a plain decimal, or rejects.
+ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "", "x", "0x10", "+7", "-0"]
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV text near the accept/reject boundary, and a schema to read it with."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.sampled_from([1, 2, 2, 3]))
+    t0 = draw(st.sampled_from([0.0, -2.5, 1.7e9, 1.7e9 + 0.125]))
+    dt = draw(st.sampled_from([1.0, 0.5, 0.1, 1e-3, 3.0]))
+    times = [t0 + i * dt for i in range(n)]
+    if n >= 2:
+        i = draw(st.integers(min_value=1, max_value=n - 1))
+        fault = draw(st.sampled_from(["none", "none", "gap", "duplicate", "decrease"]))
+        if fault == "gap":
+            times[i:] = [t + dt for t in times[i:]]
+        elif fault == "duplicate":
+            times[i] = times[i - 1]
+        elif fault == "decrease":
+            times[i - 1], times[i] = times[i], times[i - 1]
+    values = st.floats(min_value=-1e6, max_value=1e6).map(repr)
+    rows = []
+    for t in times:
+        cells = [repr(t), draw(values), draw(values)][:ncols] if ncols > 1 else [draw(values)]
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        pad = st.sampled_from(["", "", " ", "\t"])
+        line = ",".join(draw(pad) + c + draw(pad) for c in cells)
+        if draw(st.integers(min_value=0, max_value=19)) == 0:
+            line += ","
+        rows.append(line)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "  ", "\t"])))
+    header = draw(st.sampled_from([None, None, "time,value", "t", "v,w,x", "1,2"]))
+    if header is not None:
+        rows.insert(draw(st.integers(0, min(1, len(rows)))), header)
+    text = "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
+    return text, draw(st.sampled_from(["auto", "auto", "value-only", "time-value"]))
+
+
+def outcome(read):
+    try:
+        sig = read()
+    except IngestError as exc:
+        return str(exc)
+    return sig.t0.hex(), sig.dt.hex(), sig.values.tobytes()
+
+
+@given(case=csv_cases())
+@example(case=("-1e308,1\n1e308,2\n", "auto"))  # the step overflows to inf
+@example(case=("-1e308,1\n1e308,2\n1.7e308,3\n", "auto"))
+@settings(max_examples=400, deadline=None)
+def test_ingest_matches_line_scanner(case, tmp_path_factory):
+    text, schema = case
+    path = tmp_path_factory.mktemp("parity") / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(lambda: ingest_csv(str(path), schema)) == \
+        outcome(lambda: _scan_csv(str(path), schema))
+
+
+def test_ingest_fast_path_takes_well_formed_input(write):
+    assert _load_uniform(write("h.csv", "t,v\n10,1\n10.5,2\n11.0,3\n"), "auto").dt == 0.5
+    sig = _load_uniform(write("v.csv", "\n 1 \n\n2\n"), "value-only")
+    assert sig.values.tolist() == [1.0, 2.0]
+    assert _load_uniform(write("one.csv", "1.7e9,4\n"), "time-value").dt == 1.0
+    # A gap is left to the scanner, which names its line.
+    assert _load_uniform(write("gap.csv", "0,1\n1,2\n3,4\n"), "auto") is None
+
+
 # --- compute -----------------------------------------------------------------------
 
 def test_compute_macd_round_trip(tmp_path, random_csv):
@@ -123,6 +196,16 @@ def test_compute_avg_and_expansion_round_trip(tmp_path, random_csv):
     assert main(["compute", "expansion", path, "--n", "3", "--b", "4", "-o", out]) == 0
     expected = expansion_rhs(sig, ExpansionSpec.of(3, 4, 1.0))
     assert np.array_equal(ingest_csv(out).values, expected.values)
+
+
+def test_write_series_csv_blocks_round_trip(tmp_path, monkeypatch, rng):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 3)
+    sig = UniformSignal(1.7e9, 0.25, rng.standard_normal(10))
+    out = str(tmp_path / "blocks.csv")
+    write_series_csv(out, sig)
+    back = ingest_csv(out)
+    assert (back.t0, back.dt) == (sig.t0, sig.dt)
+    assert np.array_equal(back.values, sig.values)
 
 
 def test_compute_macd_constant_is_zero(tmp_path, write):
@@ -215,7 +298,8 @@ def test_classify_explicit_index_and_range_error(write, capsys):
 # --- spectrum -------------------------------------------------------------------------
 
 def read_spectrum(path):
-    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    with open(path) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     return np.array([[float(c) for c in row] for row in rows])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,19 @@ def test_sliding_sums_match_exact_window_sums(k, random_signal):
     sig = random_signal(3000)
     expected = naive_window_sums(sig.values.tolist(), k)
     np.testing.assert_allclose(sliding_sums(sig.values, k), expected, rtol=0, atol=1e-12)
+
+
+def test_sliding_sums_temporary_memory_is_bounded():
+    # The anchor sums reduce in place: a copy of every anchor window would
+    # be about 9x the input at k = 2048 on a million samples.
+    values = np.random.default_rng(5).standard_normal(1_000_000)
+    tracemalloc.start()
+    try:
+        sliding_sums(values, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * values.nbytes
 
 
 # --- centered_avg ----------------------------------------------------------
