@@ -8,6 +8,8 @@ per sample, and analyzes the kernels' frequency responses.
 """
 
 from .identities import (
+    CHECKS,
+    CheckRecord,
     ExpansionSpec,
     MonotonicityResult,
     ResidualReport,
@@ -21,6 +23,7 @@ from .identities import (
     check_recursive_expansion,
     classify_trend,
     expansion_rhs,
+    run_checks,
     smoothed_derivative,
 )
 from .kernels import (
@@ -89,6 +92,9 @@ __all__ = [
     "smoothed_derivative_kernel",
     "expansion_kernel",
     "kernel_difference",
+    "CHECKS",
+    "CheckRecord",
+    "run_checks",
     "ResidualReport",
     "ExpansionSpec",
     "TrendLabel",

@@ -33,17 +33,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-VERIFY_CHECKS = (
-    "recursive_decomposition",
-    "difference_identity",
-    "macd_derivative",
-    "phase_corrected_form",
-    "recursive_expansion",
-    "lp_bound",
-    "monotonicity",
-)
-
-
 _WRITE_BLOCK = 65536  # rows formatted per write
 
 
@@ -172,6 +161,8 @@ def _scan_csv(path: str, schema: str) -> UniformSignal:
             step = t - t_prev
             if step <= 0:
                 raise IngestError(f"timestamps must be strictly increasing (line {lineno})")
+            if step == math.inf:
+                raise IngestError(f"non-finite time step at line {lineno}")
             if len(values) == 2:
                 dt = step
             elif abs(step - dt) > 1e-9 * abs(dt):
@@ -207,82 +198,12 @@ def _digest_line(signal: UniformSignal) -> str:
     )
 
 
-def _check_line(name: str, params: dict, abs_r, rel_r, gate, ok) -> str:
-    p = " ".join(f"{key}={val}" for key, val in params.items())
-    status = "true" if ok else "false"
-    return (
-        f"check name={name} {p} max_abs_residual={abs_r:.6g} "
-        f"max_rel_residual={rel_r:.6g} gate={gate:.6g} pass={status}"
-    )
-
-
-def _skip_line(report, params: dict) -> str:
-    p = " ".join(f"{key}={val}" for key, val in params.items())
-    return (
-        f"check name={report.identity_name} {p} skipped=insufficient_samples "
-        f"required={report.required} pass=false"
-    )
-
-
-def _run_verify(signal: UniformSignal, checks: list[str], window: int,
-                long_window: int, n_terms: int, block: int,
-                tol: float, out) -> int:
-    any_fail = False
-    any_skip = False
-
-    def run(name, params, fn, gate, value_of):
-        nonlocal any_fail, any_skip
-        try:
-            result = fn()
-        except InsufficientSamplesError as exc:
-            any_skip = True
-            skipped = identities.ResidualReport.for_insufficient_samples(name, exc.required)
-            print(_skip_line(skipped, params), file=out)
-            return
-        abs_r, rel_r, ok = value_of(result)
-        if not ok:
-            any_fail = True
-        print(_check_line(name, params, abs_r, rel_r, gate, ok), file=out)
-
-    def residual(report):
-        return report.max_abs_residual, report.max_rel_residual, report.passes(tol)
-
-    for name in checks:
-        if name == "recursive_decomposition":
-            run(name, {"t1": window, "t2": long_window},
-                lambda: identities.check_recursive_decomposition(signal, window, long_window),
-                tol, residual)
-        elif name == "difference_identity":
-            run(name, {"a": window, "b": long_window},
-                lambda: identities.check_difference_identity(signal, window, long_window),
-                tol, residual)
-        elif name == "macd_derivative":
-            run(name, {"a": window},
-                lambda: identities.check_macd_derivative(signal, window), tol, residual)
-        elif name == "phase_corrected_form":
-            run(name, {"a": window},
-                lambda: identities.check_phase_corrected_form(signal, window), tol, residual)
-        elif name == "recursive_expansion":
-            run(name, {"n": n_terms, "b": block},
-                lambda: identities.check_recursive_expansion(
-                    signal, ExpansionSpec.of(n_terms, block, signal.dt)),
-                tol, residual)
-        elif name == "lp_bound":
-            def lp():
-                return max(identities.check_lp_bound(signal, window, p) for p in (1, 2, math.inf))
-            run(name, {"a": window}, lp, 2.0, lambda r: (r, r, r <= 2.0))
-        elif name == "monotonicity":
-            b = window + long_window
-            run(name, {"a": window, "b": b},
-                lambda: identities.check_window_monotonicity(signal, window, b),
-                0.0, lambda r: (float(not r.passed), float(not r.equality_passed),
-                                r.passed and r.equality_passed))
-        else:
-            raise IngestError(f"unknown check name {name!r}")
-
-    if any_skip:
-        return EXIT_INPUT_ERROR
-    return EXIT_CHECK_FAILED if any_fail else EXIT_OK
+def _check_line(r: identities.CheckRecord) -> str:
+    p = " ".join(f"{key}={val}" for key, val in r.params.items())
+    result = (f"skipped=insufficient_samples required={r.required}" if r.required is not None
+              else f"max_abs_residual={r.max_abs_residual:.6g} "
+                   f"max_rel_residual={r.max_rel_residual:.6g} gate={r.gate:.6g}")
+    return f"check name={r.name} {p} {result} pass={'true' if r.passed else 'false'}"
 
 
 def _cmd_compute(args, out) -> int:
@@ -305,20 +226,23 @@ def _cmd_compute(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     signal = ingest_csv(args.input, args.schema)
-    if args.checks == "all":
-        checks = list(VERIFY_CHECKS)
-    else:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        for c in checks:
-            if c not in VERIFY_CHECKS:
-                raise IngestError(
-                    f"unknown check name {c!r}; choose from {', '.join(VERIFY_CHECKS)} or 'all'"
-                )
-        if not checks:
+    names = None
+    if args.checks != "all":
+        names = [c.strip() for c in args.checks.split(",") if c.strip()]
+        for c in names:
+            if c not in identities.CHECKS:
+                raise IngestError(f"unknown check name {c!r}; choose from "
+                                  f"{', '.join(identities.CHECKS)} or 'all'")
+        if not names:
             raise IngestError("no checks selected")
     print(_digest_line(signal), file=out)
-    code = _run_verify(signal, checks, args.window, args.long_window,
-                       args.n, args.b, args.tol, out)
+    records = identities.run_checks(signal, names, window=args.window,
+                                    long_window=args.long_window, n=args.n, b=args.b,
+                                    tol=args.tol)
+    for record in records:
+        print(_check_line(record), file=out)
+    code = (EXIT_INPUT_ERROR if any(r.required is not None for r in records)
+            else EXIT_OK if all(r.passed for r in records) else EXIT_CHECK_FAILED)
     print(f"overall: {'pass' if code == EXIT_OK else 'fail'}", file=out)
     return code
 
@@ -402,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity checks")
     add_io(p, output_required=False)
     p.add_argument("--checks", default="all",
-                   help=f"comma list from {{{','.join(VERIFY_CHECKS)}}} or 'all'")
+                   help=f"comma list from {{{','.join(identities.CHECKS)}}} or 'all'")
     p.add_argument("--window", "-k", type=int, default=8, help="short window in samples")
     p.add_argument("--long-window", type=int, default=12,
                    help="second window (t2 / b) in samples")

@@ -9,12 +9,19 @@ noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
 one gate.
+
+:data:`CHECKS` maps each check name to its parameters (from the window, long
+window, term count and block), its call and its gate kind: relative residual
+(gate ``tol``), norm ratio (gate 2) or scan (gate 0).  :func:`run_checks`
+returns one :class:`CheckRecord` per entry, and ``macdkit verify`` prints
+them, so a new check takes one entry and no CLI edit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +33,13 @@ from .operators import (
     right_avg,
     windowed_derivative,
 )
-from .signals import UniformSignal, WindowSpec, aligned_values, as_window, sample_offset
+from .signals import (InsufficientSamplesError, UniformSignal, WindowSpec, aligned_values,
+                      as_window, sample_offset)
 
 __all__ = [
+    "CHECKS",
+    "CheckRecord",
+    "run_checks",
     "ResidualReport",
     "ExpansionSpec",
     "TrendLabel",
@@ -60,11 +71,6 @@ class ResidualReport:
 
     def passes(self, rel_tol: float = 1e-12) -> bool:
         return not self.insufficient and self.max_rel_residual <= rel_tol
-
-    @classmethod
-    def for_insufficient_samples(cls, name: str, required: int) -> "ResidualReport":
-        """Flagged report for a check skipped on a too-short signal."""
-        return cls(name, None, math.nan, math.nan, insufficient=True, required=required)
 
 
 @dataclass(frozen=True)
@@ -349,3 +355,68 @@ def classify_trend(signal: UniformSignal, index: int, a: WindowSpec | int,
     else:
         label = "linear"
     return TrendLabel(label, margin)
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One registry check's result; ``required`` is set (and it fails) on a short signal."""
+
+    name: str
+    params: dict
+    max_abs_residual: float
+    max_rel_residual: float
+    gate: float
+    passed: bool
+    required: int | None = None
+
+
+def _relative_gate(report: ResidualReport, tol: float) -> tuple:
+    return report.max_abs_residual, report.max_rel_residual, tol, report.passes(tol)
+
+
+def _norm_gate(ratio: float, tol: float) -> tuple:
+    return ratio, ratio, 2.0, ratio <= 2.0
+
+
+def _scan_gate(r: MonotonicityResult, tol: float) -> tuple:
+    return float(not r.passed), float(not r.equality_passed), 0.0, r.passed and r.equality_passed
+
+
+# name -> (params, gate, call).  params(window, long window, n, b) gives the
+# keyword arguments of call(signal, **params), and gate(result, tol) gives
+# (max abs, max rel, gate, passed).  Calls look their check up in this module
+# when they run, so a name replaced here (a tracing wrapper, say) is what runs.
+CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "recursive_decomposition": (lambda w, lw, n, b: {"t1": w, "t2": lw}, _relative_gate,
+        lambda s, t1, t2: check_recursive_decomposition(s, t1, t2)),
+    "difference_identity": (lambda w, lw, n, b: {"a": w, "b": lw}, _relative_gate,
+        lambda s, a, b: check_difference_identity(s, a, b)),
+    "macd_derivative": (lambda w, lw, n, b: {"a": w}, _relative_gate,
+        lambda s, a: check_macd_derivative(s, a)),
+    "phase_corrected_form": (lambda w, lw, n, b: {"a": w}, _relative_gate,
+        lambda s, a: check_phase_corrected_form(s, a)),
+    "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b}, _relative_gate,
+        lambda s, n, b: check_recursive_expansion(s, ExpansionSpec.of(n, b, s.dt))),
+    "lp_bound": (lambda w, lw, n, b: {"a": w}, _norm_gate,
+        lambda s, a: max(check_lp_bound(s, a, p) for p in (1, 2, math.inf))),
+    "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw}, _scan_gate,
+        lambda s, a, b: check_window_monotonicity(s, a, b)),
+}
+
+
+def run_checks(signal: UniformSignal, names=None, *, window: int = 8, long_window: int = 12,
+               n: int = 4, b: int = 4, tol: float = 1e-12) -> list[CheckRecord]:
+    """Run the :data:`CHECKS` keys in ``names`` (default: all), then return one record each.
+
+    An unknown name (``KeyError``) or a bad parameter (``ValueError``) raises.
+    """
+    records = []
+    entries = [(name, CHECKS[name]) for name in (CHECKS if names is None else names)]
+    for name, (params_of, gate, call) in entries:
+        params = params_of(window, long_window, n, b)
+        try:
+            result = gate(call(signal, **params), tol)
+        except InsufficientSamplesError as exc:
+            result = (math.nan, math.nan, math.nan, False, exc.required)
+        records.append(CheckRecord(name, params, *result))
+    return records

@@ -56,8 +56,8 @@ class UniformSignal:
         vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite value at sample {bad}")

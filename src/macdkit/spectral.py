@@ -29,11 +29,9 @@ __all__ = [
     "transfer_function",
     "bandpass_check",
     "DEFAULT_GRID",
-    "DENSE_GRID",
 ]
 
 DEFAULT_GRID = 4096
-DENSE_GRID = 65536
 
 
 class NotDifferenceKernelError(ValueError):

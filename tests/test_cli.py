@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg
-from macdkit import cli
+from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg, run_checks
+from macdkit import cli, identities
 from macdkit.cli import IngestError, _load_uniform, _scan_csv, ingest_csv, main, write_series_csv
 
 
@@ -64,6 +64,15 @@ def test_ingest_non_finite_reports_line_number(write):
         ingest_csv(write("nan.csv", "1\nnan\n3\n"))
     with pytest.raises(IngestError, match="non-finite value at line 3"):
         ingest_csv(write("inf.csv", "h\n1\ninf\n"))
+
+
+def test_ingest_rejects_overflowing_time_step(write):
+    # 1e308 - (-1e308) overflows to inf; both parsers must name the line.
+    for text, lineno in (("-1e308,1\n1e308,2\n", 2), ("t,v\n-1e308,1\n1e308,2\n", 3)):
+        path = write("overflow.csv", text)
+        for read in (lambda: ingest_csv(path), lambda: _scan_csv(path, "auto")):
+            with pytest.raises(IngestError, match=f"non-finite time step at line {lineno}$"):
+                read()
 
 
 def test_ingest_empty_file(write):
@@ -267,6 +276,61 @@ def test_verify_absurd_tolerance_fails(random_csv, capsys):
     assert code == 1
     assert "pass=false" in output
     assert "overall: fail" in output
+
+
+@pytest.mark.parametrize("flags, rule", [
+    (["-k", "7"], "centered window must have an even sample count"),
+    (["--n", "0"], "term count must be a positive integer"),
+])
+def test_verify_bad_parameter_prints_no_check_lines(random_csv, capsys, flags, rule):
+    path, _ = random_csv
+    assert main(["verify", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert not [l for l in captured.out.splitlines() if l.startswith("check ")]
+    assert "overall:" not in captured.out
+    assert rule in captured.err
+
+
+def test_verify_lines_match_run_checks(random_csv, capsys):
+    path, _ = random_csv
+    assert main(["verify", path]) == 0
+    lines = [l.split() for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+    records = run_checks(ingest_csv(path))
+    assert len(lines) == len(records) == 7
+    for fields, record in zip(lines, records):
+        printed = dict(f.split("=", 1) for f in fields[1:])
+        assert printed.pop("name") == record.name
+        assert printed.pop("pass") == ("true" if record.passed else "false")
+        for key in ("max_abs_residual", "max_rel_residual", "gate"):
+            assert printed.pop(key) == f"{getattr(record, key):.6g}"
+        assert printed == {key: str(val) for key, val in record.params.items()}
+
+
+def test_verify_runs_a_check_added_to_the_registry(random_csv, capsys, monkeypatch):
+    path, _ = random_csv
+    _, gate, call = identities.CHECKS["macd_derivative"]
+    monkeypatch.setitem(identities.CHECKS, "macd_derivative_long",
+                        (lambda w, lw, n, b: {"a": lw}, gate, call))
+    assert main(["verify", path, "--checks", "macd_derivative_long"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+    assert len(lines) == 1
+    assert lines[0].startswith("check name=macd_derivative_long a=12 max_abs_residual=")
+    assert main(["verify", path, "--checks", "fourier"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown check name 'fourier'; choose from recursive_decomposition, "
+        "difference_identity, macd_derivative, phase_corrected_form, recursive_expansion, "
+        "lp_bound, monotonicity, macd_derivative_long or 'all'\n"
+    )
+    assert main(["verify", "--help"]) == 0
+    assert ",monotonicity,macd_derivative_long}" in capsys.readouterr().out
+
+
+def test_verify_empty_check_list(random_csv, capsys):
+    path, _ = random_csv
+    assert main(["verify", path, "--checks", " , "]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no checks selected\n"
+    assert "input:" not in captured.out
 
 
 # --- classify ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macdkit import (
+    CHECKS,
     ExpansionSpec,
     InsufficientSamplesError,
     UniformSignal,
@@ -25,8 +26,10 @@ from macdkit import (
     expansion_rhs,
     macd,
     right_avg,
+    run_checks,
     smoothed_derivative,
 )
+from macdkit import identities
 from macdkit.identities import default_tolerance
 
 
@@ -316,3 +319,49 @@ def test_residual_rel_scale_invariance(random_signal):
     r2 = check_recursive_decomposition(big, 5, 7)
     assert r2.max_rel_residual <= 1e-12
     assert r2.max_rel_residual == pytest.approx(r1.max_rel_residual, rel=1e-3, abs=1e-15)
+
+
+# --- check registry ---------------------------------------------------------------------
+
+def test_run_checks_records_every_registry_entry(random_signal):
+    sig = random_signal(2000)
+    records = {r.name: r for r in run_checks(sig)}
+    assert list(records) == list(CHECKS)
+    assert all(r.passed and r.required is None for r in records.values())
+    assert records["recursive_decomposition"].params == {"t1": 8, "t2": 12}
+    assert records["recursive_expansion"].params == {"n": 4, "b": 4}
+    assert records["monotonicity"].params == {"a": 8, "b": 20}
+    assert [records[name].gate for name in ("macd_derivative", "lp_bound", "monotonicity")] \
+        == [1e-12, 2.0, 0.0]
+    report = check_difference_identity(sig, 8, 12)
+    assert records["difference_identity"].max_abs_residual == report.max_abs_residual
+    assert records["difference_identity"].max_rel_residual == report.max_rel_residual
+    ratio = max(check_lp_bound(sig, 8, p) for p in (1, 2, math.inf))
+    assert records["lp_bound"].max_rel_residual == ratio
+    assert not run_checks(sig, ["recursive_decomposition"], tol=1e-30)[0].passed
+
+
+def test_run_checks_short_signal_and_bad_arguments():
+    records = run_checks(ramp(12), ["recursive_expansion", "macd_derivative"], window=4)
+    assert [(r.name, r.passed, r.required) for r in records] == [
+        ("recursive_expansion", False, 40), ("macd_derivative", True, None)]
+    assert math.isnan(records[0].max_rel_residual)
+    with pytest.raises(KeyError):
+        run_checks(ramp(100), ["fourier"])
+    with pytest.raises(ValueError, match="even sample count"):
+        run_checks(ramp(100), window=7)
+
+
+def test_run_checks_calls_checks_through_module_names(monkeypatch, random_signal):
+    # Replacing a check function in the module (as a tracer does) reroutes
+    # the registry's call to it.
+    calls = []
+    original = identities.check_macd_derivative
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "check_macd_derivative", spy)
+    run_checks(random_signal(200), ["macd_derivative"], window=6)
+    assert calls == [(6,)]

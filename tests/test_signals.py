@@ -10,6 +10,9 @@ def test_signal_validates_inputs():
         UniformSignal(0.0, 0.0, [1.0])
     with pytest.raises(ValueError):
         UniformSignal(0.0, -1.0, [1.0])
+    # The time step of an overflowing pair such as -1e308, 1e308.
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        UniformSignal(-1e308, np.inf, [1.0, 2.0])
     with pytest.raises(ValueError):
         UniformSignal(0.0, 1.0, [])
     with pytest.raises(ValueError, match="non-finite"):

@@ -13,7 +13,6 @@ from macdkit import (
     transfer_function,
     triangular_kernel,
 )
-from macdkit.spectral import DENSE_GRID
 
 from .oracles import naive_transfer_magnitude
 
@@ -50,7 +49,7 @@ def test_magnitudes_match_naive_oracle():
 
 
 def test_frozen_dense_grid_peak_for_k8():
-    resp = transfer_function(macd_kernel(8), DENSE_GRID)
+    resp = transfer_function(macd_kernel(8), 65536)
     idx = int(np.argmax(resp.magnitudes))
     assert resp.frequencies[idx] == pytest.approx(K8_PEAK_OMEGA, abs=1e-12)
     assert resp.magnitudes[idx] == pytest.approx(K8_PEAK_MAGNITUDE, abs=1e-12)
