@@ -10,7 +10,6 @@ per sample, and analyzes the kernels' frequency responses.
 from .identities import (
     CHECKS,
     CheckRecord,
-    ExpansionSpec,
     MonotonicityResult,
     ResidualReport,
     TrendLabel,
@@ -50,9 +49,9 @@ from .operators import (
     windowed_derivative,
 )
 from .signals import (
+    ExpansionSpec,
     InsufficientSamplesError,
     UniformSignal,
-    WindowSpec,
     aligned_values,
     sample_offset,
 )
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UniformSignal",
-    "WindowSpec",
     "InsufficientSamplesError",
     "aligned_values",
     "sample_offset",

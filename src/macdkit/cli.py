@@ -21,10 +21,9 @@ import time
 import numpy as np
 
 from . import identities
-from .identities import ExpansionSpec
 from .kernels import box_kernel, expansion_kernel, macd_kernel, triangular_kernel
 from .operators import macd, right_avg
-from .signals import InsufficientSamplesError, UniformSignal
+from .signals import ExpansionSpec, InsufficientSamplesError, UniformSignal
 from .spectral import NotDifferenceKernelError, bandpass_check, transfer_function
 
 __all__ = ["main", "ingest_csv", "IngestError"]

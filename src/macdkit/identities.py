@@ -8,7 +8,8 @@ noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
-one gate.
+one gate.  Every window parameter (``t1``, ``t2``, ``a``, ``b``) is a sample
+count, a plain ``int`` checked by :func:`~macdkit.signals.window_size`.
 
 :data:`CHECKS` maps each check name to its parameters (from the window, long
 window, term count and block), its call and its gate kind: relative residual
@@ -20,7 +21,7 @@ them, so a new check takes one entry and no CLI edit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,8 +34,8 @@ from .operators import (
     right_avg,
     windowed_derivative,
 )
-from .signals import (InsufficientSamplesError, UniformSignal, WindowSpec, aligned_values,
-                      as_window, sample_offset)
+from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, aligned_values,
+                      sample_offset, window_size)
 
 __all__ = [
     "CHECKS",
@@ -67,38 +68,9 @@ class ResidualReport:
     max_abs_residual: float
     max_rel_residual: float
     insufficient: bool = False
-    required: int | None = None
 
     def passes(self, rel_tol: float = 1e-12) -> bool:
         return not self.insufficient and self.max_rel_residual <= rel_tol
-
-
-@dataclass(frozen=True)
-class ExpansionSpec:
-    """Term count and block window of the delayed-derivative expansion.
-
-    The long window is ``a = n * b`` by construction and the term weights
-    ``2i / (n(n+1))`` for ``i = 1..n`` sum to one.
-    """
-
-    n: int
-    b: WindowSpec
-    weights: tuple[float, ...] = field(init=False)
-    a: WindowSpec = field(init=False)
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"term count must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        n = self.n
-        object.__setattr__(
-            self, "weights", tuple(2.0 * i / (n * (n + 1)) for i in range(1, n + 1))
-        )
-        object.__setattr__(self, "a", WindowSpec(n * self.b.k, n * self.b.length))
-
-    @classmethod
-    def of(cls, n: int, kb: int, dt: float) -> "ExpansionSpec":
-        return cls(n, WindowSpec.of(kb, dt))
 
 
 @dataclass(frozen=True)
@@ -132,72 +104,70 @@ def _report(name: str, lhs: UniformSignal, rhs: UniformSignal,
     start = max(sample_offset(lhs, reference), sample_offset(rhs, reference))
     resid = np.abs(lv - rv)
     max_abs = float(resid.max())
-    denom = float(np.abs(lv).max())
-    if denom == 0.0:
-        max_rel = 0.0 if max_abs == 0.0 else math.inf
-    else:
-        max_rel = max_abs / denom
+    max_rel = _ratio(max_abs, float(np.abs(lv).max()))
     return ResidualReport(name, (start, start + lv.size - 1), max_abs, max_rel)
 
 
-def check_recursive_decomposition(signal: UniformSignal, t1: WindowSpec | int,
-                                  t2: WindowSpec | int) -> ResidualReport:
+def _ratio(num: float, denom: float) -> float:
+    """``num / denom``, where 0/0 counts as zero and x/0 as infinite."""
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / denom
+
+
+def check_recursive_decomposition(signal: UniformSignal, t1: int, t2: int) -> ResidualReport:
     """Split a long trailing average into two shorter ones.
 
     The average over ``t1 + t2`` samples equals the ``t1``-weighted average
     of the recent block plus the ``t2``-weighted average of the block before
     it.
     """
-    t1 = as_window(t1, signal.dt)
-    t2 = as_window(t2, signal.dt)
-    signal.require(t1.k + t2.k, "the decomposition check")
-    total = WindowSpec.of(t1.k + t2.k, signal.dt)
+    t1 = window_size(t1)
+    t2 = window_size(t2)
+    signal.require(t1 + t2, "the decomposition check")
+    total = t1 + t2
     lhs = right_avg(signal, total)
-    w1 = t1.k / total.k
-    w2 = t2.k / total.k
-    recent, older = aligned_values(right_avg(signal, t1), delay(right_avg(signal, t2), t1.k))
-    start = t1.k + t2.k - 1
+    w1 = t1 / total
+    w2 = t2 / total
+    recent, older = aligned_values(right_avg(signal, t1), delay(right_avg(signal, t2), t1))
+    start = t1 + t2 - 1
     rhs = UniformSignal(signal.t0 + start * signal.dt, signal.dt, w1 * recent + w2 * older)
     return _report("recursive_decomposition", lhs, rhs, signal)
 
 
-def check_difference_identity(signal: UniformSignal, a: WindowSpec | int,
-                              b: WindowSpec | int) -> ResidualReport:
+def check_difference_identity(signal: UniformSignal, a: int, b: int) -> ResidualReport:
     """Short-minus-long average as a scaled difference of block averages."""
-    a = as_window(a, signal.dt)
-    b = as_window(b, signal.dt)
-    signal.require(a.k + b.k, "the difference-identity check")
-    long_w = WindowSpec.of(a.k + b.k, signal.dt)
+    a = window_size(a)
+    b = window_size(b)
+    signal.require(a + b, "the difference-identity check")
+    long_w = a + b
     la, ll = aligned_values(right_avg(signal, a), right_avg(signal, long_w))
-    lhs = UniformSignal(signal.t0 + (long_w.k - 1) * signal.dt, signal.dt, la - ll)
-    ra, rb = aligned_values(right_avg(signal, a), delay(right_avg(signal, b), a.k))
-    factor = b.k / long_w.k
-    rhs = UniformSignal(signal.t0 + (long_w.k - 1) * signal.dt, signal.dt, factor * (ra - rb))
+    lhs = UniformSignal(signal.t0 + (long_w - 1) * signal.dt, signal.dt, la - ll)
+    ra, rb = aligned_values(right_avg(signal, a), delay(right_avg(signal, b), a))
+    factor = b / long_w
+    rhs = UniformSignal(signal.t0 + (long_w - 1) * signal.dt, signal.dt, factor * (ra - rb))
     return _report("difference_identity", lhs, rhs, signal)
 
 
-def smoothed_derivative(signal: UniformSignal, a: WindowSpec | int) -> UniformSignal:
+def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
     """Half-window-scaled exact rate of change of the double average.
 
     Computed as the lag-``k`` difference quotient of the single trailing
     average times ``a/2``; differentiating the outer average of the double
     average leaves exactly this expression.
     """
-    a = as_window(a, signal.dt)
-    length = a.k * signal.dt
     der = windowed_derivative(right_avg(signal, a), a)
-    return der.with_values(der.values * (length / 2.0))
+    return der.with_values(der.values * (a * signal.dt / 2.0))
 
 
-def check_macd_derivative(signal: UniformSignal, a: WindowSpec | int) -> ResidualReport:
+def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
     """Short-minus-long average equals the smoothed-derivative form."""
-    a = as_window(a, signal.dt)
-    signal.require(2 * a.k, "the derivative-form check")
+    a = window_size(a)
+    signal.require(2 * a, "the derivative-form check")
     return _report("macd_derivative", macd(signal, a), smoothed_derivative(signal, a), signal)
 
 
-def check_phase_corrected_form(signal: UniformSignal,
-                               a: WindowSpec | int) -> ResidualReport:
+def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     """Short-minus-long average as a delayed derivative of the centered smooth.
 
     Builds the double centered average with two centered passes and delays
@@ -206,34 +176,31 @@ def check_phase_corrected_form(signal: UniformSignal,
     average, so its exact rate of change is the lag-window difference
     quotient of the latter.
     """
-    a = as_window(a, signal.dt)
-    k = a.k
-    if k % 2 != 0:
-        raise ValueError(f"centered window must have an even sample count, got {k}")
+    k = window_size(a, even=True)
     signal.require(3 * k, "the phase-corrected check")
     length = k * signal.dt
 
     # Exhibit the shift identity: the delayed double centered average is the
     # double trailing average, sample for sample.
-    centered_twice = delay(centered_avg(centered_avg(signal, a), a), k)
-    trailing_twice = double_right_avg(signal, a)
+    centered_twice = delay(centered_avg(centered_avg(signal, k), k), k)
+    trailing_twice = double_right_avg(signal, k)
     cv, tv = aligned_values(centered_twice, trailing_twice)
     if not np.array_equal(cv, tv):
         raise AssertionError("centered/trailing shift identity violated")
 
-    inner = delay(centered_avg(signal, a), k // 2)
-    rhs = windowed_derivative(inner, a)
+    inner = delay(centered_avg(signal, k), k // 2)
+    rhs = windowed_derivative(inner, k)
     rhs = rhs.with_values(rhs.values * (length / 2.0))
-    return _report("phase_corrected_form", macd(signal, a), rhs, signal)
+    return _report("phase_corrected_form", macd(signal, k), rhs, signal)
 
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
     """The ``n``-term weighted sum of delayed, smoothed difference quotients."""
-    kb = spec.b.k
+    kb = spec.b
     block_len = kb * signal.dt
-    base = right_avg(signal, spec.b)
+    base = right_avg(signal, kb)
     terms = [
-        windowed_derivative(delay(base, (i - 1) * kb), spec.b)
+        windowed_derivative(delay(base, (i - 1) * kb), kb)
         for i in range(1, spec.n + 1)
     ]
     aligned = aligned_values(*terms) if len(terms) > 1 else (terms[-1].values,)
@@ -247,22 +214,22 @@ def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
 def check_recursive_expansion(signal: UniformSignal,
                               spec: ExpansionSpec) -> ResidualReport:
     """Long-window difference as the ``n``-term delayed-derivative sum."""
-    kb = spec.b.k
+    kb = spec.b
     signal.require((2 * spec.n + 2) * kb, "the expansion check")
     short = right_avg(signal, spec.a)
-    long_ = right_avg(signal, WindowSpec.of(spec.a.k + kb, signal.dt))
+    long_ = right_avg(signal, spec.a + kb)
     sv, lv = aligned_values(short, long_)
-    lhs = UniformSignal(signal.t0 + (spec.a.k + kb - 1) * signal.dt, signal.dt, sv - lv)
+    lhs = UniformSignal(signal.t0 + (spec.a + kb - 1) * signal.dt, signal.dt, sv - lv)
     return _report("recursive_expansion", lhs, expansion_rhs(signal, spec), signal)
 
 
-def check_lp_bound(signal: UniformSignal, a: WindowSpec | int, p) -> float:
+def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     """Operator-norm ratio ``|macd(signal)|_p / |signal|_p`` (dt-weighted).
 
     The ratio never exceeds 2 and, because the expanded kernel has total
-    absolute weight 1, in practice never exceeds 1 beyond rounding.
+    absolute weight 1, in practice never exceeds 1 beyond rounding.  On an
+    all-zero signal the indicator is exactly zero, and 0/0 counts as zero.
     """
-    a = as_window(a, signal.dt)
     out = macd(signal, a)
 
     def norm(vals: np.ndarray) -> float:
@@ -274,14 +241,10 @@ def check_lp_bound(signal: UniformSignal, a: WindowSpec | int, p) -> float:
             return float(np.max(np.abs(vals)))
         raise ValueError(f"unsupported norm order: {p!r}")
 
-    denom = norm(signal.values)
-    if denom == 0.0:
-        raise ValueError("undefined ratio: zero signal")
-    return norm(out.values) / denom
+    return _ratio(norm(out.values), norm(signal.values))
 
 
-def check_window_monotonicity(signal: UniformSignal, a: WindowSpec | int,
-                                 b: WindowSpec | int,
+def check_window_monotonicity(signal: UniformSignal, a: int, b: int,
                                  eq_tol: float | None = None) -> MonotonicityResult:
     """Scan the window-monotonicity implication over every valid index.
 
@@ -291,23 +254,23 @@ def check_window_monotonicity(signal: UniformSignal, a: WindowSpec | int,
     anchored averages forces a near-tie of the displaced pair, amplified by
     ``b / (b - a)``.
     """
-    a = as_window(a, signal.dt)
-    b = as_window(b, signal.dt)
-    if b.k <= a.k:
-        raise ValueError(f"long window must exceed short window: {b.k} <= {a.k}")
+    a = window_size(a)
+    b = window_size(b)
+    if b <= a:
+        raise ValueError(f"long window must exceed short window: {b} <= {a}")
     short, long_, displaced = aligned_values(
         right_avg(signal, a),
         right_avg(signal, b),
-        delay(right_avg(signal, WindowSpec.of(b.k - a.k, signal.dt)), a.k),
+        delay(right_avg(signal, b - a), a),
     )
-    start = b.k - 1
+    start = b - 1
     hypothesis = short > long_
     violations = hypothesis & ~(short > displaced)
     first = int(np.flatnonzero(violations)[0]) + start if violations.any() else None
 
     if eq_tol is None:
         eq_tol = default_tolerance(signal)
-    amplify = b.k / (b.k - a.k)
+    amplify = b / (b - a)
     near_tie = np.abs(short - long_) <= eq_tol
     eq_ok = np.abs(short - displaced) <= eq_tol * amplify * (1 + 1e-9)
     eq_passed = bool(np.all(eq_ok[near_tie]))
@@ -322,8 +285,8 @@ def check_window_monotonicity(signal: UniformSignal, a: WindowSpec | int,
     )
 
 
-def classify_trend(signal: UniformSignal, index: int, a: WindowSpec | int,
-                   b: WindowSpec | int, tol: float | None = None) -> TrendLabel:
+def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
+                   tol: float | None = None) -> TrendLabel:
     """Label the local trend at ``index`` from two anchored averages.
 
     The margin is the short average minus the ``(a+b)``-window average, both
@@ -332,9 +295,9 @@ def classify_trend(signal: UniformSignal, index: int, a: WindowSpec | int,
     decreasing; within tolerance the signal is locally linear (a symmetric
     profile also lands here).
     """
-    a = as_window(a, signal.dt)
-    b = as_window(b, signal.dt)
-    total = a.k + b.k
+    a = window_size(a)
+    b = window_size(b)
+    total = a + b
     n = len(signal)
     if index < total - 1 or index >= n:
         raise IndexError(
@@ -344,9 +307,9 @@ def classify_trend(signal: UniformSignal, index: int, a: WindowSpec | int,
     if tol is None:
         tol = default_tolerance(signal)
     short = right_avg(signal, a)
-    long_ = right_avg(signal, WindowSpec.of(total, signal.dt))
+    long_ = right_avg(signal, total)
     margin = float(
-        short.values[index - (a.k - 1)] - long_.values[index - (total - 1)]
+        short.values[index - (a - 1)] - long_.values[index - (total - 1)]
     )
     if margin > tol:
         label = "increasing"
@@ -396,7 +359,7 @@ CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
     "phase_corrected_form": (lambda w, lw, n, b: {"a": w}, _relative_gate,
         lambda s, a: check_phase_corrected_form(s, a)),
     "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b}, _relative_gate,
-        lambda s, n, b: check_recursive_expansion(s, ExpansionSpec.of(n, b, s.dt))),
+        lambda s, n, b: check_recursive_expansion(s, ExpansionSpec(n, b))),
     "lp_bound": (lambda w, lw, n, b: {"a": w}, _norm_gate,
         lambda s, a: max(check_lp_bound(s, a, p) for p in (1, 2, math.inf))),
     "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw}, _scan_gate,

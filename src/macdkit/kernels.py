@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .signals import InsufficientSamplesError, UniformSignal
+from .signals import ExpansionSpec, UniformSignal, window_size
 
 __all__ = [
     "KernelRep",
@@ -96,8 +96,7 @@ class KernelRep:
 
 def box_kernel(k: int) -> KernelRep:
     """Trailing box average of ``k`` samples: weight ``1/k`` on lags 0..k-1."""
-    if k < 1:
-        raise ValueError("window must be at least 1 sample")
+    k = window_size(k)
     return KernelRep(tuple(range(k)), np.full(k, 1.0 / k), f"avg k={k}")
 
 
@@ -107,8 +106,7 @@ def centered_box_kernel(k: int) -> KernelRep:
     Matches the shifted-trailing-average convention: the tap window around
     index ``i`` covers samples ``i - k/2 + 1 .. i + k/2``.
     """
-    if k < 1 or k % 2 != 0:
-        raise ValueError(f"centered window must be a positive even sample count, got {k}")
+    k = window_size(k, even=True)
     h = k // 2
     return KernelRep(tuple(range(-h, h)), np.full(k, 1.0 / k), f"centered k={k}")
 
@@ -122,8 +120,7 @@ def delay_kernel(lag: int) -> KernelRep:
 
 def derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
     """Lag-``k`` difference quotient: ``(+1, -1) / (k*dt)`` on lags 0 and k."""
-    if k < 1:
-        raise ValueError("window must be at least 1 sample")
+    k = window_size(k)
     q = 1.0 / (k * dt)
     return KernelRep((0, k), np.array([q, -q]), f"deriv k={k}")
 
@@ -135,8 +132,7 @@ def macd_kernel(k: int) -> KernelRep:
     lags and ``-1/(2k)`` on the ``k`` lags before those; the weights sum to
     zero, so constants are rejected analytically.
     """
-    if k < 1:
-        raise ValueError("window must be at least 1 sample")
+    k = window_size(k)
     q = 1.0 / (2 * k)
     w = np.concatenate([np.full(k, q), np.full(k, -q)])
     return KernelRep(tuple(range(2 * k)), w, f"macd k={k}")
@@ -155,6 +151,7 @@ def smoothed_derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
     difference-quotient kernel convolved with a single box, scaled by
     ``k*dt/2``.  It reproduces :func:`macd_kernel` exactly.
     """
+    k = window_size(k)
     a = k * dt
     return _kernel(("scale", a / 2.0, ("compose", ("deriv", k), ("avg", k))),
                    f"smoothed-deriv k={k}", dt)
@@ -163,21 +160,20 @@ def smoothed_derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
 def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
     """Kernel of the ``n``-term delayed-derivative expansion with block ``kb``.
 
-    Weighted sum over ``i = 1..n`` of ``2i/(n(n+1))`` times the smoothed
-    difference quotient of the block average delayed by ``(i-1)*kb`` samples,
-    all scaled by half a block length.  Equals the difference of the
-    ``n*kb``- and ``(n+1)*kb``-sample box kernels.
+    Weighted sum over ``i = 1..n`` of :attr:`ExpansionSpec.weights` times
+    the smoothed difference quotient of the block average delayed by
+    ``(i-1)*kb`` samples, all scaled by half a block length.  Equals the
+    difference of the ``n*kb``- and ``(n+1)*kb``-sample box kernels.
     """
-    if n < 1:
-        raise ValueError("expansion needs at least one term")
+    spec = ExpansionSpec(n, kb)
     b = kb * dt
     terms = [
         (
             "scale",
-            (2 * i / (n * (n + 1))) * (b / 2.0),
+            w * (b / 2.0),
             ("compose", ("deriv", kb), ("delay", (i - 1) * kb), ("avg", kb)),
         )
-        for i in range(1, n + 1)
+        for i, w in enumerate(spec.weights, start=1)
     ]
     return _kernel(("sum", *terms), f"expansion n={n} kb={kb}", dt)
 
@@ -262,16 +258,10 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
     delay-only or advance-only kernel keeps the current sample's index in
     that range.
     """
-    n = len(signal)
     ahead = min(kernel.offsets[0], 0)
     lo = max(kernel.offsets[-1], 0)
     span = lo - ahead + 1
-    if n < span:
-        raise InsufficientSamplesError(
-            f"insufficient samples for kernel '{kernel.scale_note}': "
-            f"signal has {n}, needs at least {span}",
-            required=span,
-        )
+    signal.require(span, f"kernel '{kernel.scale_note}'")
     taps = np.zeros(span)
     taps[np.asarray(kernel.offsets) - ahead] = kernel.weights
     out = np.convolve(signal.values, taps, mode="valid")

@@ -5,6 +5,8 @@ The continuous average over the trailing interval is realized as the
 arithmetic mean of the ``k`` most recent samples (the signal is treated as
 piecewise-constant on sample cells), which makes every algebraic relation
 between the operators exact rather than merely first-order in ``dt``.
+Every window argument is that sample count ``k``, a plain ``int`` checked
+by :func:`~macdkit.signals.window_size`.
 
 Window sums take one vectorised path for every window length: an exact
 anchor sum every ``max(32, k // 8)`` outputs, continued between anchors by a
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import InsufficientSamplesError, UniformSignal, WindowSpec, as_window
+from .signals import UniformSignal, _check_length, window_size
 
 __all__ = [
     "right_avg",
@@ -42,15 +44,10 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     whatever the signal length.  On constant input every window sum is the
     same float.
     """
+    k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    if k < 1:
-        raise ValueError("window must be at least 1 sample")
-    if n < k:
-        raise InsufficientSamplesError(
-            f"insufficient samples for window sums: signal has {n}, needs at least {k}",
-            required=k,
-        )
+    _check_length(n, k, "window sums")
     if k == 1:
         return values.copy()
     m = n - k + 1
@@ -69,7 +66,7 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     return np.cumsum(steps.reshape(-1, seg), axis=1).reshape(-1)[:m]
 
 
-def right_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
+def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """Trailing (causal) box average over the last ``k`` samples.
 
     Output sample ``j`` is the mean of ``values[j : j + k]``; it is anchored
@@ -77,14 +74,13 @@ def right_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
     the input sample at the same timestamp share the window's right endpoint.
     The result is ``k - 1`` samples shorter than the input.
     """
-    w = as_window(w, signal.dt)
-    k = w.k
+    k = window_size(w)
     signal.require(k, f"a {k}-sample average")
     sums = sliding_sums(signal.values, k)
     return UniformSignal(signal.t0 + (k - 1) * signal.dt, signal.dt, sums / k)
 
 
-def centered_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
+def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """Centered (phase-corrected) box average; requires an even window.
 
     Identical sample values to :func:`right_avg`, re-anchored half a window
@@ -92,27 +88,24 @@ def centered_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
     ``t + k/2`` samples.  Odd windows would need half-sample interpolation
     and are rejected.
     """
-    w = as_window(w, signal.dt)
-    k = w.k
-    if k % 2 != 0:
-        raise ValueError(f"centered window must have an even sample count, got {k}")
+    k = window_size(w, even=True)
     signal.require(k, f"a {k}-sample centered average")
-    trailing = right_avg(signal, w)
+    trailing = right_avg(signal, k)
     return trailing.with_values(trailing.values, t0=trailing.t0 - (k // 2) * signal.dt)
 
 
-def double_right_avg(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
+def double_right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """Trailing box average applied twice with the same window.
 
     Equivalent to convolving with a triangular kernel spanning ``2k - 1``
     samples.
     """
-    w = as_window(w, signal.dt)
-    signal.require(2 * w.k - 1, f"a doubled {w.k}-sample average")
-    return right_avg(right_avg(signal, w), w)
+    k = window_size(w)
+    signal.require(2 * k - 1, f"a doubled {k}-sample average")
+    return right_avg(right_avg(signal, k), k)
 
 
-def macd(signal: UniformSignal, a: WindowSpec | int) -> UniformSignal:
+def macd(signal: UniformSignal, a: int) -> UniformSignal:
     """Short-minus-long trend indicator: ``k``-average minus ``2k``-average.
 
     Evaluated as ``(S(i) - S(i-k)) / (2k)`` with ``S`` the sliding window
@@ -120,8 +113,7 @@ def macd(signal: UniformSignal, a: WindowSpec | int) -> UniformSignal:
     and cancels bit-exactly on constant signals.  Defined from input index
     ``2k - 1`` onward.
     """
-    a = as_window(a, signal.dt)
-    k = a.k
+    k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
     sums = sliding_sums(signal.values, k)
     out = (sums[k:] - sums[:-k]) / (2 * k)
@@ -138,26 +130,20 @@ def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:
     lag = int(lag_samples)
     if lag < 0:
         raise ValueError(f"lag must be non-negative, got {lag_samples}")
-    n = len(signal)
-    if lag >= n:
-        raise InsufficientSamplesError(
-            f"insufficient samples for a lag of {lag}: signal has {n}, needs at least {lag + 1}",
-            required=lag + 1,
-        )
+    signal.require(lag + 1, f"a lag of {lag}")
     if lag == 0:
         return signal
-    return UniformSignal(signal.t0 + lag * signal.dt, signal.dt, signal.values[: n - lag])
+    return UniformSignal(signal.t0 + lag * signal.dt, signal.dt, signal.values[:-lag])
 
 
-def windowed_derivative(signal: UniformSignal, w: WindowSpec | int) -> UniformSignal:
+def windowed_derivative(signal: UniformSignal, w: int) -> UniformSignal:
     """Lag-``k`` difference quotient ``(f(i) - f(i-k)) / (k*dt)``.
 
     For any signal that is itself a trailing ``k``-average this equals the
     exact rate of change of that average in the piecewise-constant model,
     so derivative-form identities hold with no truncation error.
     """
-    w = as_window(w, signal.dt)
-    k = w.k
+    k = window_size(w)
     signal.require(k + 1, f"a lag-{k} difference quotient")
     out = (signal.values[k:] - signal.values[:-k]) / (k * signal.dt)
     return UniformSignal(signal.t0 + k * signal.dt, signal.dt, out)

@@ -5,19 +5,25 @@ values.  Operators shrink the valid index range instead of padding, and the
 output carries an explicit ``t0`` so that the index-to-time mapping survives
 arbitrary composition: two signals derived from the same input can always be
 re-aligned by comparing start times.
+
+A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
+is worked out from the signal's own ``dt`` wherever a formula needs it.
+Every layer validates a window with :func:`window_size`, so a bad window
+raises the same error from an operator, a check, a kernel or a stream.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "UniformSignal",
-    "WindowSpec",
+    "ExpansionSpec",
     "InsufficientSamplesError",
-    "as_window",
+    "window_size",
     "sample_offset",
     "aligned_values",
 ]
@@ -82,30 +88,49 @@ class UniformSignal:
         _check_length(len(self), n, what)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """An averaging window: ``k`` samples spanning ``length = k*dt`` time units."""
+def window_size(k, *, even: bool = False) -> int:
+    """The sample count of window ``k``, which must be a positive integer.
 
-    k: int
-    length: float
+    ``even`` also requires an even count, as a centered window does.
+    """
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"window needs a positive integer sample count, got {k!r}")
+    if even and k % 2 != 0:
+        raise ValueError(f"centered window must have an even sample count, got {k}")
+    return int(k)
+
+
+@dataclass(frozen=True)
+class ExpansionSpec:
+    """Term count ``n`` and block window ``b`` (samples) of the delayed-derivative expansion.
+
+    The long window is ``a = n * b`` samples, and the term weights
+    ``2i / (n(n+1))`` for ``i = 1..n`` sum to one.
+    """
+
+    n: int
+    b: int
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"window needs a positive integer sample count, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "length", float(self.length))
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"term count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "b", window_size(self.b))
+
+    @property
+    def a(self) -> int:
+        """The long window, ``n * b`` samples."""
+        return self.n * self.b
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        n = self.n
+        return tuple(2.0 * i / (n * (n + 1)) for i in range(1, n + 1))
 
     @classmethod
-    def of(cls, k: int, dt: float) -> "WindowSpec":
-        """Window of ``k`` samples on a grid with spacing ``dt``."""
-        return cls(k, k * dt)
-
-
-def as_window(w: WindowSpec | int, dt: float) -> WindowSpec:
-    """Normalize an integer sample count or an existing spec to a WindowSpec."""
-    if isinstance(w, WindowSpec):
-        return w
-    return WindowSpec.of(int(w), dt)
+    def of(cls, n: int, kb: int, dt: float) -> "ExpansionSpec":
+        """``ExpansionSpec(n, kb)``; ``dt`` is unused, as windows are sample counts."""
+        return cls(n, kb)
 
 
 def sample_offset(sig: UniformSignal, reference: UniformSignal) -> int:

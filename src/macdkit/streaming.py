@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .identities import ExpansionSpec
-from .signals import WindowSpec
+from .signals import ExpansionSpec, window_size
 
 __all__ = ["MacdStream", "ExpansionStream", "RESUM_INTERVAL"]
 
@@ -106,10 +105,8 @@ class MacdStream(_StreamBase):
     value matches the batch operator at the same index.
     """
 
-    def __init__(self, window: WindowSpec | int, resum_interval: int = RESUM_INTERVAL):
-        k = window.k if isinstance(window, WindowSpec) else int(window)
-        if k < 1:
-            raise ValueError("window must be at least 1 sample")
+    def __init__(self, window: int, resum_interval: int = RESUM_INTERVAL):
+        k = window_size(window)
         super().__init__(2 * k, 2, resum_interval)
         self.k = k
         self._scale = 1.0 / (2 * k)
@@ -151,7 +148,7 @@ class ExpansionStream(_StreamBase):
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
         self.spec = spec
-        n, k = spec.n, spec.b.k
+        n, k = spec.n, spec.b
         super().__init__((n + 1) * k + 1, n + 1, resum_interval)
         self.k = k
         # Term i pairs block sums i-1 and i; fold the 1/(2k) into the weight.

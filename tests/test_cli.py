@@ -231,6 +231,26 @@ def test_compute_insufficient_samples_is_input_error(tmp_path, write, capsys):
     assert "needs at least 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, indicators, kernels, error", [
+    (["-k", "0"], ["avg", "macd"], ["avg", "macd", "triangle"],
+     "error: window needs a positive integer sample count, got 0\n"),
+    (["--n", "0"], ["expansion"], ["expansion"],
+     "error: term count must be a positive integer, got 0\n"),
+    (["--b", "0"], ["expansion"], ["expansion"],
+     "error: window needs a positive integer sample count, got 0\n"),
+])
+def test_compute_and_spectrum_reject_bad_parameters_alike(tmp_path, random_csv, capsys, flags,
+                                                          indicators, kernels, error):
+    path, _ = random_csv
+    out = str(tmp_path / "out.csv")
+    for indicator in indicators:
+        assert main(["compute", indicator, path, *flags, "-o", out]) == 2
+        assert capsys.readouterr().err == error
+    for kernel in kernels:
+        assert main(["spectrum", kernel, *flags, "-o", out]) == 2
+        assert capsys.readouterr().err == error
+
+
 # --- verify -------------------------------------------------------------------------
 
 def test_verify_all_passes_on_random_input(random_csv, capsys):
@@ -247,6 +267,17 @@ def test_verify_all_passes_on_random_input(random_csv, capsys):
         if "max_rel_residual" in line and "lp_bound" not in line:
             rel = float(line.split("max_rel_residual=")[1].split()[0])
             assert rel <= 1e-12
+    assert "overall: pass" in output
+
+
+def test_verify_all_zero_input_passes(write, capsys):
+    path = write("zeros.csv", "0\n" * 200)
+    assert main(["verify", path]) == 0
+    output = capsys.readouterr().out
+    lines = [l for l in output.splitlines() if l.startswith("check ")]
+    assert len(lines) == 7
+    assert all(l.endswith(" pass=true") for l in lines)
+    assert "check name=lp_bound a=8 max_abs_residual=0 max_rel_residual=0 gate=2 " in output
     assert "overall: pass" in output
 
 

@@ -10,7 +10,6 @@ from macdkit import (
     ExpansionSpec,
     InsufficientSamplesError,
     UniformSignal,
-    WindowSpec,
     aligned_values,
     centered_avg,
     check_difference_identity,
@@ -48,8 +47,9 @@ def constant(n, c=3.25):
 def test_expansion_spec_invariants(n, kb):
     spec = ExpansionSpec.of(n, kb, 1.0)
     assert abs(math.fsum(spec.weights) - 1.0) <= 1e-14
-    assert spec.a.k == n * kb
+    assert (spec.n, spec.b, spec.a) == (n, kb, n * kb)
     assert len(spec.weights) == n
+    assert ExpansionSpec.of(n, kb, 0.25) == spec  # dt is unused
 
 
 def test_expansion_spec_rejects_bad_term_count():
@@ -202,10 +202,13 @@ def test_lp_bound_constant_is_zero():
         assert check_lp_bound(constant(40), 4, p) == 0.0
 
 
-def test_lp_bound_zero_signal_rejected():
+def test_lp_bound_zero_signal_is_zero():
     zero = UniformSignal(0.0, 1.0, np.zeros(40))
-    with pytest.raises(ValueError, match="undefined ratio"):
-        check_lp_bound(zero, 4, 2)
+    for p in (1, 2, math.inf):
+        assert check_lp_bound(zero, 4, p) == 0.0
+    records = run_checks(UniformSignal(0.0, 1.0, np.zeros(200)))
+    assert len(records) == 7
+    assert all(r.passed for r in records)
 
 
 def test_lp_bound_rejects_unknown_order():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from macdkit import (
     InsufficientSamplesError,
     UniformSignal,
-    WindowSpec,
     centered_avg,
     delay,
     double_right_avg,
@@ -322,10 +321,3 @@ def test_step_response_regularity_gain(k):
         assert largest == 1.0 / k
     else:
         assert abs(largest - 1.0 / k) <= np.spacing(1.0) / 2
-
-
-def test_operators_accept_window_spec(random_signal):
-    sig = random_signal(100)
-    w = WindowSpec.of(4, sig.dt)
-    assert np.array_equal(right_avg(sig, w).values, right_avg(sig, 4).values)
-    assert np.array_equal(macd(sig, w).values, macd(sig, 4).values)

@@ -1,8 +1,36 @@
 import numpy as np
 import pytest
 
-from macdkit import UniformSignal, WindowSpec, aligned_values, sample_offset
-from macdkit.signals import as_window
+from macdkit import (
+    ExpansionSpec,
+    MacdStream,
+    UniformSignal,
+    aligned_values,
+    box_kernel,
+    centered_avg,
+    centered_box_kernel,
+    check_lp_bound,
+    check_macd_derivative,
+    check_phase_corrected_form,
+    check_recursive_decomposition,
+    check_window_monotonicity,
+    classify_trend,
+    derivative_kernel,
+    double_right_avg,
+    expansion_kernel,
+    macd,
+    macd_kernel,
+    right_avg,
+    sample_offset,
+    sliding_sums,
+    smoothed_derivative,
+    smoothed_derivative_kernel,
+    triangular_kernel,
+    windowed_derivative,
+)
+from macdkit.signals import window_size
+
+BAD_COUNTS = [0, -1, 2.5, "3"]
 
 
 def test_signal_validates_inputs():
@@ -34,15 +62,69 @@ def test_times_and_len():
 
 
 def test_window_spec():
-    w = WindowSpec.of(4, 0.25)
-    assert w.k == 4
-    assert w.length == 1.0
-    with pytest.raises(ValueError):
-        WindowSpec(0, 0.0)
-    with pytest.raises(ValueError):
-        WindowSpec(-2, 1.0)
-    assert as_window(3, 2.0) == WindowSpec(3, 6.0)
-    assert as_window(w, 0.25) is w
+    assert window_size(4) == 4
+    assert type(window_size(np.int64(4))) is int
+    assert window_size(6, even=True) == 6
+    for bad in BAD_COUNTS + [3.0, None]:
+        with pytest.raises(ValueError) as err:
+            window_size(bad)
+        assert str(err.value) == f"window needs a positive integer sample count, got {bad!r}"
+    with pytest.raises(ValueError, match="positive integer sample count, got 0"):
+        window_size(0, even=True)
+    with pytest.raises(ValueError, match="centered window must have an even sample count, got 7"):
+        window_size(7, even=True)
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_bad_window_same_error_in_every_layer(bad):
+    sig = UniformSignal(0.0, 1.0, np.arange(64.0))
+    layers = {
+        "sliding_sums": lambda k: sliding_sums(sig.values, k),
+        "right_avg": lambda k: right_avg(sig, k),
+        "centered_avg": lambda k: centered_avg(sig, k),
+        "double_right_avg": lambda k: double_right_avg(sig, k),
+        "macd": lambda k: macd(sig, k),
+        "windowed_derivative": lambda k: windowed_derivative(sig, k),
+        "smoothed_derivative": lambda k: smoothed_derivative(sig, k),
+        "check_recursive_decomposition": lambda k: check_recursive_decomposition(sig, 4, k),
+        "check_macd_derivative": lambda k: check_macd_derivative(sig, k),
+        "check_phase_corrected_form": lambda k: check_phase_corrected_form(sig, k),
+        "check_lp_bound": lambda k: check_lp_bound(sig, k, 2),
+        "check_window_monotonicity": lambda k: check_window_monotonicity(sig, k, 8),
+        "classify_trend": lambda k: classify_trend(sig, 63, k, 4),
+        "box_kernel": box_kernel,
+        "centered_box_kernel": centered_box_kernel,
+        "derivative_kernel": derivative_kernel,
+        "macd_kernel": macd_kernel,
+        "triangular_kernel": triangular_kernel,
+        "smoothed_derivative_kernel": smoothed_derivative_kernel,
+        "expansion_kernel": lambda k: expansion_kernel(2, k),
+        "ExpansionSpec": lambda k: ExpansionSpec(2, k),
+        "MacdStream": MacdStream,
+    }
+    want = f"window needs a positive integer sample count, got {bad!r}"
+    for name, call in layers.items():
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == want, name
+
+
+def test_odd_centered_window_same_error_in_every_layer():
+    sig = UniformSignal(0.0, 1.0, np.arange(64.0))
+    for call in (lambda: centered_avg(sig, 7), lambda: check_phase_corrected_form(sig, 7),
+                 lambda: centered_box_kernel(7)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "centered window must have an even sample count, got 7"
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_bad_term_count_same_error_in_every_layer(bad):
+    for call in (lambda: ExpansionSpec(bad, 4), lambda: ExpansionSpec.of(bad, 4, 1.0),
+                 lambda: expansion_kernel(bad, 4)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"term count must be a positive integer, got {bad!r}"
 
 
 def test_sample_offset():

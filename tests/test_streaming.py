@@ -153,13 +153,3 @@ def test_expansion_stream_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         stream.push(float("nan"))
     assert stream.samples_seen == 1
-
-
-def test_window_spec_accepted_by_macd_stream(rng):
-    from macdkit import WindowSpec
-
-    values = rng.uniform(-1, 1, 50)
-    a = MacdStream(WindowSpec.of(4, 1.0))
-    b = MacdStream(4)
-    for v in values:
-        assert a.push(v) == b.push(v)
