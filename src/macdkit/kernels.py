@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .signals import ExpansionSpec, UniformSignal, window_size
+from .signals import ExpansionSpec, UniformSignal, lag_size, window_size
 
 __all__ = [
     "KernelRep",
@@ -113,9 +113,8 @@ def centered_box_kernel(k: int) -> KernelRep:
 
 def delay_kernel(lag: int) -> KernelRep:
     """Pure delay of ``lag`` samples."""
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    return KernelRep((int(lag),), np.ones(1), f"delay {lag}")
+    lag = lag_size(lag)
+    return KernelRep((lag,), np.ones(1), f"delay {lag}")
 
 
 def derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:

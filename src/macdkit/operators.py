@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import UniformSignal, _check_length, window_size
+from .signals import WINDOW_SUM_OVERFLOW, UniformSignal, _check_length, lag_size, window_size
 
 __all__ = [
     "right_avg",
@@ -42,7 +42,7 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     earlier anchor, so rounding never drifts over more than one anchor
     interval and accuracy is a few units in the last place of the window sum
     whatever the signal length.  On constant input every window sum is the
-    same float.
+    same float.  A window sum that overflows float64 raises ``ValueError``.
     """
     k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
@@ -55,15 +55,20 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     starts = np.arange(0, m, seg)
     # One row per anchor interval: the anchor sum, then the steps after it.
     steps = np.zeros(starts.size * seg)
-    np.subtract(values[k:], values[: m - 1], out=steps[1:m])
     # Anchor sums reduce over [start, start + k) in place, with no copy of
     # the windows.  The last bound is dropped when it is n: that window then
     # runs to the end of the array, and reduceat accepts no index n.
     bounds = np.stack([starts, starts + k], axis=1).reshape(-1)
     if bounds[-1] == n:
         bounds = bounds[:-1]
-    steps[starts] = np.add.reduceat(values, bounds)[::2]
-    return np.cumsum(steps.reshape(-1, seg), axis=1).reshape(-1)[:m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(values[k:], values[: m - 1], out=steps[1:m])
+        steps[starts] = np.add.reduceat(values, bounds)[::2]
+        rows = np.cumsum(steps.reshape(-1, seg), axis=1)
+    # A non-finite entry of a running row stays non-finite to the row's end.
+    if not np.isfinite(rows[:, -1]).all():
+        raise ValueError(WINDOW_SUM_OVERFLOW)
+    return rows.reshape(-1)[:m]
 
 
 def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -127,9 +132,7 @@ def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:
     result starts ``lag`` samples later than the input and ends with it;
     the valid range shrinks by ``lag`` samples.
     """
-    lag = int(lag_samples)
-    if lag < 0:
-        raise ValueError(f"lag must be non-negative, got {lag_samples}")
+    lag = lag_size(lag_samples)
     signal.require(lag + 1, f"a lag of {lag}")
     if lag == 0:
         return signal

@@ -8,8 +8,10 @@ re-aligned by comparing start times.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
-Every layer validates a window with :func:`window_size`, so a bad window
-raises the same error from an operator, a check, a kernel or a stream.
+Every layer validates a window with :func:`window_size`, and a lag with
+:func:`lag_size`, so a bad window or lag raises the same error from an
+operator, a check, a kernel or a stream.  A window sum that overflows
+float64 raises the one ``WINDOW_SUM_OVERFLOW`` error in batch and stream.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "ExpansionSpec",
     "InsufficientSamplesError",
     "window_size",
+    "lag_size",
     "sample_offset",
     "aligned_values",
 ]
@@ -35,6 +38,9 @@ class InsufficientSamplesError(ValueError):
     def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
+
+
+WINDOW_SUM_OVERFLOW = "window sum overflows float64: sample magnitudes are too large"
 
 
 def _check_length(n: int, required: int, what: str) -> None:
@@ -98,6 +104,13 @@ def window_size(k, *, even: bool = False) -> int:
     if even and k % 2 != 0:
         raise ValueError(f"centered window must have an even sample count, got {k}")
     return int(k)
+
+
+def lag_size(lag) -> int:
+    """The sample count of delay ``lag``, which must be a non-negative integer."""
+    if not isinstance(lag, numbers.Integral) or lag < 0:
+        raise ValueError(f"lag needs a non-negative integer sample count, got {lag!r}")
+    return int(lag)
 
 
 @dataclass(frozen=True)

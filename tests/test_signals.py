@@ -6,7 +6,9 @@ from macdkit import (
     MacdStream,
     UniformSignal,
     aligned_values,
+    ExpansionStream,
     box_kernel,
+    build_kernel,
     centered_avg,
     centered_box_kernel,
     check_lp_bound,
@@ -15,7 +17,10 @@ from macdkit import (
     check_recursive_decomposition,
     check_window_monotonicity,
     classify_trend,
+    delay,
+    delay_kernel,
     derivative_kernel,
+    expansion_rhs,
     double_right_avg,
     expansion_kernel,
     macd,
@@ -28,7 +33,7 @@ from macdkit import (
     triangular_kernel,
     windowed_derivative,
 )
-from macdkit.signals import window_size
+from macdkit.signals import lag_size, window_size
 
 BAD_COUNTS = [0, -1, 2.5, "3"]
 
@@ -125,6 +130,60 @@ def test_bad_term_count_same_error_in_every_layer(bad):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == f"term count must be a positive integer, got {bad!r}"
+
+
+BAD_LAGS = [-1, 2.5, "3", None]
+
+
+def test_lag_size():
+    assert lag_size(0) == 0
+    assert type(lag_size(np.int64(3))) is int
+    for bad in BAD_LAGS + [3.0]:
+        with pytest.raises(ValueError) as err:
+            lag_size(bad)
+        assert str(err.value) == f"lag needs a non-negative integer sample count, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", BAD_LAGS)
+def test_bad_lag_same_error_in_every_layer(bad):
+    sig = UniformSignal(0.0, 1.0, np.arange(64.0))
+    layers = {
+        "delay": lambda lag: delay(sig, lag),
+        "delay_kernel": delay_kernel,
+        "build_kernel": lambda lag: build_kernel(("delay", lag)),
+    }
+    want = f"lag needs a non-negative integer sample count, got {bad!r}"
+    for name, call in layers.items():
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == want, name
+
+
+def test_window_sum_overflow_same_error_from_batch_and_stream():
+    huge = UniformSignal(0.0, 1.0, np.full(16, 1e308))
+    stream_calls = {
+        "MacdStream": lambda: MacdStream(2),
+        "ExpansionStream": lambda: ExpansionStream(ExpansionSpec(3, 2)),
+    }
+    batch_calls = {
+        "sliding_sums": lambda: sliding_sums(huge.values, 2),
+        "right_avg": lambda: right_avg(huge, 2),
+        "macd": lambda: macd(huge, 2),
+        "expansion_rhs": lambda: expansion_rhs(huge, ExpansionSpec(3, 2)),
+    }
+    messages = {}
+    for name, call in batch_calls.items():
+        with pytest.raises(ValueError) as err:
+            call()
+        messages[name] = str(err.value)
+    for name, make in stream_calls.items():
+        stream = make()
+        stream.push(1e308)
+        with pytest.raises(ValueError) as err:
+            stream.push(1e308)
+        messages[name] = str(err.value)
+    assert len(set(messages.values())) == 1, messages
+    assert "overflow" in messages["macd"]
 
 
 def test_sample_offset():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ def test_non_finite_sample_rejected_without_state_change(random_signal):
         assert stream.push(v) == reference.push(v)
 
 
+def test_overflowing_push_rejected_without_state_change():
+    stream = MacdStream(2)
+    reference = MacdStream(2)
+    for s in (stream, reference):
+        s.push(1e308)
+    with pytest.raises(ValueError, match="overflow"):
+        stream.push(1e308)
+    assert stream.samples_seen == reference.samples_seen == 1
+    for v in (0.0, -1e308, 3.0, 0.5, 2.0, -1.0):
+        assert stream.push(v) == reference.push(v)
+    assert stream.stats() == reference.stats()
+
+
 def test_resummation_keeps_outputs_on_track(rng):
     values = rng.uniform(-1, 1, 5000)
     _, with_resum = stream_macd(values, 8, resum_interval=64)
@@ -110,7 +125,7 @@ def test_stream_state_is_bounded():
     exp = ExpansionStream(ExpansionSpec.of(5, 8, 1.0))
     for v in np.sin(np.arange(3_000.0)):
         exp.push(v)
-    assert len(exp._ring) == (5 + 1) * 8 + 1
+    assert len(exp._ring) == (5 + 1) * 8
 
 
 def test_expansion_stream_single_term_matches_macd_stream_bitwise(rng):
@@ -127,24 +142,66 @@ def test_expansion_stream_single_term_matches_macd_stream_bitwise(rng):
 
 
 def test_expansion_stream_constant_is_zero():
-    stream = ExpansionStream(ExpansionSpec.of(4, 4, 1.0))
-    outs = [stream.push(0.73) for _ in range(100)]
-    warm = (4 + 1) * 4 - 1
-    assert all(v is None for v in outs[:warm])
-    assert all(v == 0.0 for v in outs[warm:])
+    for n in (3, 4):
+        stream = ExpansionStream(ExpansionSpec.of(n, 4, 1.0))
+        outs = [stream.push(0.73) for _ in range(100)]
+        warm = (n + 1) * 4 - 1
+        assert all(v is None for v in outs[:warm])
+        assert all(v == 0.0 for v in outs[warm:]), n
 
 
 def test_expansion_stream_matches_batch(rng):
-    values = rng.uniform(-1, 1, 20_000)
-    sig = UniformSignal(0.0, 1.0, values)
-    spec = ExpansionSpec.of(4, 8, 1.0)
-    stream = ExpansionStream(spec)
-    outs = [stream.push(v) for v in values]
-    batch = expansion_rhs(sig, spec)
-    first = next(i for i, v in enumerate(outs) if v is not None)
-    assert first == sample_offset(batch, sig)
-    got = np.array(outs[first:])
-    assert np.max(np.abs(got - batch.values)) <= 1e-9
+    noise = rng.uniform(-1, 1, 20_000)
+    trend = np.cumsum(noise) + 0.01 * np.arange(noise.size)
+    for values in (noise, trend):
+        sig = UniformSignal(0.0, 1.0, values)
+        for n in (1, 2, 3, 4, 16):
+            spec = ExpansionSpec.of(n, 8, 1.0)
+            stream = ExpansionStream(spec, resum_interval=4096)
+            outs = [stream.push(v) for v in values]
+            batch = expansion_rhs(sig, spec)
+            first = next(i for i, v in enumerate(outs) if v is not None)
+            assert first == sample_offset(batch, sig)
+            got = np.array(outs[first:])
+            assert np.max(np.abs(got - batch.values)) <= 1e-9, n
+
+
+def test_expansion_sum_drift_stays_tiny_across_resums(rng):
+    values = rng.uniform(-1, 1, 20_000) * np.where(rng.uniform(size=20_000) < 0.1, 1e6, 1.0)
+    stream = ExpansionStream(ExpansionSpec(5, 7), resum_interval=3000)
+    for i, v in enumerate(values):
+        stream.push(v)
+        if i % 2500 == 2499:
+            assert stream.sum_drift() <= 1e-9
+    assert stream.stats()["resums"] == 20_000 // 3000
+
+
+def test_stats_reports_progress_and_resums(rng):
+    stream = ExpansionStream(ExpansionSpec(2, 5), resum_interval=64)
+    assert stream.stats() == {"samples_seen": 0, "resums": 0, "sum_drift": 0.0, "warm": False}
+    values = rng.uniform(-1, 1, 1000)
+    for i, v in enumerate(values, start=1):
+        out = stream.push(v)
+        stats = stream.stats()
+        assert stats["samples_seen"] == i == stream.samples_seen
+        assert stats["resums"] == i // 64
+        assert stats["warm"] == (out is not None) == (i >= 15)
+    assert stats["sum_drift"] == stream.sum_drift() <= 1e-12
+
+
+def test_push_cost_does_not_grow_with_term_count(rng):
+    # The expansion telescopes to two running sums, so n = 64 costs what
+    # n = 1 costs; criterion 5 holds the window size to the same 2x bound.
+    values = rng.uniform(-1, 1, 20_000).tolist()
+    best = {1: float("inf"), 64: float("inf")}
+    for _ in range(5):
+        for n in best:
+            push = ExpansionStream(ExpansionSpec(n, 4)).push
+            tick = time.perf_counter()
+            for v in values:
+                push(v)
+            best[n] = min(best[n], time.perf_counter() - tick)
+    assert best[64] <= 2.0 * best[1], best
 
 
 def test_expansion_stream_rejects_non_finite():
