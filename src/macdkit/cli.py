@@ -214,8 +214,7 @@ def _cmd_compute(args, out) -> int:
         series = macd(signal, args.window)
         tag = f"macd k={args.window}"
     else:
-        spec = ExpansionSpec.of(args.n, args.b, signal.dt)
-        series = identities.expansion_rhs(signal, spec)
+        series = identities.expansion_rhs(signal, ExpansionSpec(args.n, args.b))
         tag = f"expansion n={args.n} b={args.b}"
     write_series_csv(args.output, series)
     print(_digest_line(signal), file=out)

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import (
+    _box_terms,
     centered_avg,
     delay,
     double_right_avg,
@@ -124,28 +125,20 @@ def check_recursive_decomposition(signal: UniformSignal, t1: int, t2: int) -> Re
     """
     t1 = window_size(t1)
     t2 = window_size(t2)
-    signal.require(t1 + t2, "the decomposition check")
     total = t1 + t2
-    lhs = right_avg(signal, total)
-    w1 = t1 / total
-    w2 = t2 / total
-    recent, older = aligned_values(right_avg(signal, t1), delay(right_avg(signal, t2), t1))
-    start = t1 + t2 - 1
-    rhs = UniformSignal(signal.t0 + start * signal.dt, signal.dt, w1 * recent + w2 * older)
-    return _report("recursive_decomposition", lhs, rhs, signal)
+    rhs = _box_terms(signal, [(t1 / total, t1, 0), (t2 / total, t2, t1)],
+                     "the decomposition check")
+    return _report("recursive_decomposition", right_avg(signal, total), rhs, signal)
 
 
 def check_difference_identity(signal: UniformSignal, a: int, b: int) -> ResidualReport:
-    """Short-minus-long average as a scaled difference of block averages."""
+    """Short-minus-long average as ``b/(a+b)`` times a difference of block averages."""
     a = window_size(a)
     b = window_size(b)
-    signal.require(a + b, "the difference-identity check")
-    long_w = a + b
-    la, ll = aligned_values(right_avg(signal, a), right_avg(signal, long_w))
-    lhs = UniformSignal(signal.t0 + (long_w - 1) * signal.dt, signal.dt, la - ll)
-    ra, rb = aligned_values(right_avg(signal, a), delay(right_avg(signal, b), a))
-    factor = b / long_w
-    rhs = UniformSignal(signal.t0 + (long_w - 1) * signal.dt, signal.dt, factor * (ra - rb))
+    what = "the difference-identity check"
+    lhs = _box_terms(signal, [(1.0, a, 0), (-1.0, a + b, 0)], what)
+    factor = b / (a + b)
+    rhs = _box_terms(signal, [(factor, a, 0), (-factor, b, a)], what)
     return _report("difference_identity", lhs, rhs, signal)
 
 
@@ -162,8 +155,6 @@ def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
 
 def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
     """Short-minus-long average equals the smoothed-derivative form."""
-    a = window_size(a)
-    signal.require(2 * a, "the derivative-form check")
     return _report("macd_derivative", macd(signal, a), smoothed_derivative(signal, a), signal)
 
 
@@ -177,7 +168,7 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     quotient of the latter.
     """
     k = window_size(a, even=True)
-    signal.require(3 * k, "the phase-corrected check")
+    signal.require(3 * k - 1, "the phase-corrected check")
     length = k * signal.dt
 
     # Exhibit the shift identity: the delayed double centered average is the
@@ -196,30 +187,19 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
     """The ``n``-term weighted sum of delayed, smoothed difference quotients."""
-    kb = spec.b
-    block_len = kb * signal.dt
-    base = right_avg(signal, kb)
-    terms = [
-        windowed_derivative(delay(base, (i - 1) * kb), kb)
-        for i in range(1, spec.n + 1)
-    ]
-    aligned = aligned_values(*terms) if len(terms) > 1 else (terms[-1].values,)
-    acc = np.zeros_like(aligned[-1])
-    for w, vals in zip(spec.weights, aligned):
-        acc += w * (block_len / 2.0) * vals
-    start = (spec.n + 1) * kb - 1
-    return UniformSignal(signal.t0 + start * signal.dt, signal.dt, acc)
+    b = spec.b
+    # Term i is w_i/2 times the b-average (i-1)*b samples back minus the one i*b back.
+    terms = []
+    for i, w in enumerate(spec.weights, start=1):
+        terms += [(w / 2, b, (i - 1) * b), (-w / 2, b, i * b)]
+    return _box_terms(signal, terms, f"the {spec.n}-term expansion")
 
 
 def check_recursive_expansion(signal: UniformSignal,
                               spec: ExpansionSpec) -> ResidualReport:
     """Long-window difference as the ``n``-term delayed-derivative sum."""
-    kb = spec.b
-    signal.require((2 * spec.n + 2) * kb, "the expansion check")
-    short = right_avg(signal, spec.a)
-    long_ = right_avg(signal, spec.a + kb)
-    sv, lv = aligned_values(short, long_)
-    lhs = UniformSignal(signal.t0 + (spec.a + kb - 1) * signal.dt, signal.dt, sv - lv)
+    lhs = _box_terms(signal, [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)],
+                     "the expansion check")
     return _report("recursive_expansion", lhs, expansion_rhs(signal, spec), signal)
 
 
@@ -289,11 +269,11 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
                    tol: float | None = None) -> TrendLabel:
     """Label the local trend at ``index`` from two anchored averages.
 
-    The margin is the short average minus the ``(a+b)``-window average, both
-    ending at ``index``.  A positive margin beyond ``tol`` means the recent
-    block sits above the older history (locally increasing); negative means
-    decreasing; within tolerance the signal is locally linear (a symmetric
-    profile also lands here).
+    The margin is the ``a``-average minus the ``(a+b)``-average, both from
+    the ``a + b`` samples that end at ``index``.  A positive margin beyond
+    ``tol`` means the recent block sits above the older history (locally
+    increasing); negative means decreasing; within tolerance the signal is
+    locally linear (a symmetric profile also lands here).
     """
     a = window_size(a)
     b = window_size(b)
@@ -306,17 +286,10 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
         )
     if tol is None:
         tol = default_tolerance(signal)
-    short = right_avg(signal, a)
-    long_ = right_avg(signal, total)
-    margin = float(
-        short.values[index - (a - 1)] - long_.values[index - (total - 1)]
-    )
-    if margin > tol:
-        label = "increasing"
-    elif margin < -tol:
-        label = "decreasing"
-    else:
-        label = "linear"
+    lo = index + 1 - total
+    recent = signal.with_values(signal.values[lo : index + 1], t0=signal.t0 + lo * signal.dt)
+    margin = float(_box_terms(recent, [(1.0, a, 0), (-1.0, total, 0)], "the margin").values[0])
+    label = "increasing" if margin > tol else "decreasing" if margin < -tol else "linear"
     return TrendLabel(label, margin)
 
 

@@ -71,6 +71,25 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     return rows.reshape(-1)[:m]
 
 
+def _box_terms(signal: UniformSignal, terms, what: str) -> UniformSignal:
+    """``sum(c * mean_k(i - lag) for c, k, lag in terms)``, ``mean_k(i)`` ending at sample ``i``.
+
+    Output 0 sits at input index ``max(k + lag) - 1``, so ``what`` needs
+    ``max(k + lag)`` samples.  Each distinct ``k`` takes one :func:`sliding_sums`.
+    """
+    span = max(k + lag for _, k, lag in terms)
+    signal.require(span, what)
+    means = {k: sliding_sums(signal.values, k) / k for k in {k for _, k, _ in terms}}
+    acc = np.zeros(len(signal) - span + 1)
+    try:
+        with np.errstate(over="raise"):
+            for c, k, lag in terms:
+                acc += c * means[k][span - k - lag : means[k].size - lag]
+    except FloatingPointError:
+        raise ValueError(WINDOW_SUM_OVERFLOW) from None
+    return UniformSignal(signal.t0 + (span - 1) * signal.dt, signal.dt, acc)
+
+
 def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """Trailing (causal) box average over the last ``k`` samples.
 
@@ -115,13 +134,18 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
 
     Evaluated as ``(S(i) - S(i-k)) / (2k)`` with ``S`` the sliding window
     sum, which is algebraically identical to the difference of the two means
-    and cancels bit-exactly on constant signals.  Defined from input index
-    ``2k - 1`` onward.
+    and cancels bit-exactly on constant signals.  Where the difference of two
+    finite window sums overflows float64, each sum is halved first, so the
+    value stays finite.  Defined from input index ``2k - 1`` onward.
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
     sums = sliding_sums(signal.values, k)
-    out = (sums[k:] - sums[:-k]) / (2 * k)
+    try:
+        with np.errstate(over="raise"):
+            out = (sums[k:] - sums[:-k]) / (2 * k)
+    except FloatingPointError:
+        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
     return UniformSignal(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
 
 

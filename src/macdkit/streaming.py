@@ -106,7 +106,10 @@ class ExpansionStream:
             r, rc, o, oc = self._r, 0.0, self._o, 0.0
         if seen < len(ring):
             return None
-        return ((r + rc) - self._n * (o + oc)) / self._den
+        out = ((r + rc) - self._n * (o + oc)) / self._den
+        if out - out:  # the difference of two finite sums overflowed: scale each first
+            out = (r + rc) / self._den - (o + oc) / self._den * self._n
+        return out
 
     def _exact_sums(self) -> tuple[float, float]:
         """Exact (R, O) from the ring, oldest sample at ``_pos``."""

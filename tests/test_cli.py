@@ -296,7 +296,7 @@ def test_verify_too_short_input_lists_required_lengths(write, capsys):
     output = capsys.readouterr().out
     assert code == 2
     assert "skipped=insufficient_samples" in output
-    assert "required=40" in output  # expansion with n=4, b=4
+    assert "required=20" in output  # expansion with n=4, b=4: (n+1)*b
     assert "overall: fail" in output
 
 

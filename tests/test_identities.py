@@ -17,6 +17,7 @@ from macdkit import (
     check_macd_derivative,
     check_window_monotonicity,
     check_phase_corrected_form,
+    ExpansionStream,
     check_recursive_decomposition,
     check_recursive_expansion,
     classify_trend,
@@ -135,6 +136,17 @@ def test_phase_corrected_random_10k(random_signal):
     assert report.max_rel_residual <= 1e-12
 
 
+def test_phase_corrected_runs_at_its_required_length(random_signal):
+    # Two centered passes then a k-sample delay need 3k - 1 samples, the most
+    # of any term.
+    for k in (2, 4, 8):
+        report = check_phase_corrected_form(random_signal(3 * k - 1), k)
+        assert report.max_rel_residual <= 1e-12
+        with pytest.raises(InsufficientSamplesError) as err:
+            check_phase_corrected_form(random_signal(3 * k - 2), k)
+        assert err.value.required == 3 * k - 1
+
+
 def test_delayed_double_centered_equals_double_trailing(random_signal):
     # The shift identity behind the phase-corrected form, bit for bit.
     sig = random_signal(200)
@@ -182,8 +194,22 @@ def test_expansion_random_10k(random_signal):
 def test_expansion_insufficient():
     spec = ExpansionSpec.of(4, 4, 1.0)
     with pytest.raises(InsufficientSamplesError) as err:
-        check_recursive_expansion(constant(30), spec)
-    assert err.value.required == (2 * 4 + 2) * 4
+        check_recursive_expansion(constant(19), spec)
+    assert err.value.required == (4 + 1) * 4
+
+
+def test_expansion_check_runs_at_stream_warmup_length(random_signal):
+    # (n+1)*b samples are all both sides need, and the stream's first output
+    # comes at that sample too.
+    for n, b in ((1, 3), (3, 2), (4, 4)):
+        spec = ExpansionSpec(n, b)
+        sig = random_signal((n + 1) * b)
+        assert check_recursive_expansion(sig, spec).max_rel_residual <= 1e-12
+        stream = ExpansionStream(spec)
+        first = [stream.push(v) for v in sig.values][-1]
+        rhs = expansion_rhs(sig, spec)
+        assert len(rhs) == 1
+        assert abs(rhs.values[0] - first) <= 1e-9
 
 
 # --- norm bound ----------------------------------------------------------------------
@@ -347,7 +373,7 @@ def test_run_checks_records_every_registry_entry(random_signal):
 def test_run_checks_short_signal_and_bad_arguments():
     records = run_checks(ramp(12), ["recursive_expansion", "macd_derivative"], window=4)
     assert [(r.name, r.passed, r.required) for r in records] == [
-        ("recursive_expansion", False, 40), ("macd_derivative", True, None)]
+        ("recursive_expansion", False, 20), ("macd_derivative", True, None)]
     assert math.isnan(records[0].max_rel_residual)
     with pytest.raises(KeyError):
         run_checks(ramp(100), ["fourier"])

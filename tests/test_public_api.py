@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import macdkit
 
@@ -38,3 +40,11 @@ def test_expansion_spec_is_one_class():
     from macdkit import identities, signals
 
     assert identities.ExpansionSpec is signals.ExpansionSpec is macdkit.ExpansionSpec
+
+
+def test_readme_python_examples_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from macdkit import (
     build_kernel,
     centered_avg,
     centered_box_kernel,
+    check_difference_identity,
     check_lp_bound,
     check_macd_derivative,
     check_phase_corrected_form,
@@ -33,7 +36,8 @@ from macdkit import (
     triangular_kernel,
     windowed_derivative,
 )
-from macdkit.signals import lag_size, window_size
+from macdkit.operators import _box_terms
+from macdkit.signals import WINDOW_SUM_OVERFLOW, lag_size, window_size
 
 BAD_COUNTS = [0, -1, 2.5, "3"]
 
@@ -184,6 +188,43 @@ def test_window_sum_overflow_same_error_from_batch_and_stream():
         messages[name] = str(err.value)
     assert len(set(messages.values())) == 1, messages
     assert "overflow" in messages["macd"]
+
+
+@pytest.mark.parametrize("values, n, b", [
+    ((-1e308, 1e308), 1, 1),
+    ((1e308, -1e308), 1, 1),
+    ((-8e307, -8e307, 8e307, 8e307), 1, 2),
+    ((-1e308, 1e308, -1e308), 2, 1),
+])
+def test_window_sum_difference_same_finite_value_from_batch_and_stream(values, n, b):
+    # Every window sum is finite, but their difference overflows float64;
+    # the true value, mean of the newest n*b samples minus mean of the
+    # newest (n+1)*b, is finite, and every layer returns it.
+    sig = UniformSignal(0.0, 1.0, values)
+    spec = ExpansionSpec(n, b)
+    want = math.fsum(values[-n * b:]) / (n * b) - math.fsum(values) / ((n + 1) * b)
+    got = {"expansion_rhs": expansion_rhs(sig, spec).values[-1]}
+    streams = {"ExpansionStream": ExpansionStream(spec)}
+    if n == 1:
+        got["macd"] = macd(sig, b).values[-1]
+        streams["MacdStream"] = MacdStream(b)
+    for name, stream in streams.items():
+        got[name] = [stream.push(v) for v in values][-1]
+    for name, value in got.items():
+        assert abs(value - want) <= 1e-15 * abs(want), (name, value, want)
+
+
+def test_weighted_sum_of_box_means_that_overflows_raises():
+    # Every 1- and 3-sample window sum is finite, but the 1-mean minus the
+    # 3-mean at the last sample is 1.7e308 + 0.88e308 / 3, past the float64
+    # maximum.
+    sig = UniformSignal(0.0, 1.0, [0.0, 1.292e308, -1.292e308, -1.292e308, 1.7e308])
+    with pytest.raises(ValueError) as err:
+        _box_terms(sig, [(1.0, 1, 0), (-1.0, 3, 0)], "a difference of means")
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
+    with pytest.raises(ValueError) as err:
+        check_difference_identity(sig, 1, 2)
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
 
 
 def test_sample_offset():
