@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 import time
+from array import array
+from typing import NoReturn
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from . import identities
 from .kernels import box_kernel, expansion_kernel, macd_kernel, triangular_kernel
 from .operators import macd, right_avg
 from .signals import ExpansionSpec, InsufficientSamplesError, UniformSignal
-from .spectral import NotDifferenceKernelError, bandpass_check, transfer_function
+from .spectral import (DEFAULT_GRID, MAX_GRID, NotDifferenceKernelError, bandpass_check,
+                       transfer_function)
 
 __all__ = ["main", "ingest_csv", "IngestError"]
 
@@ -33,6 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 65536  # rows formatted per write
+_SCHEMA_COLUMNS = {"value-only": 1, "time-value": 2}
 
 
 class IngestError(ValueError):
@@ -59,115 +62,103 @@ def _floats(fields: list[str]) -> list[float] | None:
 def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     """Read a signal from CSV in value-only or time,value form.
 
-    A non-numeric first line is treated as a header.  In time,value form the
-    timestamps must be strictly increasing and uniformly spaced within 1e-9
-    relative; value-only input gets ``dt = 1`` and ``t0 = 0``.
+    Empty and whitespace-only lines are blank and skipped.  The first other
+    line is a header when some field of it does not parse as a float.  Each
+    data cell is a finite ASCII decimal float with optional surrounding
+    whitespace; a cell holding ``_`` or a non-ASCII character, such as
+    ``1_000``, is rejected as unparseable with its line number.  In
+    time,value form the timestamps must be strictly increasing and uniformly
+    spaced within 1e-9 relative; value-only input gets ``dt = 1`` and ``t0 = 0``.
 
-    The body is parsed by one ``np.loadtxt`` and validated with array checks.
-    Input that fails either goes to the line scanner, which reports the first
-    bad line in file order; the fast path accepts nothing the scanner rejects
-    and yields the same ``t0``, ``dt`` and value bits.
+    One ``np.loadtxt`` over the non-blank lines and ``_row_fault`` decide
+    every accept; only a rejected file is read again, to name its bad line.
     """
     if schema not in ("auto", "value-only", "time-value"):
         raise IngestError(f"unknown schema {schema!r}")
-    signal = _load_uniform(path, schema)
-    return signal if signal is not None else _scan_csv(path, schema)
-
-
-def _load_uniform(path: str, schema: str) -> UniformSignal | None:
-    """The signal in the CSV at ``path``, or None when the scanner has to decide."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if not _seek_first_row(fh):
-                return None  # no data rows: the scanner names the empty file
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            lines = itertools.filterfalse(str.isspace, fh)
+            first = next(lines, None)
+            if first is not None and _floats(_fields(first)) is None:  # header
+                first = next(lines, None)
+            rows = None if first is None else np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError):
-        return None
-    want = {"auto": data.shape[1], "value-only": 1, "time-value": 2}[schema]
-    if data.shape[1] != want or want > 2 or not np.isfinite(data).all():
-        return None
-    if want == 1:
-        return UniformSignal(0.0, 1.0, data[:, 0])
-    t = data[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf steps fail the checks
-        dt = t[1] - t[0] if t.size > 1 else 1.0
-        steps = np.diff(t)
-        if not ((steps > 0).all() and (np.abs(steps - dt) <= 1e-9 * abs(dt)).all()):
-            return None
-    return UniformSignal(t[0], dt, data[:, 1])
+        rows = None
+    ncols = 0 if rows is None else rows.shape[1]
+    if ncols not in (1, 2) or ncols != _SCHEMA_COLUMNS.get(schema, ncols):
+        _raise_bad_line(path, schema)
+    fault = _row_fault(rows)
+    if fault is not None:
+        _raise_bad_line(path, schema, limit=fault[0] + 1)
+    if ncols == 1:
+        return UniformSignal(0.0, 1.0, rows[:, 0])
+    t = rows[:, 0]
+    return UniformSignal(t[0], t[1] - t[0] if t.size > 1 else 1.0, rows[:, 1])
 
 
-def _seek_first_row(fh) -> bool:
-    """Move ``fh`` to its first data row, past blank lines and a header."""
-    header_allowed = True
-    while True:
-        start = fh.tell()
-        line = fh.readline()
-        if not line:
-            return False
-        fields = _fields(line)
-        if not fields:
-            continue
-        if not header_allowed or _floats(fields) is not None:
-            fh.seek(start)
-            return True
-        header_allowed = False
+def _row_fault(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row of ``(value,)`` or ``(time, value)`` rows that breaks a rule.
+
+    Returns ``(row, message)`` or None; ``message`` takes a line number via
+    ``str.format``.  On one row the rules rank in the order listed.  A verdict
+    on a row reads only the rows up to it, so a prefix has the same first fault.
+    """
+    faults = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is a fault
+        steps = np.diff(rows[:, 0]) if rows.shape[1] == 2 else rows[:0, 0]
+        dt = steps[0] if steps.size else 1.0
+        for shift, rule, message in (
+                (0, lambda: ~np.isfinite(rows).all(axis=1), "non-finite value at line {}"),
+                (1, lambda: steps <= 0, "timestamps must be strictly increasing (line {})"),
+                (1, lambda: steps == np.inf, "non-finite time step at line {}"),
+                (1, lambda: abs(steps - dt) > 1e-9 * abs(dt), "non-uniform spacing at line {}")):
+            bad = rule()  # one mask alive at a time keeps peak memory low
+            if bad.any():
+                faults.append((int(bad.argmax()) + shift, message))
+    return min(faults, key=lambda f: f[0], default=None)  # ties go to the earlier rule
 
 
-def _scan_csv(path: str, schema: str) -> UniformSignal:
-    """Parse the CSV at ``path`` line by line; raise at the first bad line."""
+def _raise_bad_line(path: str, schema: str, limit: int | None = None) -> NoReturn:
+    """Raise the error naming the first bad line of a CSV ``ingest_csv`` rejected.
+
+    Parses the lines again up to the first one with a wrong column count or an
+    unparseable cell, or up to ``limit`` data rows, then lets ``_row_fault``
+    say whether a row before that stop breaks a row rule.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
+            rows = ((lineno, fields) for lineno, fields in enumerate(map(_fields, fh), start=1)
+                    if fields)
+            first = next(rows, None)
+            if first is None:
+                raise IngestError(f"empty file: {path}")
+            if _floats(first[1]) is None:  # header
+                first = next(rows, None)
+                if first is None:
+                    raise IngestError(f"empty file: {path} (header only)")
+            want = _SCHEMA_COLUMNS.get(schema, len(first[1]))
+            if want not in (1, 2):
+                raise IngestError(f"expected 1 or 2 columns, found {want} at line {first[0]}")
+            linenos, parsed = array("q"), array("d")  # 8 bytes per line and per cell
+            error = f"could not parse {path}"  # only if loadtxt and this parse disagree
+            for lineno, fields in itertools.islice(itertools.chain([first], rows), limit):
+                if len(fields) != want:
+                    error = f"expected {want} column(s) at line {lineno}, found {len(fields)}"
+                    break
+                text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
+                cells = _floats(fields) if text.isascii() and "_" not in text else None
+                if cells is None:
+                    error = f"could not parse line {lineno}"
+                    break
+                linenos.append(lineno)
+                parsed.extend(cells)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-
-    rows = ((lineno, fields) for lineno, fields in enumerate(map(_fields, raw), start=1)
-            if fields)
-    first = next(rows, None)
-    if first is None:
-        raise IngestError(f"empty file: {path}")
-    if _floats(first[1]) is None:
-        first = next(rows, None)  # header
-        if first is None:
-            raise IngestError(f"empty file: {path} (header only)")
-
-    ncols = len(first[1])
-    if schema == "auto":
-        schema = {1: "value-only", 2: "time-value"}.get(ncols, "")
-        if not schema:
-            raise IngestError(f"expected 1 or 2 columns, found {ncols} at line {first[0]}")
-    want = 1 if schema == "value-only" else 2
-
-    values: list[float] = []
-    t0 = t_prev = 0.0
-    dt = 1.0
-    for lineno, fields in itertools.chain([first], rows):
-        if len(fields) != want:
-            raise IngestError(f"expected {want} column(s) at line {lineno}, found {len(fields)}")
-        parsed = _floats(fields)
-        if parsed is None:
-            raise IngestError(f"could not parse line {lineno}")
-        if not all(math.isfinite(v) for v in parsed):
-            raise IngestError(f"non-finite value at line {lineno}")
-        values.append(parsed[-1])
-        if want == 1:
-            continue
-        t = parsed[0]
-        if len(values) == 1:
-            t0 = t
-        else:
-            step = t - t_prev
-            if step <= 0:
-                raise IngestError(f"timestamps must be strictly increasing (line {lineno})")
-            if step == math.inf:
-                raise IngestError(f"non-finite time step at line {lineno}")
-            if len(values) == 2:
-                dt = step
-            elif abs(step - dt) > 1e-9 * abs(dt):
-                raise IngestError(f"non-uniform spacing at line {lineno}")
-        t_prev = t
-    return UniformSignal(t0, dt, np.asarray(values))
+    fault = _row_fault(np.frombuffer(parsed, dtype=np.float64).reshape(-1, want))
+    if fault is not None:
+        error = fault[1].format(linenos[fault[0]])
+    raise IngestError(error)
 
 
 def _write_csv(path: str, header: str, columns) -> None:
@@ -270,9 +261,7 @@ def _build_cli_kernel(args):
         return macd_kernel(args.window)
     if args.kernel == "triangle":
         return triangular_kernel(args.window)
-    if args.kernel == "expansion":
-        return expansion_kernel(args.n, args.b)
-    raise IngestError(f"invalid kernel spec {args.kernel!r}")
+    return expansion_kernel(args.n, args.b)
 
 
 def _cmd_spectrum(args, out) -> int:
@@ -349,7 +338,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--window", "-k", type=int, default=8, help="window in samples")
     p.add_argument("--n", type=int, default=4, help="expansion term count")
     p.add_argument("--b", type=int, default=4, help="expansion block in samples")
-    p.add_argument("--grid", type=int, default=4096, help="grid points on [0, pi]")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help=f"grid points on [0, pi], 2 to {MAX_GRID} (default {DEFAULT_GRID})")
     p.set_defaults(fn=_cmd_spectrum)
 
     return parser

@@ -29,9 +29,13 @@ __all__ = [
     "transfer_function",
     "bandpass_check",
     "DEFAULT_GRID",
+    "MAX_GRID",
 ]
 
 DEFAULT_GRID = 4096
+# The largest grid ``transfer_function`` evaluates.  Its arrays take about
+# 56 bytes per grid point, so this bound keeps them near 230 MB.
+MAX_GRID = 2**22 + 1
 
 
 class NotDifferenceKernelError(ValueError):
@@ -71,9 +75,14 @@ class BandpassVerdict:
 
 
 def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
-    """Evaluate the kernel's frequency response on a uniform [0, pi] grid."""
+    """Evaluate the kernel's frequency response on a uniform [0, pi] grid.
+
+    ``grid_size`` runs from 2 to ``MAX_GRID`` points.
+    """
     if grid_size < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid_size}")
+    if grid_size > MAX_GRID:
+        raise ValueError(f"grid needs at most {MAX_GRID} points, got {grid_size}")
     size = 2 * (grid_size - 1)
     folded = np.bincount(np.asarray(kernel.offsets) % size, weights=kernel.weights,
                          minlength=size)

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used only to pin expected values.
 
-Everything here is a plain Python loop over exact (fsum) window sums, kept
-deliberately independent of the numpy paths in the package.
+Everything here is a plain Python loop, over exact (fsum) window sums or over
+CSV lines, kept deliberately independent of the numpy paths in the package.
 """
 
 import math
@@ -52,3 +52,74 @@ def naive_transfer_magnitude(offsets, weights, omega):
     re = math.fsum(w * math.cos(omega * o) for o, w in zip(offsets, weights))
     im = math.fsum(-w * math.sin(omega * o) for o, w in zip(offsets, weights))
     return math.hypot(re, im)
+
+
+def _csv_fields(line):
+    text = line.strip()
+    return [f.strip() for f in text.split(",")] if text else []
+
+
+def _csv_floats(fields):
+    try:
+        return [float(f) for f in fields]
+    except ValueError:
+        return None
+
+
+def naive_ingest(path, schema):
+    """``(t0, dt, values)`` of a CSV read line by line, or ValueError at its first bad line.
+
+    The CSV grammar and error texts of ``macdkit.cli.ingest_csv``, checked one
+    row at a time in file order.  A data cell parses as Python's ``float``
+    does, except that one holding ``_`` or a non-ASCII character does not.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.readlines()
+
+    rows = ((lineno, fields) for lineno, fields in enumerate(map(_csv_fields, raw), start=1)
+            if fields)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"empty file: {path}")
+    if _csv_floats(first[1]) is None:
+        first = next(rows, None)  # header
+        if first is None:
+            raise ValueError(f"empty file: {path} (header only)")
+
+    ncols = len(first[1])
+    if schema == "auto":
+        schema = {1: "value-only", 2: "time-value"}.get(ncols, "")
+        if not schema:
+            raise ValueError(f"expected 1 or 2 columns, found {ncols} at line {first[0]}")
+    want = 1 if schema == "value-only" else 2
+
+    values = []
+    t0 = t_prev = 0.0
+    dt = 1.0
+    for lineno, fields in [first, *rows]:
+        if len(fields) != want:
+            raise ValueError(f"expected {want} column(s) at line {lineno}, found {len(fields)}")
+        ascii_cells = all(f.isascii() and "_" not in f for f in fields)
+        parsed = _csv_floats(fields) if ascii_cells else None
+        if parsed is None:
+            raise ValueError(f"could not parse line {lineno}")
+        if not all(math.isfinite(v) for v in parsed):
+            raise ValueError(f"non-finite value at line {lineno}")
+        values.append(parsed[-1])
+        if want == 1:
+            continue
+        t = parsed[0]
+        if len(values) == 1:
+            t0 = t
+        else:
+            step = t - t_prev
+            if step <= 0:
+                raise ValueError(f"timestamps must be strictly increasing (line {lineno})")
+            if step == math.inf:
+                raise ValueError(f"non-finite time step at line {lineno}")
+            if len(values) == 2:
+                dt = step
+            elif abs(step - dt) > 1e-9 * abs(dt):
+                raise ValueError(f"non-uniform spacing at line {lineno}")
+        t_prev = t
+    return t0, dt, values

@@ -7,17 +7,28 @@ from hypothesis import strategies as st
 
 from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg, run_checks
 from macdkit import cli, identities
-from macdkit.cli import IngestError, _load_uniform, _scan_csv, ingest_csv, main, write_series_csv
+from macdkit.cli import IngestError, ingest_csv, main, write_series_csv
+
+from . import oracles
 
 
 @pytest.fixture
 def write(tmp_path):
     def _write(name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return _write
+
+
+@pytest.fixture
+def no_locator(monkeypatch):
+    """Make any call of the line locator fail the test: the input must be accepted."""
+    def fail(path, *args, **kwargs):
+        raise AssertionError(f"the line locator ran on {path}")
+
+    monkeypatch.setattr(cli, "_raise_bad_line", fail)
 
 
 @pytest.fixture
@@ -42,6 +53,37 @@ def test_ingest_time_value_with_header(write):
     assert sig.dt == pytest.approx(0.5)
     assert sig.t0 == 0.0
     assert sig.values.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("text, schema, t0, dt, values", [
+    ("t,v\n10,1\n10.5,2\n11.0,3\n", "auto", 10.0, 0.5, [1.0, 2.0, 3.0]),
+    ("\n 1 \n\n2\n", "value-only", 0.0, 1.0, [1.0, 2.0]),
+    ("1.7e9,4\n", "time-value", 1.7e9, 1.0, [4.0]),
+    (" \t\nt,v\n  \n0,1\n\t\n1,2\n \n", "auto", 0.0, 1.0, [1.0, 2.0]),
+], ids=["header", "blank-lines", "one-row", "whitespace-only-lines"])
+def test_ingest_accepts_well_formed_input_without_the_locator(write, no_locator, text, schema,
+                                                              t0, dt, values):
+    sig = ingest_csv(write("ok.csv", text), schema)
+    assert (sig.t0, sig.dt, sig.values.tolist()) == (t0, dt, values)
+
+
+def test_ingest_whitespace_only_line_is_blank(write, no_locator):
+    rows = [f"{1.7e9 + 0.25 * i!r},{math.sin(i)!r}" for i in range(50)]
+    plain = ingest_csv(write("plain.csv", "time,value\n" + "\n".join(rows) + "\n"))
+    rows.insert(20, "  \t ")
+    padded = ingest_csv(write("padded.csv", "time,value\n" + "\n".join(rows) + "\n"))
+    assert padded.t0.hex() == plain.t0.hex() and padded.dt.hex() == plain.dt.hex()
+    assert padded.values.tobytes() == plain.values.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11"])  # Arabic-Indic and full-width 1
+def test_ingest_rejects_underscore_and_non_ascii_cells(write, cell):
+    with pytest.raises(IngestError, match="^could not parse line 3$"):
+        ingest_csv(write("odd.csv", f"1\n2\n{cell}\n4\n"))
+    with pytest.raises(IngestError, match="^could not parse line 4$"):
+        ingest_csv(write("odd_tv.csv", f"t,v\n0,1\n1,2\n2,{cell}\n3,4\n"))
+    with pytest.raises(IngestError, match="^could not parse line 1$"):
+        ingest_csv(write("odd_first.csv", f"{cell}\n2\n"))
 
 
 def test_ingest_gap_reports_line_number(write):
@@ -70,9 +112,9 @@ def test_ingest_rejects_overflowing_time_step(write):
     # 1e308 - (-1e308) overflows to inf; both parsers must name the line.
     for text, lineno in (("-1e308,1\n1e308,2\n", 2), ("t,v\n-1e308,1\n1e308,2\n", 3)):
         path = write("overflow.csv", text)
-        for read in (lambda: ingest_csv(path), lambda: _scan_csv(path, "auto")):
-            with pytest.raises(IngestError, match=f"non-finite time step at line {lineno}$"):
-                read()
+        for read in (ingest_csv, lambda p: oracles.naive_ingest(p, "auto")):
+            with pytest.raises(ValueError, match=f"^non-finite time step at line {lineno}$"):
+                read(path)
 
 
 def test_ingest_empty_file(write):
@@ -109,8 +151,8 @@ def test_ingest_missing_file(tmp_path):
         ingest_csv(str(tmp_path / "nope.csv"))
 
 
-# Cells that the scanner parses differently from a plain decimal, or rejects.
-ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "", "x", "0x10", "+7", "-0"]
+# Cells that parse differently from a plain decimal, or not at all.
+ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "\u0661", "", "x", "0x10", "+7", "-0"]
 
 
 @st.composite
@@ -151,11 +193,17 @@ def csv_cases(draw):
 
 
 def outcome(read):
+    """``read()``'s error text, or the bits of its ``(t0, dt, values)``."""
     try:
-        sig = read()
-    except IngestError as exc:
+        t0, dt, values = read()
+    except ValueError as exc:
         return str(exc)
-    return sig.t0.hex(), sig.dt.hex(), sig.values.tobytes()
+    return [float(v).hex() for v in (t0, dt, *values)]
+
+
+def read_ingest(path, schema):
+    sig = ingest_csv(path, schema)
+    return sig.t0, sig.dt, sig.values
 
 
 @given(case=csv_cases())
@@ -166,17 +214,14 @@ def test_ingest_matches_line_scanner(case, tmp_path_factory):
     text, schema = case
     path = tmp_path_factory.mktemp("parity") / "in.csv"
     path.write_text(text, encoding="utf-8")
-    assert outcome(lambda: ingest_csv(str(path), schema)) == \
-        outcome(lambda: _scan_csv(str(path), schema))
-
-
-def test_ingest_fast_path_takes_well_formed_input(write):
-    assert _load_uniform(write("h.csv", "t,v\n10,1\n10.5,2\n11.0,3\n"), "auto").dt == 0.5
-    sig = _load_uniform(write("v.csv", "\n 1 \n\n2\n"), "value-only")
-    assert sig.values.tolist() == [1.0, 2.0]
-    assert _load_uniform(write("one.csv", "1.7e9,4\n"), "time-value").dt == 1.0
-    # A gap is left to the scanner, which names its line.
-    assert _load_uniform(write("gap.csv", "0,1\n1,2\n3,4\n"), "auto") is None
+    path = str(path)
+    expected = outcome(lambda: oracles.naive_ingest(path, schema))
+    assert outcome(lambda: read_ingest(path, schema)) == expected
+    if not isinstance(expected, str):
+        # An accepted file never reaches the line locator.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_raise_bad_line", lambda *args, **kwargs: pytest.fail(text))
+            assert outcome(lambda: read_ingest(path, schema)) == expected
 
 
 # --- compute -----------------------------------------------------------------------
@@ -425,6 +470,14 @@ def test_spectrum_expansion_matches_macd(tmp_path):
     m = read_spectrum(macd_out)
     e = read_spectrum(exp_out)
     assert np.max(np.abs(m[:, 1] - e[:, 1])) <= 1e-10
+
+
+def test_spectrum_grid_above_bound_is_input_error(tmp_path, capsys):
+    out = tmp_path / "huge.csv"
+    assert main(["spectrum", "macd", "-k", "8", "--grid", str(10**15), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid needs at most") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_spectrum_invalid_kernel_spec(tmp_path, capsys):

@@ -13,6 +13,7 @@ from macdkit import (
     transfer_function,
     triangular_kernel,
 )
+from macdkit import spectral
 
 from .oracles import naive_transfer_magnitude
 
@@ -29,6 +30,9 @@ def test_transfer_function_grid_and_validation():
     assert resp.frequencies.size == 16
     with pytest.raises(ValueError, match="grid"):
         transfer_function(box_kernel(4), 1)
+    # Rejected before any array is allocated; 10**15 points would need ~56 PB.
+    with pytest.raises(ValueError, match=f"at most {spectral.MAX_GRID} points, got {10**15}$"):
+        transfer_function(box_kernel(4), 10**15)
 
 
 def test_dc_values():
