@@ -35,6 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 65536  # rows formatted per write
+_LOCATE_BLOCK = 8192  # data lines per np.loadtxt call while naming a bad line
 _SCHEMA_COLUMNS = {"value-only": 1, "time-value": 2}
 
 
@@ -66,7 +67,8 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     line is a header when some field of it does not parse as a float.  Each
     data cell is a finite ASCII decimal float with optional surrounding
     whitespace; a cell holding ``_`` or a non-ASCII character, such as
-    ``1_000``, is rejected as unparseable with its line number.  In
+    ``1_000``, is rejected as unparseable with its line number, and a line
+    holding a byte that is not valid UTF-8 as ``invalid UTF-8 at line N``.  In
     time,value form the timestamps must be strictly increasing and uniformly
     spaced within 1e-9 relative; value-only input gets ``dt = 1`` and ``t0 = 0``.
 
@@ -122,43 +124,81 @@ def _row_fault(rows: np.ndarray) -> tuple[int, str] | None:
 def _raise_bad_line(path: str, schema: str, limit: int | None = None) -> NoReturn:
     """Raise the error naming the first bad line of a CSV ``ingest_csv`` rejected.
 
-    Parses the lines again up to the first one with a wrong column count or an
-    unparseable cell, or up to ``limit`` data rows, then lets ``_row_fault``
-    say whether a row before that stop breaks a row rule.
+    Reads the lines again, up to ``limit`` data rows, in blocks of
+    ``_LOCATE_BLOCK`` that ``np.loadtxt`` parses.  Only a block it rejects is
+    parsed line by line, up to its first line with invalid UTF-8, a wrong
+    column count or an unparseable cell.  Then ``_row_fault`` says whether a
+    row before that stop breaks a row rule, which comes first in file order.
     """
+    error = f"could not parse {path}"  # only if loadtxt and the line parse disagree
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = ((lineno, fields) for lineno, fields in enumerate(map(_fields, fh), start=1)
-                    if fields)
-            first = next(rows, None)
+        # An undecodable byte reads as a lone surrogate, which no valid text
+        # holds; no such byte is a newline, so lines split as in strict decoding.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            lines = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                     if not line.isspace())
+            first = next(lines, None)
             if first is None:
                 raise IngestError(f"empty file: {path}")
-            if _floats(first[1]) is None:  # header
-                first = next(rows, None)
+            if _is_utf8(first[1]) and _floats(_fields(first[1])) is None:  # header
+                first = next(lines, None)
                 if first is None:
                     raise IngestError(f"empty file: {path} (header only)")
-            want = _SCHEMA_COLUMNS.get(schema, len(first[1]))
+            if not _is_utf8(first[1]):
+                raise IngestError(f"invalid UTF-8 at line {first[0]}")
+            want = _SCHEMA_COLUMNS.get(schema, len(_fields(first[1])))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {first[0]}")
-            linenos, parsed = array("q"), array("d")  # 8 bytes per line and per cell
-            error = f"could not parse {path}"  # only if loadtxt and this parse disagree
-            for lineno, fields in itertools.islice(itertools.chain([first], rows), limit):
-                if len(fields) != want:
-                    error = f"expected {want} column(s) at line {lineno}, found {len(fields)}"
+            parsed, numbers = array("d"), array("q")  # 8 bytes per cell and per line
+            data = itertools.islice(itertools.chain([first], lines), limit)
+            while block := list(itertools.islice(data, _LOCATE_BLOCK)):
+                linenos, text = zip(*block)
+                try:
+                    rows, stop = np.loadtxt(text, delimiter=",", comments=None, ndmin=2), None
+                except ValueError:
+                    rows = None
+                if rows is None or rows.shape != (len(block), want):
+                    rows, stop = _scan_lines(block, want)
+                parsed.frombytes(rows.tobytes())
+                numbers.extend(linenos[:len(rows)])
+                if stop is not None:
+                    error = stop
                     break
-                text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
-                cells = _floats(fields) if text.isascii() and "_" not in text else None
-                if cells is None:
-                    error = f"could not parse line {lineno}"
-                    break
-                linenos.append(lineno)
-                parsed.extend(cells)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     fault = _row_fault(np.frombuffer(parsed, dtype=np.float64).reshape(-1, want))
     if fault is not None:
-        error = fault[1].format(linenos[fault[0]])
+        error = fault[1].format(numbers[fault[0]])
     raise IngestError(error)
+
+
+def _scan_lines(block, want: int) -> tuple[np.ndarray, str | None]:
+    """The rows of ``(lineno, line)`` pairs before the first bad line, and its error or None."""
+    parsed = array("d")
+    stop = None
+    for lineno, line in block:
+        fields = _fields(line)
+        text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
+        if not _is_utf8(line):
+            stop = f"invalid UTF-8 at line {lineno}"
+        elif len(fields) != want:
+            stop = f"expected {want} column(s) at line {lineno}, found {len(fields)}"
+        elif not text.isascii() or "_" in text or (cells := _floats(fields)) is None:
+            stop = f"could not parse line {lineno}"
+        else:
+            parsed.extend(cells)
+            continue
+        break
+    return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), stop
+
+
+def _is_utf8(line: str) -> bool:
+    """False when ``line``, read with ``errors="surrogateescape"``, held an invalid byte."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _write_csv(path: str, header: str, columns) -> None:

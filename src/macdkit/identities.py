@@ -6,6 +6,14 @@ range where both sides are defined.  In the piecewise-constant discrete
 model every identity holds exactly, so residuals are pure floating-point
 noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 
+A check computes each distinct window sum of its input once and reads every
+form it compares from those sums: MACD, the smoothed derivative and the
+delayed derivative of the centered smooth are the same ``S_k(i) - S_k(i-k)``
+read at different anchors.  Every side still runs through the from-sums
+formula of the operator it names (``operators._macd_of`` and the like), so a
+broken operator fails its check; the two block-average sides of the
+difference identity come from one ``_box_terms`` pass.
+
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
 one gate.  Every window parameter (``t1``, ``t2``, ``a``, ``b``) is a sample
@@ -26,8 +34,16 @@ from typing import Callable
 
 import numpy as np
 
+# Window sums are taken as operators.sliding_sums, looked up when they run,
+# so a wrapper on that name (a tracer, say) sees every call.  centered_avg and
+# double_right_avg are not called here; like every operator they stay in this
+# namespace, where such a tracer (perfbench/spans.py) looks them up.
+from . import operators
 from .operators import (
     _box_terms,
+    _centered_of,
+    _macd_of,
+    _right_avg_of,
     centered_avg,
     delay,
     double_right_avg,
@@ -126,8 +142,8 @@ def check_recursive_decomposition(signal: UniformSignal, t1: int, t2: int) -> Re
     t1 = window_size(t1)
     t2 = window_size(t2)
     total = t1 + t2
-    rhs = _box_terms(signal, [(t1 / total, t1, 0), (t2 / total, t2, t1)],
-                     "the decomposition check")
+    [rhs] = _box_terms(signal, "the decomposition check",
+                       [(t1 / total, t1, 0), (t2 / total, t2, t1)])
     return _report("recursive_decomposition", right_avg(signal, total), rhs, signal)
 
 
@@ -135,10 +151,9 @@ def check_difference_identity(signal: UniformSignal, a: int, b: int) -> Residual
     """Short-minus-long average as ``b/(a+b)`` times a difference of block averages."""
     a = window_size(a)
     b = window_size(b)
-    what = "the difference-identity check"
-    lhs = _box_terms(signal, [(1.0, a, 0), (-1.0, a + b, 0)], what)
     factor = b / (a + b)
-    rhs = _box_terms(signal, [(factor, a, 0), (-factor, b, a)], what)
+    lhs, rhs = _box_terms(signal, "the difference-identity check",
+                          [(1.0, a, 0), (-1.0, a + b, 0)], [(factor, a, 0), (-factor, b, a)])
     return _report("difference_identity", lhs, rhs, signal)
 
 
@@ -149,13 +164,25 @@ def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
     average times ``a/2``; differentiating the outer average of the double
     average leaves exactly this expression.
     """
-    der = windowed_derivative(right_avg(signal, a), a)
-    return der.with_values(der.values * (a * signal.dt / 2.0))
+    return _half_window_rate(right_avg(signal, a), a)
+
+
+def _half_window_rate(avg: UniformSignal, a: int) -> UniformSignal:
+    """``a*dt/2`` times the lag-``a`` difference quotient of ``avg``."""
+    der = windowed_derivative(avg, a)
+    return der.with_values(der.values * (a * avg.dt / 2.0))
 
 
 def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
-    """Short-minus-long average equals the smoothed-derivative form."""
-    return _report("macd_derivative", macd(signal, a), smoothed_derivative(signal, a), signal)
+    """Short-minus-long average equals the smoothed-derivative form.
+
+    Both sides read one ``a``-window sum of the input.
+    """
+    k = window_size(a)
+    signal.require(2 * k, "the MACD-derivative check")
+    sums = operators.sliding_sums(signal.values, k)
+    rhs = _half_window_rate(_right_avg_of(signal, sums, k), k)
+    return _report("macd_derivative", _macd_of(signal, sums, k), rhs, signal)
 
 
 def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
@@ -166,23 +193,33 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     average, and it is a trailing average of the re-aligned single centered
     average, so its exact rate of change is the lag-window difference
     quotient of the latter.
+
+    Two window sums serve every form: ``S_k`` of the input (the single
+    averages and MACD) and ``S_k`` of the ``k``-average (both double ones).
     """
     k = window_size(a, even=True)
     signal.require(3 * k - 1, "the phase-corrected check")
-    length = k * signal.dt
+    sums = operators.sliding_sums(signal.values, k)
+    lhs = _macd_of(signal, sums, k)
+    trailing = _right_avg_of(signal, sums, k)
+    del sums  # the rest reads the k-average
+    centered = _centered_of(trailing, k)
+    _check_shift_identity(trailing, centered, k)
+    rhs = _half_window_rate(delay(centered, k // 2), k)
+    return _report("phase_corrected_form", lhs, rhs, signal)
 
-    # Exhibit the shift identity: the delayed double centered average is the
-    # double trailing average, sample for sample.
-    centered_twice = delay(centered_avg(centered_avg(signal, k), k), k)
-    trailing_twice = double_right_avg(signal, k)
-    cv, tv = aligned_values(centered_twice, trailing_twice)
+
+def _check_shift_identity(trailing: UniformSignal, centered: UniformSignal, k: int) -> None:
+    """Raise unless the delayed double centered average is the double trailing one.
+
+    Both double averages read one ``S_k`` of the ``k``-average; they agree
+    sample for sample once aligned by time.
+    """
+    sums = operators.sliding_sums(trailing.values, k)
+    centered_twice = delay(_centered_of(_right_avg_of(centered, sums, k), k), k)
+    cv, tv = aligned_values(centered_twice, _right_avg_of(trailing, sums, k))
     if not np.array_equal(cv, tv):
         raise AssertionError("centered/trailing shift identity violated")
-
-    inner = delay(centered_avg(signal, k), k // 2)
-    rhs = windowed_derivative(inner, k)
-    rhs = rhs.with_values(rhs.values * (length / 2.0))
-    return _report("phase_corrected_form", macd(signal, k), rhs, signal)
 
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
@@ -192,14 +229,15 @@ def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
     terms = []
     for i, w in enumerate(spec.weights, start=1):
         terms += [(w / 2, b, (i - 1) * b), (-w / 2, b, i * b)]
-    return _box_terms(signal, terms, f"the {spec.n}-term expansion")
+    [rhs] = _box_terms(signal, f"the {spec.n}-term expansion", terms)
+    return rhs
 
 
 def check_recursive_expansion(signal: UniformSignal,
                               spec: ExpansionSpec) -> ResidualReport:
     """Long-window difference as the ``n``-term delayed-derivative sum."""
-    lhs = _box_terms(signal, [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)],
-                     "the expansion check")
+    [lhs] = _box_terms(signal, "the expansion check",
+                       [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)])
     return _report("recursive_expansion", lhs, expansion_rhs(signal, spec), signal)
 
 
@@ -288,7 +326,8 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
         tol = default_tolerance(signal)
     lo = index + 1 - total
     recent = signal.with_values(signal.values[lo : index + 1], t0=signal.t0 + lo * signal.dt)
-    margin = float(_box_terms(recent, [(1.0, a, 0), (-1.0, total, 0)], "the margin").values[0])
+    [diff] = _box_terms(recent, "the margin", [(1.0, a, 0), (-1.0, total, 0)])
+    margin = float(diff.values[0])
     label = "increasing" if margin > tol else "decreasing" if margin < -tol else "linear"
     return TrendLabel(label, margin)
 

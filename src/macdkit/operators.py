@@ -14,6 +14,15 @@ running sum of the entering-minus-leaving samples, so large windows stay
 accurate without an O(n*k) cost.  On a constant signal every step is exactly
 zero and every anchor sums identical values, so all window sums are the same
 float, which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
+
+Each operator states its formula once, as a private function of the window
+sums (``_right_avg_of``, ``_centered_of``, ``_macd_of``), so an identity
+check that reads several forms of one input takes each distinct window sum
+once and still runs every side through its operator's own code.  Those
+results, ``_box_terms`` and ``delay`` are finite by construction and wrap
+their fresh (or read-only) arrays with no copy; ``windowed_derivative``,
+whose quotient can overflow, builds its result through the checked
+constructor.
 """
 
 from __future__ import annotations
@@ -71,23 +80,50 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     return rows.reshape(-1)[:m]
 
 
-def _box_terms(signal: UniformSignal, terms, what: str) -> UniformSignal:
-    """``sum(c * mean_k(i - lag) for c, k, lag in terms)``, ``mean_k(i)`` ending at sample ``i``.
+def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
+    """One signal per side, ``sum(c * mean_k(i - lag) for c, k, lag in side)``.
 
-    Output 0 sits at input index ``max(k + lag) - 1``, so ``what`` needs
-    ``max(k + lag)`` samples.  Each distinct ``k`` takes one :func:`sliding_sums`.
+    ``mean_k(i)`` is the mean of the ``k`` samples ending at sample ``i``.
+    Every side's output 0 sits at input index ``span - 1``, with ``span`` the
+    largest ``k + lag`` over all sides, so ``what`` needs ``span`` samples.
+    Each distinct ``k`` takes one :func:`sliding_sums`, shared by the sides.
     """
+    terms = [term for side in sides for term in side]
     span = max(k + lag for _, k, lag in terms)
     signal.require(span, what)
     means = {k: sliding_sums(signal.values, k) / k for k in {k for _, k, _ in terms}}
-    acc = np.zeros(len(signal) - span + 1)
+    t0 = signal.t0 + (span - 1) * signal.dt
+    out = []
     try:
         with np.errstate(over="raise"):
-            for c, k, lag in terms:
-                acc += c * means[k][span - k - lag : means[k].size - lag]
+            for side in sides:
+                acc = np.zeros(len(signal) - span + 1)
+                for c, k, lag in side:
+                    acc += c * means[k][span - k - lag : means[k].size - lag]
+                out.append(UniformSignal._wrap(t0, signal.dt, acc))
     except FloatingPointError:
         raise ValueError(WINDOW_SUM_OVERFLOW) from None
-    return UniformSignal(signal.t0 + (span - 1) * signal.dt, signal.dt, acc)
+    return out
+
+
+def _right_avg_of(signal: UniformSignal, sums: np.ndarray, k: int) -> UniformSignal:
+    """The trailing ``k``-average of ``signal`` from its ``k``-window sums."""
+    return UniformSignal._wrap(signal.t0 + (k - 1) * signal.dt, signal.dt, sums / k)
+
+
+def _centered_of(trailing: UniformSignal, k: int) -> UniformSignal:
+    """The centered ``k``-average sharing the values of the trailing one."""
+    return UniformSignal._wrap(trailing.t0 - (k // 2) * trailing.dt, trailing.dt, trailing.values)
+
+
+def _macd_of(signal: UniformSignal, sums: np.ndarray, k: int) -> UniformSignal:
+    """:func:`macd` with window ``k`` from the ``k``-window sums of ``signal``."""
+    try:
+        with np.errstate(over="raise"):
+            out = (sums[k:] - sums[:-k]) / (2 * k)
+    except FloatingPointError:
+        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
+    return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
 
 
 def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -100,8 +136,7 @@ def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w)
     signal.require(k, f"a {k}-sample average")
-    sums = sliding_sums(signal.values, k)
-    return UniformSignal(signal.t0 + (k - 1) * signal.dt, signal.dt, sums / k)
+    return _right_avg_of(signal, sliding_sums(signal.values, k), k)
 
 
 def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -114,8 +149,7 @@ def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w, even=True)
     signal.require(k, f"a {k}-sample centered average")
-    trailing = right_avg(signal, k)
-    return trailing.with_values(trailing.values, t0=trailing.t0 - (k // 2) * signal.dt)
+    return _centered_of(right_avg(signal, k), k)
 
 
 def double_right_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -140,13 +174,7 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
-    sums = sliding_sums(signal.values, k)
-    try:
-        with np.errstate(over="raise"):
-            out = (sums[k:] - sums[:-k]) / (2 * k)
-    except FloatingPointError:
-        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
-    return UniformSignal(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
+    return _macd_of(signal, sliding_sums(signal.values, k), k)
 
 
 def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:
@@ -160,7 +188,7 @@ def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:
     signal.require(lag + 1, f"a lag of {lag}")
     if lag == 0:
         return signal
-    return UniformSignal(signal.t0 + lag * signal.dt, signal.dt, signal.values[:-lag])
+    return UniformSignal._wrap(signal.t0 + lag * signal.dt, signal.dt, signal.values[:-lag])
 
 
 def windowed_derivative(signal: UniformSignal, w: int) -> UniformSignal:

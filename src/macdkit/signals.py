@@ -6,6 +6,15 @@ output carries an explicit ``t0`` so that the index-to-time mapping survives
 arbitrary composition: two signals derived from the same input can always be
 re-aligned by comparing start times.
 
+The public constructor copies and validates its values, so a signal never
+shares a buffer its caller can still write.  Operators whose results are
+fresh float64 arrays, finite by construction (a window sum that would
+overflow raises first), wrap them with the private no-copy
+``UniformSignal._wrap`` instead; a derived signal may then share a
+read-only buffer with another, as a centered average does with the
+trailing one and a delay with its input.  A result that can overflow, such
+as a difference quotient, still takes the public, checked path.
+
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
 Every layer validates a window with :func:`window_size`, and a lag with
@@ -77,6 +86,20 @@ class UniformSignal:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _wrap(cls, t0: float, dt: float, values: np.ndarray) -> "UniformSignal":
+        """A signal over ``values`` with no copy and no check; ``values`` turns read-only.
+
+        Only for a finite 1-D float64 array that nothing else writes, with
+        ``dt`` already positive and finite, as an operator's fresh result is.
+        """
+        sig = object.__new__(cls)
+        values.flags.writeable = False
+        object.__setattr__(sig, "t0", float(t0))
+        object.__setattr__(sig, "dt", float(dt))
+        object.__setattr__(sig, "values", values)
+        return sig
 
     def __len__(self) -> int:
         return int(self.values.size)

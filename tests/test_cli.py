@@ -146,6 +146,36 @@ def test_ingest_schema_override(write):
         ingest_csv(path, schema="columns")
 
 
+def test_ingest_invalid_utf8_reports_line_number(tmp_path):
+    def ingest_bytes(data):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(str(path))
+        return str(err.value)
+
+    # Byte 10,004 sits on line 5,003, past the first 8 KiB decode chunk.
+    assert ingest_bytes(b"1\n2\n" + b"3\n" * 5000 + b"\xff\n4\n") == "invalid UTF-8 at line 5003"
+    assert ingest_bytes(b"t\xff,v\n0,1\n") == "invalid UTF-8 at line 1"
+    assert ingest_bytes(b"t,v\n\n0,\xe9\n1,2\n") == "invalid UTF-8 at line 3"
+    # An earlier bad line, or row, comes first in file order.
+    assert ingest_bytes(b"1\nx\n\xff\n") == "could not parse line 2"
+    assert ingest_bytes(b"t,v\n0,1\n1,2\n3,4\n5,\xff\n") == "non-uniform spacing at line 4"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch, block):
+    monkeypatch.setattr(cli, "_LOCATE_BLOCK", block)
+    cases = ["t,v\n0,1\n1,2\n3,4\n4,x\n", "0,1\n1,2\n2,3\n3,4\n5,5\n",
+             "0,1\n1,2\n3,3\n4,x\n", "1\n2\n3\n\n4\n5\n6,7\n", "1\n2\n3\n4\nnan\n",
+             "1\n2\n3\n4\n5\n1_0\n", "0,1\n1,2\n2,3\n3,4\n4,5\n4,6\n"]
+    for text in cases:
+        path = write("blocks.csv", text)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path)
+        assert outcome(lambda: oracles.naive_ingest(path, "auto")) == str(err.value), text
+
+
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         ingest_csv(str(tmp_path / "nope.csv"))

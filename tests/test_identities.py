@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from macdkit import (
     run_checks,
     smoothed_derivative,
 )
-from macdkit import identities
+from macdkit import identities, operators
 from macdkit.identities import default_tolerance
 
 
@@ -394,3 +395,35 @@ def test_run_checks_calls_checks_through_module_names(monkeypatch, random_signal
     monkeypatch.setattr(identities, "check_macd_derivative", spy)
     run_checks(random_signal(200), ["macd_derivative"], window=6)
     assert calls == [(6,)]
+
+
+@pytest.fixture
+def sliding_sums_calls(monkeypatch):
+    """The window of every ``sliding_sums`` call, from whichever macdkit module makes it."""
+    calls = []
+    original = operators.sliding_sums
+
+    def counted(values, k):
+        calls.append(k)
+        return original(values, k)
+
+    for name, module in list(sys.modules.items()):
+        in_package = name.partition(".")[0] == "macdkit"
+        if in_package and getattr(module, "sliding_sums", None) is original:
+            monkeypatch.setattr(module, "sliding_sums", counted)
+    return calls
+
+
+# Calls per check: one per distinct window sum.  run_checks at its defaults
+# makes 3 (decomposition) + 3 + 1 + 2 + 3 (expansion) + 3 (lp_bound, one
+# macd per norm) + 3 (monotonicity).
+@pytest.mark.parametrize("run, calls", [
+    (lambda s: check_phase_corrected_form(s, 8), 2),  # S_8 of the input and of its 8-average
+    (lambda s: check_difference_identity(s, 8, 12), 3),  # S_8, S_12, S_20
+    (lambda s: check_macd_derivative(s, 8), 1),
+    (lambda s: run_checks(s), 18),
+], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
+def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, calls):
+    result = run(random_signal(500))
+    assert len(sliding_sums_calls) == calls
+    assert all(r.passed for r in result) if isinstance(result, list) else result.passes()

@@ -305,6 +305,24 @@ def test_linearity(op, rng):
     assert np.max(np.abs(lhs - rhs)) / scale <= 1e-12
 
 
+def test_operator_outputs_are_read_only_and_public_signals_own_their_values(rng):
+    raw = rng.uniform(-1, 1, 40)
+    kept = raw.copy()
+    sig = UniformSignal(0.0, 1.0, raw)
+    raw[:] = 0.0
+    assert np.array_equal(sig.values, kept)
+    for op in OPERATORS:
+        out = op(sig)
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 1.0
+    with pytest.raises(ValueError, match="^non-finite value at sample 2$"):
+        UniformSignal(0.0, 1.0, [1.0, 2.0, np.inf])
+    # The quotient of two finite samples overflows, so it still takes the checked path.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
+            windowed_derivative(UniformSignal(0.0, 0.5, [-1e308, 1e308]), 1)
+
+
 @pytest.mark.parametrize("k", list(range(1, 33)))
 def test_step_response_regularity_gain(k):
     # Averaging a unit step turns the jump into a staircase whose largest

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -48,3 +49,17 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+def test_benchmark_span_targets_resolve():
+    # The benchmark's tracer wraps these names in each module; a dropped one
+    # breaks a traced run.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(spans.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    for module, names in targets.items():
+        namespace = importlib.import_module(f"macdkit.{module}")
+        missing = [name for name in names if not callable(getattr(namespace, name, None))]
+        assert not missing, (module, missing)

@@ -220,7 +220,7 @@ def test_weighted_sum_of_box_means_that_overflows_raises():
     # maximum.
     sig = UniformSignal(0.0, 1.0, [0.0, 1.292e308, -1.292e308, -1.292e308, 1.7e308])
     with pytest.raises(ValueError) as err:
-        _box_terms(sig, [(1.0, 1, 0), (-1.0, 3, 0)], "a difference of means")
+        _box_terms(sig, "a difference of means", [(1.0, 1, 0), (-1.0, 3, 0)])
     assert str(err.value) == WINDOW_SUM_OVERFLOW
     with pytest.raises(ValueError) as err:
         check_difference_identity(sig, 1, 2)
