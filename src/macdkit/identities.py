@@ -248,9 +248,14 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     absolute weight 1, in practice never exceeds 1 beyond rounding.  On an
     all-zero signal the indicator is exactly zero, and 0/0 counts as zero.
     """
+    return _lp_ratios(signal, a, (p,))[0]
+
+
+def _lp_ratios(signal: UniformSignal, a: int, orders) -> list[float]:
+    """:func:`check_lp_bound` for each norm order, from one ``macd``."""
     out = macd(signal, a)
 
-    def norm(vals: np.ndarray) -> float:
+    def norm(vals: np.ndarray, p) -> float:
         if p == 1:
             return float(np.sum(np.abs(vals)) * signal.dt)
         if p == 2:
@@ -259,7 +264,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
             return float(np.max(np.abs(vals)))
         raise ValueError(f"unsupported norm order: {p!r}")
 
-    return _ratio(norm(out.values), norm(signal.values))
+    return [_ratio(norm(out.values, p), norm(signal.values, p)) for p in orders]
 
 
 def check_window_monotonicity(signal: UniformSignal, a: int, b: int,
@@ -360,7 +365,8 @@ def _scan_gate(r: MonotonicityResult, tol: float) -> tuple:
 # name -> (params, gate, call).  params(window, long window, n, b) gives the
 # keyword arguments of call(signal, **params), and gate(result, tol) gives
 # (max abs, max rel, gate, passed).  Calls look their check up in this module
-# when they run, so a name replaced here (a tracing wrapper, say) is what runs.
+# when they run, so a name replaced here (a tracing wrapper, say) is what runs;
+# lp_bound runs _lp_ratios, so its three norms read one macd.
 CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
     "recursive_decomposition": (lambda w, lw, n, b: {"t1": w, "t2": lw}, _relative_gate,
         lambda s, t1, t2: check_recursive_decomposition(s, t1, t2)),
@@ -373,7 +379,7 @@ CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
     "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b}, _relative_gate,
         lambda s, n, b: check_recursive_expansion(s, ExpansionSpec(n, b))),
     "lp_bound": (lambda w, lw, n, b: {"a": w}, _norm_gate,
-        lambda s, a: max(check_lp_bound(s, a, p) for p in (1, 2, math.inf))),
+        lambda s, a: max(_lp_ratios(s, a, (1, 2, math.inf)))),
     "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw}, _scan_gate,
         lambda s, a, b: check_window_monotonicity(s, a, b)),
 }

@@ -8,12 +8,12 @@ between the operators exact rather than merely first-order in ``dt``.
 Every window argument is that sample count ``k``, a plain ``int`` checked
 by :func:`~macdkit.signals.window_size`.
 
-Window sums take one vectorised path for every window length: an exact
-anchor sum every ``max(32, k // 8)`` outputs, continued between anchors by a
-running sum of the entering-minus-leaving samples, so large windows stay
-accurate without an O(n*k) cost.  On a constant signal every step is exactly
-zero and every anchor sums identical values, so all window sums are the same
-float, which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
+Window sums take one vectorised path for every window length: binary
+doubling over the digits of ``k``, about ``log2(k)`` whole-array adds in two
+``n - 1`` buffers, whose pairwise sums err by ``O(log k)`` ulps of the
+window's absolute sum.  Every output takes the same adds, so on a constant
+signal all window sums are the same float, which is what makes e.g.
+``macd(constant) == 0`` hold bit-exactly.
 
 Each operator states its formula once, as a private function of the window
 sums (``_right_avg_of``, ``_centered_of``, ``_macd_of``), so an identity
@@ -45,39 +45,32 @@ __all__ = [
 def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     """Sums of every length-``k`` window of ``values`` (length ``n - k + 1``).
 
-    Output ``j`` is the sum of ``values[j : j + k]``.  Every
-    ``max(32, k // 8)``-th output is an exact anchor sum of its window; the
-    outputs between two anchors add the entering-minus-leaving samples to the
-    earlier anchor, so rounding never drifts over more than one anchor
-    interval and accuracy is a few units in the last place of the window sum
-    whatever the signal length.  On constant input every window sum is the
-    same float.  A window sum that overflows float64 raises ``ValueError``.
+    Output ``j`` is the sum of ``values[j : j + k]``, doubled up over the
+    binary digits of ``k`` from the top: each digit doubles the width ``w``
+    with the width-``w`` sums ``w`` samples on, and a set digit adds one more
+    sample.  Each output is a sum tree ``bit_length(k) + popcount(k) - 2``
+    adds deep, within ``(bit_length(k) + popcount(k)) * eps * sum(|window|)``
+    of exact, and the same float for every window of a constant input.  Two
+    ``n - 1`` buffers take turns, about ``2n`` floats of temporaries; ``k = 1``
+    returns a copy.  A window sum that overflows float64 raises ``ValueError``,
+    and so does a partial sum (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
     """
     k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     _check_length(n, k, "window sums")
-    if k == 1:
-        return values.copy()
-    m = n - k + 1
-    seg = max(32, k // 8)
-    starts = np.arange(0, m, seg)
-    # One row per anchor interval: the anchor sum, then the steps after it.
-    steps = np.zeros(starts.size * seg)
-    # Anchor sums reduce over [start, start + k) in place, with no copy of
-    # the windows.  The last bound is dropped when it is n: that window then
-    # runs to the end of the array, and reduceat accepts no index n.
-    bounds = np.stack([starts, starts + k], axis=1).reshape(-1)
-    if bounds[-1] == n:
-        bounds = bounds[:-1]
+    bufs = [np.empty(n - 1), np.empty(n - 1)]
+    sums, w, turn = values, 1, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(values[k:], values[: m - 1], out=steps[1:m])
-        steps[starts] = np.add.reduceat(values, bounds)[::2]
-        rows = np.cumsum(steps.reshape(-1, seg), axis=1)
-    # A non-finite entry of a running row stays non-finite to the row's end.
-    if not np.isfinite(rows[:, -1]).all():
+        for digit in bin(k)[3:]:
+            for addend, width in [(sums, w)] + [(values, 1)] * (digit == "1"):
+                out = bufs[turn][: n - w - width + 1]
+                sums = np.add(sums[: out.size], addend[w : w + out.size], out=out)
+                w, turn = w + width, 1 - turn
+    # A non-finite partial sum stays non-finite in every window it enters.
+    if not np.isfinite(sums).all():
         raise ValueError(WINDOW_SUM_OVERFLOW)
-    return rows.reshape(-1)[:m]
+    return sums if k > 1 else sums.copy()
 
 
 def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
@@ -200,5 +193,6 @@ def windowed_derivative(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w)
     signal.require(k + 1, f"a lag-{k} difference quotient")
-    out = (signal.values[k:] - signal.values[:-k]) / (k * signal.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (signal.values[k:] - signal.values[:-k]) / (k * signal.dt)
     return UniformSignal(signal.t0 + k * signal.dt, signal.dt, out)

@@ -415,13 +415,13 @@ def sliding_sums_calls(monkeypatch):
 
 
 # Calls per check: one per distinct window sum.  run_checks at its defaults
-# makes 3 (decomposition) + 3 + 1 + 2 + 3 (expansion) + 3 (lp_bound, one
-# macd per norm) + 3 (monotonicity).
+# makes 3 (decomposition) + 3 + 1 + 2 + 3 (expansion) + 1 (lp_bound, one
+# macd for all three norms) + 3 (monotonicity).
 @pytest.mark.parametrize("run, calls", [
     (lambda s: check_phase_corrected_form(s, 8), 2),  # S_8 of the input and of its 8-average
     (lambda s: check_difference_identity(s, 8, 12), 3),  # S_8, S_12, S_20
     (lambda s: check_macd_derivative(s, 8), 1),
-    (lambda s: run_checks(s), 18),
+    (lambda s: run_checks(s), 16),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, calls):
     result = run(random_signal(500))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -77,21 +78,67 @@ def test_right_avg_insufficient_samples():
     assert err.value.required == 3
 
 
-def test_sliding_sums_segmented_path_matches_direct(random_signal):
+def test_sliding_sums_match_direct_convolution(random_signal):
     sig = random_signal(3000)
     direct = np.convolve(sig.values, np.ones(300), "valid")
     np.testing.assert_allclose(sliding_sums(sig.values, 300), direct, rtol=0, atol=1e-11)
 
 
-def test_sliding_sums_segmented_exact_on_constants():
-    vals = np.full(2000, 0.1)
-    sums = sliding_sums(vals, 128)
-    assert np.all(sums == sums[0])
+@pytest.mark.parametrize("c", [0.1, -7.3, 5e-324, 1.3e306])
+def test_sliding_sums_exact_on_constants(c):
+    # Every output takes the same adds, so a constant input gives one float
+    # per window length, even where the sum itself rounds.
+    vals = np.full(2000, c)
+    for k in [*range(1, 65), 128]:
+        sums = sliding_sums(vals, k)
+        assert np.all(sums == sums[0]), k
+
+
+def doubling_error_bound(window, k):
+    """Rounding bound of a doubled window sum: one epsilon per add level."""
+    return (k.bit_length() + bin(k).count("1")) * np.finfo(float).eps * math.fsum(map(abs, window))
+
+
+def assert_within_doubling_bound(values, k):
+    got = sliding_sums(np.asarray(values), k)
+    expected = naive_window_sums(list(values), k)
+    assert got.shape == (len(values) - k + 1,)
+    for j, (g, e) in enumerate(zip(got, expected)):
+        assert abs(g - e) <= doubling_error_bound(values[j : j + k], k), (k, j, g, e)
+
+
+@given(
+    values=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=300),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sliding_sums_within_doubling_error_bound(values, data):
+    k = data.draw(st.integers(min_value=1, max_value=len(values)), label="k")
+    assert_within_doubling_bound(values, k)
+
+
+@pytest.mark.parametrize("k", sorted({1, 2, 3} | {2**j + d for j in range(2, 12) for d in (-1, 0, 1)}))
+def test_sliding_sums_within_bound_at_binary_edges(k, rng):
+    # Windows of all ones, a single digit, and one past a power of two: the
+    # most adds, the fewest, and the longest run of doublings then one add.
+    assert_within_doubling_bound(rng.uniform(-1, 1, 2600).tolist(), k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+def test_sliding_sums_window_of_whole_signal(n, rng):
+    values = rng.uniform(-1, 1, n).tolist()
+    assert_within_doubling_bound(values, n)
+
+
+def test_sliding_sums_of_one_sample_is_a_copy():
+    values = np.array([1.0, -2.0, 3.5])
+    sums = sliding_sums(values, 1)
+    assert np.array_equal(sums, values) and not np.shares_memory(sums, values)
 
 
 @pytest.mark.parametrize("k", [8, 300, 512, 2048])
 def test_sliding_sums_match_exact_window_sums(k, random_signal):
-    # Several anchor intervals at every k; 1e-12 is about a hundred ulps of
+    # Up to eleven doublings at k = 2048; 1e-12 is about a hundred ulps of
     # a typical window sum of 2048 samples in [-1, 1].
     sig = random_signal(3000)
     expected = naive_window_sums(sig.values.tolist(), k)
@@ -99,8 +146,8 @@ def test_sliding_sums_match_exact_window_sums(k, random_signal):
 
 
 def test_sliding_sums_temporary_memory_is_bounded():
-    # The anchor sums reduce in place: a copy of every anchor window would
-    # be about 9x the input at k = 2048 on a million samples.
+    # The window sums double in two buffers of n - 1 floats that take
+    # turns, about 2x the input whatever the window.
     values = np.random.default_rng(5).standard_normal(1_000_000)
     tracemalloc.start()
     try:
@@ -317,10 +364,10 @@ def test_operator_outputs_are_read_only_and_public_signals_own_their_values(rng)
             out.values[0] = 1.0
     with pytest.raises(ValueError, match="^non-finite value at sample 2$"):
         UniformSignal(0.0, 1.0, [1.0, 2.0, np.inf])
-    # The quotient of two finite samples overflows, so it still takes the checked path.
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
-            windowed_derivative(UniformSignal(0.0, 0.5, [-1e308, 1e308]), 1)
+    # The quotient of two finite samples overflows, so it still takes the
+    # checked path, and says so with no RuntimeWarning first.
+    with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
+        windowed_derivative(UniformSignal(0.0, 0.5, [-1e308, 1e308]), 1)
 
 
 @pytest.mark.parametrize("k", list(range(1, 33)))

@@ -190,6 +190,24 @@ def test_window_sum_overflow_same_error_from_batch_and_stream():
     assert "overflow" in messages["macd"]
 
 
+def test_partial_window_sum_overflow_raises_not_nan():
+    # Each 4-sample window sum is finite, but the 2-sample sums it doubles
+    # from are inf and -inf; their sum would be NaN, never a value.
+    values = [1e308, 1e308, -1e308, -1e308]
+    with pytest.raises(ValueError) as err:
+        sliding_sums(np.array(values), 4)
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
+    with pytest.raises(ValueError) as err:
+        macd(UniformSignal(0.0, 1.0, values + [0.0] * 4), 4)
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
+    # The stream's newest 2 samples already overflow their running sum.
+    stream = MacdStream(2)
+    stream.push(values[0])
+    with pytest.raises(ValueError) as err:
+        stream.push(values[1])
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
+
+
 @pytest.mark.parametrize("values, n, b", [
     ((-1e308, 1e308), 1, 1),
     ((1e308, -1e308), 1, 1),
