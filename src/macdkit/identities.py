@@ -6,13 +6,15 @@ range where both sides are defined.  In the piecewise-constant discrete
 model every identity holds exactly, so residuals are pure floating-point
 noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 
-A check computes each distinct window sum of its input once and reads every
-form it compares from those sums: MACD, the smoothed derivative and the
-delayed derivative of the centered smooth are the same ``S_k(i) - S_k(i-k)``
-read at different anchors.  Every side still runs through the from-sums
-formula of the operator it names (``operators._macd_of`` and the like), so a
-broken operator fails its check; the two block-average sides of the
-difference identity come from one ``_box_terms`` pass.
+A check reads each window sum of its input from the input's memo
+(``operators._window_sums``), so the checks and operators run on one signal
+take each ``S_k`` once.  A check reads every form it compares from those
+sums: MACD, the smoothed derivative and the delayed derivative of the
+centered smooth are the same ``S_k(i) - S_k(i-k)`` read at different
+anchors.  Every side still runs through the from-sums formula of the
+operator it names (``operators._macd_of`` and the like), so a broken
+operator fails its check; the two block-average sides of the difference
+identity come from one ``_box_terms`` pass.
 
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
@@ -34,16 +36,18 @@ from typing import Callable
 
 import numpy as np
 
-# Window sums are taken as operators.sliding_sums, looked up when they run,
-# so a wrapper on that name (a tracer, say) sees every call.  centered_avg and
-# double_right_avg are not called here; like every operator they stay in this
-# namespace, where such a tracer (perfbench/spans.py) looks them up.
-from . import operators
+# Window sums are taken through operators._window_sums, which keeps each one on
+# its signal and computes a missing one with operators.sliding_sums, looked up
+# when it runs, so a wrapper on that name (a tracer, say) sees every sum that
+# is computed.  centered_avg and double_right_avg are not called here; like
+# every operator they stay in this namespace, where such a tracer
+# (perfbench/spans.py) looks them up.
 from .operators import (
     _box_terms,
     _centered_of,
     _macd_of,
     _right_avg_of,
+    _window_sums,
     centered_avg,
     delay,
     double_right_avg,
@@ -180,7 +184,7 @@ def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
     """
     k = window_size(a)
     signal.require(2 * k, "the MACD-derivative check")
-    sums = operators.sliding_sums(signal.values, k)
+    sums = _window_sums(signal, k)
     rhs = _half_window_rate(_right_avg_of(signal, sums, k), k)
     return _report("macd_derivative", _macd_of(signal, sums, k), rhs, signal)
 
@@ -199,7 +203,7 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     """
     k = window_size(a, even=True)
     signal.require(3 * k - 1, "the phase-corrected check")
-    sums = operators.sliding_sums(signal.values, k)
+    sums = _window_sums(signal, k)
     lhs = _macd_of(signal, sums, k)
     trailing = _right_avg_of(signal, sums, k)
     del sums  # the rest reads the k-average
@@ -215,7 +219,7 @@ def _check_shift_identity(trailing: UniformSignal, centered: UniformSignal, k: i
     Both double averages read one ``S_k`` of the ``k``-average; they agree
     sample for sample once aligned by time.
     """
-    sums = operators.sliding_sums(trailing.values, k)
+    sums = _window_sums(trailing, k)
     centered_twice = delay(_centered_of(_right_avg_of(centered, sums, k), k), k)
     cv, tv = aligned_values(centered_twice, _right_avg_of(trailing, sums, k))
     if not np.array_equal(cv, tv):

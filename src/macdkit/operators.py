@@ -15,6 +15,17 @@ window's absolute sum.  Every output takes the same adds, so on a constant
 signal all window sums are the same float, which is what makes e.g.
 ``macd(constant) == 0`` hold bit-exactly.
 
+Operators and checks take every window sum of a signal through
+``_window_sums``, which keeps it on the signal: a read-only signal's
+``S_k`` is computed once per signal and window, so MACD, the averages and
+every identity check on one input share it.  The memo holds at most
+``_MEMO_WINDOWS`` (8) arrays of at most ``n`` floats per live signal and
+evicts the least recently used window first.  It uses only single dict
+operations, each atomic under the GIL, so threads sharing a signal can at
+worst compute one sum twice, never raise or read a wrong one.  A miss calls
+the module's ``sliding_sums`` by name, so a wrapper on that name (a tracer,
+say) sees every sum that is computed; public ``sliding_sums`` keeps no memo.
+
 Each operator states its formula once, as a private function of the window
 sums (``_right_avg_of``, ``_centered_of``, ``_macd_of``), so an identity
 check that reads several forms of one input takes each distinct window sum
@@ -73,18 +84,42 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     return sums if k > 1 else sums.copy()
 
 
+# Windows a signal keeps: the 6 distinct input sums run_checks can ask for
+# (w, lw, w + lw, b, n*b, (n+1)*b) plus room for the caller's own operators.
+_MEMO_WINDOWS = 8
+
+
+def _window_sums(signal: UniformSignal, k: int) -> np.ndarray:
+    """``sliding_sums(signal.values, k)``, computed once per signal and kept read-only.
+
+    The signal's memo is a dict in recency order.  A hit pops and re-inserts
+    its window; once it holds more than ``_MEMO_WINDOWS``, the oldest key of a
+    snapshot is dropped.  Each step is one dict operation, so a concurrent
+    caller can only miss and compute the same sum again.
+    """
+    memo = signal._sums
+    sums = memo.pop(k, None)
+    if sums is None:
+        sums = sliding_sums(signal.values, k)
+        sums.flags.writeable = False
+    memo[k] = sums
+    while len(memo) > _MEMO_WINDOWS:
+        memo.pop(next(iter(memo.copy())), None)
+    return sums
+
+
 def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
     """One signal per side, ``sum(c * mean_k(i - lag) for c, k, lag in side)``.
 
     ``mean_k(i)`` is the mean of the ``k`` samples ending at sample ``i``.
     Every side's output 0 sits at input index ``span - 1``, with ``span`` the
     largest ``k + lag`` over all sides, so ``what`` needs ``span`` samples.
-    Each distinct ``k`` takes one :func:`sliding_sums`, shared by the sides.
+    Each distinct ``k`` reads one window sum of ``signal``, shared by the sides.
     """
     terms = [term for side in sides for term in side]
     span = max(k + lag for _, k, lag in terms)
     signal.require(span, what)
-    means = {k: sliding_sums(signal.values, k) / k for k in {k for _, k, _ in terms}}
+    means = {k: _window_sums(signal, k) / k for k in {k for _, k, _ in terms}}
     t0 = signal.t0 + (span - 1) * signal.dt
     out = []
     try:
@@ -129,7 +164,7 @@ def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w)
     signal.require(k, f"a {k}-sample average")
-    return _right_avg_of(signal, sliding_sums(signal.values, k), k)
+    return _right_avg_of(signal, _window_sums(signal, k), k)
 
 
 def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -167,7 +202,7 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
-    return _macd_of(signal, sliding_sums(signal.values, k), k)
+    return _macd_of(signal, _window_sums(signal, k), k)
 
 
 def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:

@@ -15,6 +15,14 @@ read-only buffer with another, as a centered average does with the
 trailing one and a delay with its input.  A result that can overflow, such
 as a difference quotient, still takes the public, checked path.
 
+Because a signal's values never change, each signal also keeps the window
+sums the operators took of it, so operators and checks on one input take
+each ``(signal, k)`` sum once.  :func:`~macdkit.operators._window_sums` owns
+that memo: at most 8 windows, least recently used evicted first, read-only
+arrays, and only single dict operations, so threads that share a signal can
+at worst compute a sum twice.  A missing sum comes from
+``operators.sliding_sums``, looked up by name, so a tracer sees each one.
+
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
 Every layer validates a window with :func:`window_size`, and a lag with
@@ -67,6 +75,10 @@ class UniformSignal:
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
     immutable float64 array; non-finite samples are rejected at construction
     rather than propagated.
+
+    A signal also holds a private memo of its window sums (not a field, so
+    it takes no part in ``==``, ``repr`` or ``fields()``): at most 8 read-only
+    arrays of at most ``n`` floats each, ``64 * n`` bytes per live signal.
     """
 
     t0: float
@@ -86,19 +98,22 @@ class UniformSignal:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_sums", {})
 
     @classmethod
     def _wrap(cls, t0: float, dt: float, values: np.ndarray) -> "UniformSignal":
         """A signal over ``values`` with no copy and no check; ``values`` turns read-only.
 
         Only for a finite 1-D float64 array that nothing else writes, with
-        ``dt`` already positive and finite, as an operator's fresh result is.
+        ``dt`` already positive and finite, as an operator's fresh result is:
+        the window sums the signal keeps are valid only while it is unchanged.
         """
         sig = object.__new__(cls)
         values.flags.writeable = False
         object.__setattr__(sig, "t0", float(t0))
         object.__setattr__(sig, "dt", float(dt))
         object.__setattr__(sig, "values", values)
+        object.__setattr__(sig, "_sums", {})
         return sig
 
     def __len__(self) -> int:

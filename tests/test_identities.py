@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -414,16 +416,122 @@ def sliding_sums_calls(monkeypatch):
     return calls
 
 
-# Calls per check: one per distinct window sum.  run_checks at its defaults
-# makes 3 (decomposition) + 3 + 1 + 2 + 3 (expansion) + 1 (lp_bound, one
-# macd for all three norms) + 3 (monotonicity).
+# Calls on a fresh signal: one per distinct (signal, window) sum, as each
+# signal keeps the sums taken of it.  run_checks at its defaults makes 6:
+# S_8, S_12, S_20 of the input (decomposition; the difference identity,
+# macd_derivative, lp_bound and monotonicity reuse them), S_8 of the
+# 8-average (phase_corrected_form), then S_16 and S_4 (expansion).
 @pytest.mark.parametrize("run, calls", [
     (lambda s: check_phase_corrected_form(s, 8), 2),  # S_8 of the input and of its 8-average
     (lambda s: check_difference_identity(s, 8, 12), 3),  # S_8, S_12, S_20
     (lambda s: check_macd_derivative(s, 8), 1),
-    (lambda s: run_checks(s), 16),
+    (lambda s: run_checks(s), 6),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, calls):
     result = run(random_signal(500))
     assert len(sliding_sums_calls) == calls
     assert all(r.passed for r in result) if isinstance(result, list) else result.passes()
+
+
+def test_operators_and_checks_on_one_signal_share_its_window_sum(sliding_sums_calls,
+                                                                  random_signal):
+    sig = random_signal(500)
+    right_avg(sig, 8)
+    centered_avg(sig, 8)
+    macd(sig, 8)
+    check_macd_derivative(sig, 8)
+    for p in (1, 2, math.inf):
+        check_lp_bound(sig, 8, p)
+    assert sliding_sums_calls == [8]
+
+
+OPERATORS = {
+    "right_avg": right_avg,
+    "centered_avg": centered_avg,
+    "double_right_avg": double_right_avg,
+    "macd": macd,
+    "smoothed_derivative": smoothed_derivative,
+    "expansion_rhs": lambda s, k: expansion_rhs(s, ExpansionSpec(3, k)),
+}
+MEMO_WINDOWS = [2, 4, 6, 8, 12, 16, 20, 24, 32]
+
+
+def _outputs(sig, windows):
+    """Every operator at each window, and run_checks at each window pair."""
+    ops = [(name, k, op(sig, k)) for k in windows for name, op in OPERATORS.items()]
+    checks = [run_checks(sig, window=w, long_window=lw, n=3, b=w // 2)
+              for w, lw in zip(windows, windows[1:])]
+    return ops, checks
+
+
+def _assert_same_outputs(got, want):
+    (got_ops, got_checks), (want_ops, want_checks) = got, want
+    for (name, k, g), (_, _, w) in zip(got_ops, want_ops, strict=True):
+        assert g.t0 == w.t0 and np.array_equal(g.values, w.values), (name, k)
+    assert got_checks == want_checks
+
+
+def test_kept_window_sums_are_invisible(random_signal):
+    sig = random_signal(500)
+    run_checks(sig)
+    _outputs(sig, MEMO_WINDOWS)
+    assert 0 < len(sig._sums) <= 8
+
+    def fresh():
+        return UniformSignal(sig.t0, sig.dt, sig.values)
+
+    _assert_same_outputs(_outputs(sig, MEMO_WINDOWS), _outputs(fresh(), MEMO_WINDOWS))
+    for name, (params_of, _, call) in CHECKS.items():
+        params = params_of(8, 12, 3, 4)
+        assert call(sig, **params) == call(fresh(), **params), name
+    for k, kept in sig._sums.items():
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+        public = operators.sliding_sums(sig.values, k)
+        assert public.flags.writeable and np.array_equal(public, kept)
+        assert not any(np.shares_memory(public, other) for other in sig._sums.values())
+    # The memo is no field, so ==, repr and fields() see only t0, dt, values.
+    assert [f.name for f in dataclasses.fields(UniformSignal)] == ["t0", "dt", "values"]
+    assert repr(sig) == repr(fresh())
+    one = UniformSignal(2.0, 0.5, [3.0])
+    right_avg(one, 1)
+    assert one._sums and one == UniformSignal(2.0, 0.5, [3.0])
+
+
+def test_threads_sharing_a_signal_get_single_thread_results(random_signal):
+    # Eight threads share one signal and ask for more windows than it keeps,
+    # so its memo evicts all the time: first through the operators and
+    # checks, then in a tight loop on the memo alone, where a thread switch
+    # falls between two dict operations most often.
+    sig = random_signal(300)
+    plans = [MEMO_WINDOWS[i % 3:][:4] + [40 + 2 * i] for i in range(8)]
+    want = [_outputs(UniformSignal(sig.t0, sig.dt, sig.values), plan) for plan in plans]
+    want_sums = {k: operators.sliding_sums(sig.values, k) for k in range(1, 17)}
+    got, errors = [None] * len(plans), []
+
+    def work(i):
+        try:
+            for _ in range(5):
+                got[i] = _outputs(sig, plans[i])
+            for j in range(2000):
+                k = 1 + (3 * i + j) % 16
+                assert np.array_equal(operators._window_sums(sig, k), want_sums[k]), k
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    for g, w in zip(got, want, strict=True):
+        _assert_same_outputs(g, w)
+    assert len(sig._sums) <= 8

@@ -158,6 +158,24 @@ def test_sliding_sums_temporary_memory_is_bounded():
     assert peak < 3 * values.nbytes
 
 
+def test_signal_keeps_at_most_eight_window_sums():
+    # Each kept sum holds one buffer of at most n floats, so 40 windows
+    # asked of one signal retain at most 8 * n * 8 bytes; the 64 KiB slack
+    # covers the dict and the array headers.
+    n = 100_000
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(6).standard_normal(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 41):
+            right_avg(sig, k)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sig._sums) <= 8
+    assert retained <= 8 * n * 8 + 64 * 1024
+
+
 # --- centered_avg ----------------------------------------------------------
 
 def test_centered_avg_requires_even_window():
