@@ -34,7 +34,6 @@ from .kernels import (
     delay_kernel,
     derivative_kernel,
     expansion_kernel,
-    kernel_difference,
     macd_kernel,
     smoothed_derivative_kernel,
     triangular_kernel,
@@ -89,7 +88,6 @@ __all__ = [
     "triangular_kernel",
     "smoothed_derivative_kernel",
     "expansion_kernel",
-    "kernel_difference",
     "CHECKS",
     "CheckRecord",
     "run_checks",

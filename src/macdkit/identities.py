@@ -6,15 +6,12 @@ range where both sides are defined.  In the piecewise-constant discrete
 model every identity holds exactly, so residuals are pure floating-point
 noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 
-A check reads each window sum of its input from the input's memo
-(``operators._window_sums``), so the checks and operators run on one signal
-take each ``S_k`` once.  A check reads every form it compares from those
-sums: MACD, the smoothed derivative and the delayed derivative of the
-centered smooth are the same ``S_k(i) - S_k(i-k)`` read at different
-anchors.  Every side still runs through the from-sums formula of the
-operator it names (``operators._macd_of`` and the like), so a broken
-operator fails its check; the two block-average sides of the difference
-identity come from one ``_box_terms`` pass.
+Every side of a check is built by the public operators it names
+(``macd``, ``centered_avg``, ``delay``, ``smoothed_derivative`` and the
+like), so a broken operator fails its check.  Those operators keep each
+window sum on their input (see :mod:`~macdkit.operators`), so the checks
+and operators run on one signal take each ``S_k`` once; the block-average
+sides of the other identities come from one ``operators._box_terms`` pass.
 
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
@@ -36,18 +33,11 @@ from typing import Callable
 
 import numpy as np
 
-# Window sums are taken through operators._window_sums, which keeps each one on
-# its signal and computes a missing one with operators.sliding_sums, looked up
-# when it runs, so a wrapper on that name (a tracer, say) sees every sum that
-# is computed.  centered_avg and double_right_avg are not called here; like
-# every operator they stay in this namespace, where such a tracer
-# (perfbench/spans.py) looks them up.
+# Operators are looked up in this namespace when a check runs, so a wrapper
+# on one of these names (a tracer such as perfbench/spans.py, say) sees every
+# call; double_right_avg is not called here but stays for such a tracer.
 from .operators import (
     _box_terms,
-    _centered_of,
-    _macd_of,
-    _right_avg_of,
-    _window_sums,
     centered_avg,
     delay,
     double_right_avg,
@@ -178,52 +168,27 @@ def _half_window_rate(avg: UniformSignal, a: int) -> UniformSignal:
 
 
 def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
-    """Short-minus-long average equals the smoothed-derivative form.
-
-    Both sides read one ``a``-window sum of the input.
-    """
+    """Short-minus-long average equals the smoothed-derivative form."""
     k = window_size(a)
     signal.require(2 * k, "the MACD-derivative check")
-    sums = _window_sums(signal, k)
-    rhs = _half_window_rate(_right_avg_of(signal, sums, k), k)
-    return _report("macd_derivative", _macd_of(signal, sums, k), rhs, signal)
+    return _report("macd_derivative", macd(signal, k), smoothed_derivative(signal, k), signal)
 
 
 def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     """Short-minus-long average as a delayed derivative of the centered smooth.
 
-    Builds the double centered average with two centered passes and delays
-    it a full window; that delayed signal coincides with the double trailing
-    average, and it is a trailing average of the re-aligned single centered
-    average, so its exact rate of change is the lag-window difference
-    quotient of the latter.
-
-    Two window sums serve every form: ``S_k`` of the input (the single
-    averages and MACD) and ``S_k`` of the ``k``-average (both double ones).
+    The delayed double centered average coincides with the double trailing
+    average, a trailing average of the re-aligned single centered average,
+    so its exact rate of change is the lag-window difference quotient of the
+    centered average delayed half a window.  MACD is compared with that
+    quotient.  MACD needs ``2k`` samples and the delayed quotient ``5k/2``,
+    but the check requires ``3k - 1``, the span of the double centered
+    average the identity is about.
     """
     k = window_size(a, even=True)
     signal.require(3 * k - 1, "the phase-corrected check")
-    sums = _window_sums(signal, k)
-    lhs = _macd_of(signal, sums, k)
-    trailing = _right_avg_of(signal, sums, k)
-    del sums  # the rest reads the k-average
-    centered = _centered_of(trailing, k)
-    _check_shift_identity(trailing, centered, k)
-    rhs = _half_window_rate(delay(centered, k // 2), k)
-    return _report("phase_corrected_form", lhs, rhs, signal)
-
-
-def _check_shift_identity(trailing: UniformSignal, centered: UniformSignal, k: int) -> None:
-    """Raise unless the delayed double centered average is the double trailing one.
-
-    Both double averages read one ``S_k`` of the ``k``-average; they agree
-    sample for sample once aligned by time.
-    """
-    sums = _window_sums(trailing, k)
-    centered_twice = delay(_centered_of(_right_avg_of(centered, sums, k), k), k)
-    cv, tv = aligned_values(centered_twice, _right_avg_of(trailing, sums, k))
-    if not np.array_equal(cv, tv):
-        raise AssertionError("centered/trailing shift identity violated")
+    rhs = _half_window_rate(delay(centered_avg(signal, k), k // 2), k)
+    return _report("phase_corrected_form", macd(signal, k), rhs, signal)
 
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
@@ -252,14 +217,9 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     absolute weight 1, in practice never exceeds 1 beyond rounding.  On an
     all-zero signal the indicator is exactly zero, and 0/0 counts as zero.
     """
-    return _lp_ratios(signal, a, (p,))[0]
-
-
-def _lp_ratios(signal: UniformSignal, a: int, orders) -> list[float]:
-    """:func:`check_lp_bound` for each norm order, from one ``macd``."""
     out = macd(signal, a)
 
-    def norm(vals: np.ndarray, p) -> float:
+    def norm(vals: np.ndarray) -> float:
         if p == 1:
             return float(np.sum(np.abs(vals)) * signal.dt)
         if p == 2:
@@ -268,7 +228,7 @@ def _lp_ratios(signal: UniformSignal, a: int, orders) -> list[float]:
             return float(np.max(np.abs(vals)))
         raise ValueError(f"unsupported norm order: {p!r}")
 
-    return [_ratio(norm(out.values, p), norm(signal.values, p)) for p in orders]
+    return _ratio(norm(out.values), norm(signal.values))
 
 
 def check_window_monotonicity(signal: UniformSignal, a: int, b: int,
@@ -369,8 +329,7 @@ def _scan_gate(r: MonotonicityResult, tol: float) -> tuple:
 # name -> (params, gate, call).  params(window, long window, n, b) gives the
 # keyword arguments of call(signal, **params), and gate(result, tol) gives
 # (max abs, max rel, gate, passed).  Calls look their check up in this module
-# when they run, so a name replaced here (a tracing wrapper, say) is what runs;
-# lp_bound runs _lp_ratios, so its three norms read one macd.
+# when they run, so a name replaced here (a tracing wrapper, say) is what runs.
 CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
     "recursive_decomposition": (lambda w, lw, n, b: {"t1": w, "t2": lw}, _relative_gate,
         lambda s, t1, t2: check_recursive_decomposition(s, t1, t2)),
@@ -383,7 +342,7 @@ CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
     "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b}, _relative_gate,
         lambda s, n, b: check_recursive_expansion(s, ExpansionSpec(n, b))),
     "lp_bound": (lambda w, lw, n, b: {"a": w}, _norm_gate,
-        lambda s, a: max(_lp_ratios(s, a, (1, 2, math.inf)))),
+        lambda s, a: max(check_lp_bound(s, a, p) for p in (1, 2, math.inf))),
     "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw}, _scan_gate,
         lambda s, a, b: check_window_monotonicity(s, a, b)),
 }

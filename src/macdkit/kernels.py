@@ -45,7 +45,6 @@ __all__ = [
     "triangular_kernel",
     "smoothed_derivative_kernel",
     "expansion_kernel",
-    "kernel_difference",
 ]
 
 
@@ -175,11 +174,6 @@ def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
         for i, w in enumerate(spec.weights, start=1)
     ]
     return _kernel(("sum", *terms), f"expansion n={n} kb={kb}", dt)
-
-
-def kernel_difference(k_short: int, k_long: int) -> KernelRep:
-    """Expanded difference of two box kernels (short minus long)."""
-    return _kernel(("diff", ("avg", k_short), ("avg", k_long)), f"avg-diff {k_short}-{k_long}")
 
 
 def build_kernel(description, dt: float = 1.0) -> KernelRep:

@@ -15,25 +15,22 @@ window's absolute sum.  Every output takes the same adds, so on a constant
 signal all window sums are the same float, which is what makes e.g.
 ``macd(constant) == 0`` hold bit-exactly.
 
-Operators and checks take every window sum of a signal through
-``_window_sums``, which keeps it on the signal: a read-only signal's
-``S_k`` is computed once per signal and window, so MACD, the averages and
-every identity check on one input share it.  The memo holds at most
-``_MEMO_WINDOWS`` (8) arrays of at most ``n`` floats per live signal and
-evicts the least recently used window first.  It uses only single dict
-operations, each atomic under the GIL, so threads sharing a signal can at
-worst compute one sum twice, never raise or read a wrong one.  A miss calls
-the module's ``sliding_sums`` by name, so a wrapper on that name (a tracer,
-say) sees every sum that is computed; public ``sliding_sums`` keeps no memo.
+Every window sum an operator reads comes from ``_window_sums``, the one
+place window sums are shared.  It keeps each sum on its signal, so a
+read-only signal's ``S_k`` is computed once per signal and window: MACD,
+the averages and the identity checks, which call these public operators,
+share it on one input.  The memo holds at most ``_MEMO_WINDOWS`` (8)
+arrays of at most ``n`` floats per live signal and evicts the least
+recently used window first.  It uses only single dict operations, each
+atomic under the GIL, so threads sharing a signal can at worst compute one
+sum twice, never raise or read a wrong one.  A miss calls the module's
+``sliding_sums`` by name, so a wrapper on that name (a tracer, say) sees
+every sum that is computed; public ``sliding_sums`` keeps no memo.
 
-Each operator states its formula once, as a private function of the window
-sums (``_right_avg_of``, ``_centered_of``, ``_macd_of``), so an identity
-check that reads several forms of one input takes each distinct window sum
-once and still runs every side through its operator's own code.  Those
-results, ``_box_terms`` and ``delay`` are finite by construction and wrap
-their fresh (or read-only) arrays with no copy; ``windowed_derivative``,
-whose quotient can overflow, builds its result through the checked
-constructor.
+The averages, MACD, ``_box_terms`` and ``delay`` are finite by
+construction and wrap their fresh (or read-only) arrays with no copy;
+``windowed_derivative``, whose quotient can overflow, builds its result
+through the checked constructor.
 """
 
 from __future__ import annotations
@@ -134,26 +131,6 @@ def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
     return out
 
 
-def _right_avg_of(signal: UniformSignal, sums: np.ndarray, k: int) -> UniformSignal:
-    """The trailing ``k``-average of ``signal`` from its ``k``-window sums."""
-    return UniformSignal._wrap(signal.t0 + (k - 1) * signal.dt, signal.dt, sums / k)
-
-
-def _centered_of(trailing: UniformSignal, k: int) -> UniformSignal:
-    """The centered ``k``-average sharing the values of the trailing one."""
-    return UniformSignal._wrap(trailing.t0 - (k // 2) * trailing.dt, trailing.dt, trailing.values)
-
-
-def _macd_of(signal: UniformSignal, sums: np.ndarray, k: int) -> UniformSignal:
-    """:func:`macd` with window ``k`` from the ``k``-window sums of ``signal``."""
-    try:
-        with np.errstate(over="raise"):
-            out = (sums[k:] - sums[:-k]) / (2 * k)
-    except FloatingPointError:
-        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
-    return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
-
-
 def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """Trailing (causal) box average over the last ``k`` samples.
 
@@ -164,7 +141,8 @@ def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w)
     signal.require(k, f"a {k}-sample average")
-    return _right_avg_of(signal, _window_sums(signal, k), k)
+    return UniformSignal._wrap(signal.t0 + (k - 1) * signal.dt, signal.dt,
+                               _window_sums(signal, k) / k)
 
 
 def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -177,7 +155,8 @@ def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
     """
     k = window_size(w, even=True)
     signal.require(k, f"a {k}-sample centered average")
-    return _centered_of(right_avg(signal, k), k)
+    trailing = right_avg(signal, k)
+    return UniformSignal._wrap(trailing.t0 - (k // 2) * trailing.dt, trailing.dt, trailing.values)
 
 
 def double_right_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -202,7 +181,13 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
-    return _macd_of(signal, _window_sums(signal, k), k)
+    sums = _window_sums(signal, k)
+    try:
+        with np.errstate(over="raise"):
+            out = (sums[k:] - sums[:-k]) / (2 * k)
+    except FloatingPointError:
+        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
+    return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
 
 
 def delay(signal: UniformSignal, lag_samples: int) -> UniformSignal:

@@ -16,12 +16,14 @@ trailing one and a delay with its input.  A result that can overflow, such
 as a difference quotient, still takes the public, checked path.
 
 Because a signal's values never change, each signal also keeps the window
-sums the operators took of it, so operators and checks on one input take
-each ``(signal, k)`` sum once.  :func:`~macdkit.operators._window_sums` owns
-that memo: at most 8 windows, least recently used evicted first, read-only
-arrays, and only single dict operations, so threads that share a signal can
-at worst compute a sum twice.  A missing sum comes from
-``operators.sliding_sums``, looked up by name, so a tracer sees each one.
+sums the operators took of it.  That memo is the only way window sums are
+shared: the identity checks call the public operators, so operators and
+checks on one input take each ``(signal, k)`` sum once.
+:func:`~macdkit.operators._window_sums` alone fills and reads it: at most 8
+windows, least recently used evicted first, read-only arrays, and only
+single dict operations, so threads that share a signal can at worst compute
+a sum twice.  A missing sum comes from ``operators.sliding_sums``, looked up
+by name, so a tracer sees each one.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.

@@ -1,10 +1,13 @@
 """Brute-force reference implementations used only to pin expected values.
 
 Everything here is a plain Python loop, over exact (fsum) window sums or over
-CSV lines, kept deliberately independent of the numpy paths in the package.
+CSV lines, or a closed form, kept deliberately independent of the numpy paths
+in the package.
 """
 
 import math
+
+import numpy as np
 
 
 def naive_window_sums(values, k):
@@ -52,6 +55,38 @@ def naive_transfer_magnitude(offsets, weights, omega):
     re = math.fsum(w * math.cos(omega * o) for o, w in zip(offsets, weights))
     im = math.fsum(-w * math.sin(omega * o) for o, w in zip(offsets, weights))
     return math.hypot(re, im)
+
+
+def dirichlet(k, omega):
+    """Closed-form response of the k-sample trailing box, ``sum_j exp(-i*omega*j) / k``.
+
+    ``H_k(w) = exp(-i*w*(k-1)/2) * sin(k*w/2) / (k*sin(w/2))``, with
+    ``H_k(0) = 1`` (Oppenheim & Schafer's Dirichlet kernel); ``omega`` is an
+    array of angular frequencies in [0, pi].
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(k * omega / 2) / (k * np.sin(omega / 2))
+    return np.exp(-0.5j * (k - 1) * omega) * np.where(omega == 0.0, 1.0, ratio)
+
+
+def macd_peak_omega(k):
+    """Where ``|H_k - H_2k|`` peaks: the root of ``tan(k*w/2) = 2k*tan(w/2)`` in (0, pi/k).
+
+    On (0, pi/k), ``|H_k - H_2k| = sin(k*w/2)**2 / (k*sin(w/2))``, whose
+    derivative has the sign of ``g(w) = 2k*cos(k*w/2)*sin(w/2) -
+    sin(k*w/2)*cos(w/2)``: positive just above 0, negative at pi/k.  The root
+    of ``g`` is found by bisection.
+    """
+    def g(w):
+        half, k_half = w / 2, k * w / 2
+        return 2 * k * math.cos(k_half) * math.sin(half) - math.sin(k_half) * math.cos(half)
+
+    lo, hi = 0.0, math.pi / k
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
 
 
 def _csv_fields(line):

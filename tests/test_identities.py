@@ -399,6 +399,22 @@ def test_run_checks_calls_checks_through_module_names(monkeypatch, random_signal
     assert calls == [(6,)]
 
 
+def test_derivative_checks_compare_the_public_macd(monkeypatch):
+    # Both derivative-form checks read MACD through the operator itself, so a
+    # skew of one part in 1e9 in macd fails them.
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(3).standard_normal(500).cumsum())
+    for check in (check_macd_derivative, check_phase_corrected_form):
+        assert check(sig, 8).passes()
+
+    def skewed(signal, k):
+        out = macd(signal, k)
+        return out.with_values(out.values * (1 + 1e-9))
+
+    monkeypatch.setattr(identities, "macd", skewed)
+    for check in (check_macd_derivative, check_phase_corrected_form):
+        assert not check(sig, 8).passes(), check.__name__
+
+
 @pytest.fixture
 def sliding_sums_calls(monkeypatch):
     """The window of every ``sliding_sums`` call, from whichever macdkit module makes it."""
@@ -416,20 +432,21 @@ def sliding_sums_calls(monkeypatch):
     return calls
 
 
-# Calls on a fresh signal: one per distinct (signal, window) sum, as each
-# signal keeps the sums taken of it.  run_checks at its defaults makes 6:
-# S_8, S_12, S_20 of the input (decomposition; the difference identity,
-# macd_derivative, lp_bound and monotonicity reuse them), S_8 of the
-# 8-average (phase_corrected_form), then S_16 and S_4 (expansion).
-@pytest.mark.parametrize("run, calls", [
-    (lambda s: check_phase_corrected_form(s, 8), 2),  # S_8 of the input and of its 8-average
-    (lambda s: check_difference_identity(s, 8, 12), 3),  # S_8, S_12, S_20
-    (lambda s: check_macd_derivative(s, 8), 1),
-    (lambda s: run_checks(s), 6),
+# Windows summed on a fresh signal: one per distinct (signal, window) sum, as
+# each signal keeps the sums taken of it and the checks build every side with
+# the public operators.  Every sum is of the input itself.  run_checks at its
+# defaults takes S_8, S_12, S_20 (decomposition; the difference identity,
+# macd_derivative, phase_corrected_form, lp_bound and monotonicity reuse
+# them), then S_16 and S_4 (expansion).
+@pytest.mark.parametrize("run, windows", [
+    (lambda s: check_phase_corrected_form(s, 8), [8]),  # macd and centered_avg share S_8
+    (lambda s: check_difference_identity(s, 8, 12), [8, 12, 20]),
+    (lambda s: check_macd_derivative(s, 8), [8]),
+    (lambda s: run_checks(s), [8, 12, 20, 16, 4]),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
-def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, calls):
+def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, windows):
     result = run(random_signal(500))
-    assert len(sliding_sums_calls) == calls
+    assert sorted(sliding_sums_calls) == sorted(windows)
     assert all(r.passed for r in result) if isinstance(result, list) else result.passes()
 
 

@@ -15,7 +15,6 @@ from macdkit import (
     derivative_kernel,
     double_right_avg,
     expansion_kernel,
-    kernel_difference,
     macd,
     macd_kernel,
     right_avg,
@@ -159,7 +158,7 @@ def test_macd_kernel_equals_scaled_derivative_of_double_box(dt):
 
 def test_difference_of_boxes_expands_to_macd_weights():
     for k in (1, 4, 9):
-        lo, w = kernel_difference(k, 2 * k).dense()
+        lo, w = build_kernel(("diff", ("avg", k), ("avg", 2 * k))).dense()
         lo_m, wm = macd_kernel(k).dense()
         assert lo == lo_m == 0
         assert np.max(np.abs(w - wm)) <= 1e-16
@@ -176,7 +175,7 @@ def test_expansion_kernel_reduces_to_macd_for_single_term():
 def test_expansion_kernel_equals_nested_difference_kernel():
     for n, k in [(2, 3), (3, 4), (5, 2), (8, 8)]:
         lo_e, we = expansion_kernel(n, k).dense()
-        lo_d, wd = kernel_difference(n * k, (n + 1) * k).dense()
+        lo_d, wd = build_kernel(("diff", ("avg", n * k), ("avg", (n + 1) * k))).dense()
         assert lo_e == lo_d
         assert np.max(np.abs(we - wd)) <= 1e-15
 

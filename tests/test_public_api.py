@@ -14,7 +14,7 @@ PACKAGE_NAMES = {
     "sliding_sums",
     "KernelRep", "build_kernel", "apply_kernel", "box_kernel", "centered_box_kernel",
     "delay_kernel", "derivative_kernel", "macd_kernel", "triangular_kernel",
-    "smoothed_derivative_kernel", "expansion_kernel", "kernel_difference",
+    "smoothed_derivative_kernel", "expansion_kernel",
     "CHECKS", "CheckRecord", "run_checks", "ResidualReport", "ExpansionSpec", "TrendLabel",
     "MonotonicityResult", "check_recursive_decomposition", "check_difference_identity",
     "check_macd_derivative", "check_phase_corrected_form", "check_recursive_expansion",

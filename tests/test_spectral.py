@@ -6,8 +6,8 @@ from macdkit import (
     NotDifferenceKernelError,
     bandpass_check,
     box_kernel,
+    build_kernel,
     expansion_kernel,
-    kernel_difference,
     macd_kernel,
     smoothed_derivative_kernel,
     transfer_function,
@@ -15,7 +15,7 @@ from macdkit import (
 )
 from macdkit import spectral
 
-from .oracles import naive_transfer_magnitude
+from .oracles import dirichlet, macd_peak_omega, naive_transfer_magnitude
 
 # Dense-grid (65536-point) brute-force search over the k=8 trend kernel,
 # frozen before the analyzer was written.
@@ -59,6 +59,52 @@ def test_frozen_dense_grid_peak_for_k8():
     assert resp.magnitudes[idx] == pytest.approx(K8_PEAK_MAGNITUDE, abs=1e-12)
 
 
+BANDPASS_GRID = 65537
+MACD_WINDOWS = [3, 8, 12, 256, 4096]
+
+
+@pytest.mark.parametrize("kernel, closed_form", [
+    *[(macd_kernel(k), lambda w, k=k: dirichlet(k, w) - dirichlet(2 * k, w))
+      for k in MACD_WINDOWS],
+    (expansion_kernel(4, 4), lambda w: dirichlet(16, w) - dirichlet(20, w)),
+    (triangular_kernel(12), lambda w: dirichlet(12, w) ** 2),
+], ids=[*(f"macd{k}" for k in MACD_WINDOWS), "expansion4x4", "triangle12"])
+def test_transfer_function_matches_dirichlet_closed_form(kernel, closed_form):
+    # MACD is H_k - H_2k, the n-term expansion H_nb - H_(n+1)b and the
+    # triangle H_k**2, with H_k the k-box's Dirichlet kernel.
+    resp = transfer_function(kernel, BANDPASS_GRID)
+    response = resp.magnitudes * np.exp(1j * resp.phases)
+    assert np.max(np.abs(response - closed_form(resp.frequencies))) <= 1e-14
+
+
+@pytest.mark.parametrize("k", MACD_WINDOWS)
+def test_macd_peak_sits_at_the_closed_form_root(k):
+    # |H_k - H_2k| = sin(k w/2)**2 / (k sin(w/2)) peaks where
+    # tan(k w/2) = 2k tan(w/2); the grid maximum is within one step of it.
+    resp = transfer_function(macd_kernel(k), BANDPASS_GRID)
+    step = resp.frequencies[1]
+    peak = resp.frequencies[int(np.argmax(resp.magnitudes))]
+    assert abs(peak - macd_peak_omega(k)) <= step
+
+
+def test_macd_peak_at_a_long_window_sits_at_the_large_window_limit():
+    # k*w* -> 2.331 (tan u = 2u, u = k*w*/2), a centre period of 2.70 windows,
+    # and a peak height of sin(u)**2 / u = 0.7246: the figures in README.
+    k = 256
+    resp = transfer_function(macd_kernel(k), BANDPASS_GRID)
+    idx = int(np.argmax(resp.magnitudes))
+    assert k * resp.frequencies[idx] == pytest.approx(2.331, abs=2e-3)
+    assert 2 * np.pi / resp.frequencies[idx] / k == pytest.approx(2.70, abs=0.01)
+    assert resp.magnitudes[idx] == pytest.approx(0.7246, abs=1e-4)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 255, 256, 4096])
+def test_macd_nyquist_magnitude_is_zero_or_one_over_k(k):
+    # H_2k(pi) = 0 always and |H_k(pi)| = |sin(k pi/2)| / k.
+    nyquist = transfer_function(macd_kernel(k), BANDPASS_GRID).magnitudes[-1]
+    assert nyquist == pytest.approx(0.0 if k % 2 == 0 else 1.0 / k, abs=1e-15)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 32])
 def test_bandpass_verdict_for_trend_kernels(k):
     verdict = bandpass_check(transfer_function(macd_kernel(k), 4096))
@@ -89,7 +135,7 @@ def test_expansion_spectrum_matches_difference_spectrum():
     omega = None
     for n, k in [(1, 8), (3, 4), (5, 2)]:
         exp_resp = transfer_function(expansion_kernel(n, k), 4096)
-        ref = macd_kernel(k) if n == 1 else kernel_difference(n * k, (n + 1) * k)
+        ref = build_kernel(("diff", ("avg", n * k), ("avg", (n + 1) * k)))
         ref_resp = transfer_function(ref, 4096)
         dev = np.max(np.abs(exp_resp.magnitudes - ref_resp.magnitudes))
         assert dev <= 1e-10
