@@ -106,16 +106,20 @@ class MonotonicityResult:
 
 def default_tolerance(signal: UniformSignal) -> float:
     """Classifier tolerance proportional to the data magnitude."""
-    return 1e-9 * float(np.max(np.abs(signal.values)))
+    return 1e-9 * _max_abs(signal.values)
+
+
+def _max_abs(vals: np.ndarray) -> float:
+    """``max|vals|`` as ``max(|max vals|, |min vals|)``: two passes, no temporary array."""
+    return float(max(abs(vals.max()), abs(vals.min())))
 
 
 def _report(name: str, lhs: UniformSignal, rhs: UniformSignal,
             reference: UniformSignal) -> ResidualReport:
     lv, rv = aligned_values(lhs, rhs)
     start = max(sample_offset(lhs, reference), sample_offset(rhs, reference))
-    resid = np.abs(lv - rv)
-    max_abs = float(resid.max())
-    max_rel = _ratio(max_abs, float(np.abs(lv).max()))
+    max_abs = _max_abs(lv - rv)
+    max_rel = _ratio(max_abs, _max_abs(lv))
     return ResidualReport(name, (start, start + lv.size - 1), max_abs, max_rel)
 
 
@@ -164,7 +168,7 @@ def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
 def _half_window_rate(avg: UniformSignal, a: int) -> UniformSignal:
     """``a*dt/2`` times the lag-``a`` difference quotient of ``avg``."""
     der = windowed_derivative(avg, a)
-    return der.with_values(der.values * (a * avg.dt / 2.0))
+    return UniformSignal._wrap(der.t0, der.dt, der.values * (a * avg.dt / 2.0), checked=True)
 
 
 def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
@@ -225,7 +229,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
         if p == 2:
             return float(math.sqrt(np.sum(vals * vals) * signal.dt))
         if p in (math.inf, np.inf, "inf"):
-            return float(np.max(np.abs(vals)))
+            return _max_abs(vals)
         raise ValueError(f"unsupported norm order: {p!r}")
 
     return _ratio(norm(out.values), norm(signal.values))

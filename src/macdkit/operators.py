@@ -23,17 +23,21 @@ share it on one input.  The memo holds at most ``_MEMO_WINDOWS`` (8)
 arrays of at most ``n`` floats per live signal and evicts the least
 recently used window first.  It uses only single dict operations, each
 atomic under the GIL, so threads sharing a signal can at worst compute one
-sum twice, never raise or read a wrong one.  A miss calls the module's
-``sliding_sums`` by name, so a wrapper on that name (a tracer, say) sees
-every sum that is computed; public ``sliding_sums`` keeps no memo.
+sum twice, never raise or read a wrong one.  A miss continues, bit for bit,
+from the longest binary prefix ``k >> s`` the signal keeps, and otherwise
+calls the module's ``sliding_sums`` by name, so a wrapper on that name (a
+tracer, say) sees each sum computed from scratch; a continued sum is timed
+in its caller.  Public ``sliding_sums`` keeps no memo.
 
 The averages, MACD, ``_box_terms`` and ``delay`` are finite by
 construction and wrap their fresh (or read-only) arrays with no copy;
-``windowed_derivative``, whose quotient can overflow, builds its result
-through the checked constructor.
+``windowed_derivative``, whose quotient can overflow, wraps its result
+only once it is finite, and sends any other to the checked constructor.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -58,19 +62,30 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     with the width-``w`` sums ``w`` samples on, and a set digit adds one more
     sample.  Each output is a sum tree ``bit_length(k) + popcount(k) - 2``
     adds deep, within ``(bit_length(k) + popcount(k)) * eps * sum(|window|)``
-    of exact, and the same float for every window of a constant input.  Two
-    ``n - 1`` buffers take turns, about ``2n`` floats of temporaries; ``k = 1``
+    of exact, and the same float for every window of a constant input.  Up
+    to two ``n - 1`` buffers take turns, ``2n`` floats at most; ``k = 1``
     returns a copy.  A window sum that overflows float64 raises ``ValueError``,
     and so does a partial sum (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
     """
     k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
+    _check_length(values.size, k, "window sums")
+    sums = _grow(values, values, 1, k)
+    return sums if k > 1 else sums.copy()
+
+
+def _grow(values: np.ndarray, sums: np.ndarray, p: int, k: int) -> np.ndarray:
+    """``sliding_sums(values, k)`` from ``sums``, the sums of width ``p = k >> s``.
+
+    It makes the adds of ``sliding_sums`` past width ``p``, so the bytes are
+    the same, in one ``n - p`` buffer per add, up to two that take turns.
+    """
     n = values.size
-    _check_length(n, k, "window sums")
-    bufs = [np.empty(n - 1), np.empty(n - 1)]
-    sums, w, turn = values, 1, 0
+    digits = bin(k)[len(bin(p)):]
+    bufs = [np.empty(n - p) for _ in range(min(2, len(digits) + digits.count("1")))]
+    w, turn = p, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for digit in bin(k)[3:]:
+        for digit in digits:
             for addend, width in [(sums, w)] + [(values, 1)] * (digit == "1"):
                 out = bufs[turn][: n - w - width + 1]
                 sums = np.add(sums[: out.size], addend[w : w + out.size], out=out)
@@ -78,7 +93,7 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     # A non-finite partial sum stays non-finite in every window it enters.
     if not np.isfinite(sums).all():
         raise ValueError(WINDOW_SUM_OVERFLOW)
-    return sums if k > 1 else sums.copy()
+    return sums
 
 
 # Windows a signal keeps: the 6 distinct input sums run_checks can ask for
@@ -91,13 +106,18 @@ def _window_sums(signal: UniformSignal, k: int) -> np.ndarray:
 
     The signal's memo is a dict in recency order.  A hit pops and re-inserts
     its window; once it holds more than ``_MEMO_WINDOWS``, the oldest key of a
-    snapshot is dropped.  Each step is one dict operation, so a concurrent
-    caller can only miss and compute the same sum again.
+    snapshot is dropped.  A miss continues from the longest binary prefix
+    ``k >> s`` the memo keeps, and calls ``sliding_sums`` only when it keeps
+    none.  Each step is one dict operation, so a concurrent caller can only
+    miss and compute the same sum again.
     """
     memo = signal._sums
     sums = memo.pop(k, None)
     if sums is None:
-        sums = sliding_sums(signal.values, k)
+        p = k >> 1
+        while p > 1 and (prefix := memo.get(p)) is None:
+            p >>= 1
+        sums = _grow(signal.values, prefix, p, k) if p > 1 else sliding_sums(signal.values, k)
         sums.flags.writeable = False
     memo[k] = sums
     while len(memo) > _MEMO_WINDOWS:
@@ -112,19 +132,30 @@ def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
     Every side's output 0 sits at input index ``span - 1``, with ``span`` the
     largest ``k + lag`` over all sides, so ``what`` needs ``span`` samples.
     Each distinct ``k`` reads one window sum of ``signal``, shared by the sides.
+    Terms with the same ``(k, lag)`` add their coefficients first, so the
+    expansion's ``2n`` telescoping terms take ``n + 1`` passes; the first term
+    is written into the side's output and the rest through one scratch array.
     """
-    terms = [term for side in sides for term in side]
-    span = max(k + lag for _, k, lag in terms)
+    merged = [Counter() for _ in sides]
+    for coefs, side in zip(merged, sides):
+        for c, k, lag in side:
+            coefs[k, lag] += c
+    span = max(k + lag for coefs in merged for k, lag in coefs)
     signal.require(span, what)
-    means = {k: _window_sums(signal, k) / k for k in {k for _, k, _ in terms}}
+    # Shortest first, so a longer window can continue from a kept prefix.
+    windows = sorted({k for coefs in merged for k, _ in coefs})
+    means = {k: _window_sums(signal, k) / k for k in windows}
     t0 = signal.t0 + (span - 1) * signal.dt
+    scratch = np.empty(len(signal) - span + 1)
     out = []
     try:
         with np.errstate(over="raise"):
-            for side in sides:
-                acc = np.zeros(len(signal) - span + 1)
-                for c, k, lag in side:
-                    acc += c * means[k][span - k - lag : means[k].size - lag]
+            for coefs in merged:
+                terms = [(c, means[k][span - k - lag : means[k].size - lag])
+                         for (k, lag), c in coefs.items()]
+                acc = np.multiply(*terms[0])
+                for c, term in terms[1:]:
+                    acc += np.multiply(c, term, out=scratch)
                 out.append(UniformSignal._wrap(t0, signal.dt, acc))
     except FloatingPointError:
         raise ValueError(WINDOW_SUM_OVERFLOW) from None
@@ -184,7 +215,8 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
     sums = _window_sums(signal, k)
     try:
         with np.errstate(over="raise"):
-            out = (sums[k:] - sums[:-k]) / (2 * k)
+            out = sums[k:] - sums[:-k]
+            out /= 2 * k
     except FloatingPointError:
         out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
     return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
@@ -215,4 +247,4 @@ def windowed_derivative(signal: UniformSignal, w: int) -> UniformSignal:
     signal.require(k + 1, f"a lag-{k} difference quotient")
     with np.errstate(over="ignore", invalid="ignore"):
         out = (signal.values[k:] - signal.values[:-k]) / (k * signal.dt)
-    return UniformSignal(signal.t0 + k * signal.dt, signal.dt, out)
+    return UniformSignal._wrap(signal.t0 + k * signal.dt, signal.dt, out, checked=True)

@@ -13,7 +13,7 @@ overflow raises first), wrap them with the private no-copy
 ``UniformSignal._wrap`` instead; a derived signal may then share a
 read-only buffer with another, as a centered average does with the
 trailing one and a delay with its input.  A result that can overflow, such
-as a difference quotient, still takes the public, checked path.
+as a difference quotient, is wrapped only once it is found finite.
 
 Because a signal's values never change, each signal also keeps the window
 sums the operators took of it.  That memo is the only way window sums are
@@ -22,8 +22,8 @@ checks on one input take each ``(signal, k)`` sum once.
 :func:`~macdkit.operators._window_sums` alone fills and reads it: at most 8
 windows, least recently used evicted first, read-only arrays, and only
 single dict operations, so threads that share a signal can at worst compute
-a sum twice.  A missing sum comes from ``operators.sliding_sums``, looked up
-by name, so a tracer sees each one.
+a sum twice.  A missing sum grows from a kept binary prefix of its window,
+or else comes from ``operators.sliding_sums``, looked up by name.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
@@ -103,13 +103,16 @@ class UniformSignal:
         object.__setattr__(self, "_sums", {})
 
     @classmethod
-    def _wrap(cls, t0: float, dt: float, values: np.ndarray) -> "UniformSignal":
+    def _wrap(cls, t0: float, dt: float, values: np.ndarray, checked=False) -> "UniformSignal":
         """A signal over ``values`` with no copy and no check; ``values`` turns read-only.
 
         Only for a finite 1-D float64 array that nothing else writes, with
         ``dt`` already positive and finite, as an operator's fresh result is:
         the window sums the signal keeps are valid only while it is unchanged.
+        With ``checked``, a non-finite result goes to the public constructor.
         """
+        if checked and not np.isfinite(values).all():
+            return cls(t0, dt, values)
         sig = object.__new__(cls)
         values.flags.writeable = False
         object.__setattr__(sig, "t0", float(t0))
@@ -134,23 +137,27 @@ class UniformSignal:
         _check_length(len(self), n, what)
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """Every count argument's one check: ``value``, an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what}, got {value!r}")
+    return int(value)
+
+
 def window_size(k, *, even: bool = False) -> int:
     """The sample count of window ``k``, which must be a positive integer.
 
     ``even`` also requires an even count, as a centered window does.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"window needs a positive integer sample count, got {k!r}")
+    k = _count(k, "window needs a positive integer sample count")
     if even and k % 2 != 0:
         raise ValueError(f"centered window must have an even sample count, got {k}")
-    return int(k)
+    return k
 
 
 def lag_size(lag) -> int:
     """The sample count of delay ``lag``, which must be a non-negative integer."""
-    if not isinstance(lag, numbers.Integral) or lag < 0:
-        raise ValueError(f"lag needs a non-negative integer sample count, got {lag!r}")
-    return int(lag)
+    return _count(lag, "lag needs a non-negative integer sample count", 0)
 
 
 @dataclass(frozen=True)
@@ -165,9 +172,7 @@ class ExpansionSpec:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"term count must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "term count must be a positive integer"))
         object.__setattr__(self, "b", window_size(self.b))
 
     @property

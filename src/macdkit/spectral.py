@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelRep
+from .signals import _count
 
 __all__ = [
     "FrequencyResponse",
@@ -79,8 +80,7 @@ def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> Frequ
 
     ``grid_size`` runs from 2 to ``MAX_GRID`` points.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid needs at least 2 points, got {grid_size}")
+    grid_size = _count(grid_size, "grid needs an integer count of at least 2 points", 2)
     if grid_size > MAX_GRID:
         raise ValueError(f"grid needs at most {MAX_GRID} points, got {grid_size}")
     size = 2 * (grid_size - 1)

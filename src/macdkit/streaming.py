@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, window_size
+from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count, window_size
 
 __all__ = ["MacdStream", "ExpansionStream", "RESUM_INTERVAL"]
 
@@ -38,8 +38,7 @@ class ExpansionStream:
     """
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
-        if resum_interval < 1:
-            raise ValueError("resum interval must be positive")
+        resum_interval = _count(resum_interval, "resum interval must be a positive integer")
         self.spec = spec
         self.k = spec.b
         self._a = spec.a

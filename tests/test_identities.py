@@ -432,17 +432,18 @@ def sliding_sums_calls(monkeypatch):
     return calls
 
 
-# Windows summed on a fresh signal: one per distinct (signal, window) sum, as
-# each signal keeps the sums taken of it and the checks build every side with
-# the public operators.  Every sum is of the input itself.  run_checks at its
-# defaults takes S_8, S_12, S_20 (decomposition; the difference identity,
-# macd_derivative, phase_corrected_form, lp_bound and monotonicity reuse
-# them), then S_16 and S_4 (expansion).
+# Windows summed from scratch on a fresh signal: at most one per distinct
+# (signal, window) sum, as each signal keeps the sums taken of it and the
+# checks build every side with the public operators, and none for a window
+# that continues from a kept binary prefix.  Every sum is of the input itself.
+# run_checks at its defaults takes S_8, S_12, S_20 (decomposition; the
+# difference identity, macd_derivative, phase_corrected_form, lp_bound and
+# monotonicity reuse them), then S_4 (expansion), whose S_16 continues from S_8.
 @pytest.mark.parametrize("run, windows", [
     (lambda s: check_phase_corrected_form(s, 8), [8]),  # macd and centered_avg share S_8
     (lambda s: check_difference_identity(s, 8, 12), [8, 12, 20]),
     (lambda s: check_macd_derivative(s, 8), [8]),
-    (lambda s: run_checks(s), [8, 12, 20, 16, 4]),
+    (lambda s: run_checks(s), [8, 12, 20, 4]),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, windows):
     result = run(random_signal(500))
@@ -460,6 +461,18 @@ def test_operators_and_checks_on_one_signal_share_its_window_sum(sliding_sums_ca
     for p in (1, 2, math.inf):
         check_lp_bound(sig, 8, p)
     assert sliding_sums_calls == [8]
+
+
+def test_checks_over_the_batch_sweep_sum_only_the_first_windows(sliding_sums_calls,
+                                                                 random_signal):
+    # The benchmark's window sweep asks one signal for k/2, k, 3k/2, 2k and
+    # 5k/2 at k = 8, 32, 128.  At k = 32 and 128 every one of them continues
+    # from a binary prefix the signal keeps, k >> 2 at the latest.
+    sig = random_signal(2000)
+    for k in (8, 32, 128):
+        assert all(r.passed for r in run_checks(sig, window=k, long_window=3 * k // 2,
+                                                n=4, b=k // 2)), k
+    assert sorted(sliding_sums_calls) == [4, 8, 12, 20]
 
 
 OPERATORS = {

@@ -18,6 +18,7 @@ from macdkit import (
     sliding_sums,
     windowed_derivative,
 )
+from macdkit import operators
 
 from .oracles import naive_macd, naive_right_avg, naive_window_sums
 
@@ -156,6 +157,41 @@ def test_sliding_sums_temporary_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * values.nbytes
+
+
+def test_continuing_from_a_binary_prefix_gives_the_same_bytes(rng):
+    # A window sum grown from any binary prefix p = k >> s runs the adds that
+    # sliding_sums makes after reaching width p, so every byte agrees.
+    values = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
+    for k in range(1, 131):
+        want = sliding_sums(values, k).tobytes()
+        for p in {k >> s for s in range(k.bit_length())}:
+            got = operators._grow(values, sliding_sums(values, p), p, k)
+            assert got.tobytes() == want, (p, k)
+
+
+@pytest.mark.parametrize("p, k", [(1, 2), (2, 5), (3, 6), (3, 7), (4, 17), (6, 25), (12, 49)])
+def test_average_after_its_prefix_equals_a_fresh_one(p, k, random_signal):
+    sig = random_signal(500)
+    right_avg(sig, p)
+    warm = right_avg(sig, k)
+    cold = right_avg(UniformSignal(sig.t0, sig.dt, sig.values), k)
+    assert warm.t0 == cold.t0 and np.array_equal(warm.values, cold.values)
+
+
+def test_one_add_continuation_keeps_at_most_one_buffer():
+    # S_16 from a kept S_8 is one add into one n - 8 float buffer; the rest of
+    # the peak is the n-byte finiteness mask.  A sum from scratch takes two.
+    n = 1_000_000
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(7).standard_normal(n))
+    operators._window_sums(sig, 8)
+    tracemalloc.start()
+    try:
+        operators._window_sums(sig, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n + 64 * 1024
 
 
 def test_signal_keeps_at_most_eight_window_sums():

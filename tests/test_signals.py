@@ -39,7 +39,8 @@ from macdkit import (
 from macdkit.operators import _box_terms
 from macdkit.signals import WINDOW_SUM_OVERFLOW, lag_size, window_size
 
-BAD_COUNTS = [0, -1, 2.5, "3"]
+# True is an int to isinstance, but never a count.
+BAD_COUNTS = [0, -1, 2.5, "3", True]
 
 
 def test_signal_validates_inputs():
@@ -136,7 +137,7 @@ def test_bad_term_count_same_error_in_every_layer(bad):
         assert str(err.value) == f"term count must be a positive integer, got {bad!r}"
 
 
-BAD_LAGS = [-1, 2.5, "3", None]
+BAD_LAGS = [-1, 2.5, "3", None, True]
 
 
 def test_lag_size():

@@ -52,6 +52,13 @@ def test_magnitudes_match_naive_oracle():
             assert resp.magnitudes[idx] == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("grid", [4096.0, True, "16", 1])
+def test_transfer_function_grid_must_be_an_integer(grid):
+    with pytest.raises(ValueError) as err:
+        transfer_function(box_kernel(4), grid)
+    assert str(err.value) == f"grid needs an integer count of at least 2 points, got {grid!r}"
+
+
 def test_frozen_dense_grid_peak_for_k8():
     resp = transfer_function(macd_kernel(8), 65536)
     idx = int(np.argmax(resp.magnitudes))

@@ -81,6 +81,14 @@ def test_overflowing_push_rejected_without_state_change():
     assert stream.stats() == reference.stats()
 
 
+@pytest.mark.parametrize("bad", [0, -1, 0.5, 2.0, True, "4"])
+def test_resum_interval_must_be_a_positive_integer(bad):
+    for make in (lambda: MacdStream(2, bad), lambda: ExpansionStream(ExpansionSpec(2, 2), bad)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"resum interval must be a positive integer, got {bad!r}"
+
+
 def test_resummation_keeps_outputs_on_track(rng):
     values = rng.uniform(-1, 1, 5000)
     _, with_resum = stream_macd(values, 8, resum_interval=64)
