@@ -36,7 +36,8 @@ EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 65536  # rows formatted per write
 _LOCATE_BLOCK = 8192  # data lines per np.loadtxt call while naming a bad line
-_SCHEMA_COLUMNS = {"value-only": 1, "time-value": 2}
+# Input layouts and their column counts; "auto" takes the first data row's count.
+_SCHEMA_COLUMNS = {"auto": None, "value-only": 1, "time-value": 2}
 
 
 class IngestError(ValueError):
@@ -75,7 +76,7 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     One ``np.loadtxt`` over the non-blank lines and ``_row_fault`` decide
     every accept; only a rejected file is read again, to name its bad line.
     """
-    if schema not in ("auto", "value-only", "time-value"):
+    if schema not in _SCHEMA_COLUMNS:
         raise IngestError(f"unknown schema {schema!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,7 +89,7 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     except (OSError, ValueError):
         rows = None
     ncols = 0 if rows is None else rows.shape[1]
-    if ncols not in (1, 2) or ncols != _SCHEMA_COLUMNS.get(schema, ncols):
+    if ncols not in (1, 2) or ncols != (_SCHEMA_COLUMNS[schema] or ncols):
         _raise_bad_line(path, schema)
     fault = _row_fault(rows)
     if fault is not None:
@@ -146,7 +147,7 @@ def _raise_bad_line(path: str, schema: str, limit: int | None = None) -> NoRetur
                     raise IngestError(f"empty file: {path} (header only)")
             if not _is_utf8(first[1]):
                 raise IngestError(f"invalid UTF-8 at line {first[0]}")
-            want = _SCHEMA_COLUMNS.get(schema, len(_fields(first[1])))
+            want = _SCHEMA_COLUMNS[schema] or len(_fields(first[1]))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {first[0]}")
             parsed, numbers = array("d"), array("q")  # 8 bytes per cell and per line
@@ -236,17 +237,26 @@ def _check_line(r: identities.CheckRecord) -> str:
     return f"check name={r.name} {p} {result} pass={'true' if r.passed else 'false'}"
 
 
+# The indicators and kernels the CLI offers, each as (signal, args) -> (series, tag)
+# or args -> kernel.  A lambda looks its function up when called, so a name
+# rebound in this module, such as a tracing wrapper, is the one that runs.
+_INDICATORS = {
+    "avg": lambda signal, a: (right_avg(signal, a.window), f"avg k={a.window}"),
+    "macd": lambda signal, a: (macd(signal, a.window), f"macd k={a.window}"),
+    "expansion": lambda signal, a: (identities.expansion_rhs(signal, ExpansionSpec(a.n, a.b)),
+                                    f"expansion n={a.n} b={a.b}"),
+}
+_KERNELS = {
+    "avg": lambda a: box_kernel(a.window),
+    "macd": lambda a: macd_kernel(a.window),
+    "triangle": lambda a: triangular_kernel(a.window),
+    "expansion": lambda a: expansion_kernel(a.n, a.b),
+}
+
+
 def _cmd_compute(args, out) -> int:
     signal = ingest_csv(args.input, args.schema)
-    if args.indicator == "avg":
-        series = right_avg(signal, args.window)
-        tag = f"avg k={args.window}"
-    elif args.indicator == "macd":
-        series = macd(signal, args.window)
-        tag = f"macd k={args.window}"
-    else:
-        series = identities.expansion_rhs(signal, ExpansionSpec(args.n, args.b))
-        tag = f"expansion n={args.n} b={args.b}"
+    series, tag = _INDICATORS[args.indicator](signal, args)
     write_series_csv(args.output, series)
     print(_digest_line(signal), file=out)
     print(f"wrote {len(series)} samples of {tag} to {args.output}", file=out)
@@ -294,19 +304,9 @@ def _cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _build_cli_kernel(args):
-    if args.kernel == "avg":
-        return box_kernel(args.window)
-    if args.kernel == "macd":
-        return macd_kernel(args.window)
-    if args.kernel == "triangle":
-        return triangular_kernel(args.window)
-    return expansion_kernel(args.n, args.b)
-
-
 def _cmd_spectrum(args, out) -> int:
     try:
-        kernel = _build_cli_kernel(args)
+        kernel = _KERNELS[args.kernel](args)
     except ValueError as exc:
         raise IngestError(str(exc))
     resp = transfer_function(kernel, args.grid)
@@ -337,13 +337,13 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_io(p, output_required):
         p.add_argument("input", help="input CSV path")
-        p.add_argument("--schema", choices=["auto", "value-only", "time-value"],
+        p.add_argument("--schema", choices=_SCHEMA_COLUMNS,
                        default="auto", help="input CSV layout (default: auto)")
         if output_required:
             p.add_argument("--output", "-o", required=True, help="output CSV path")
 
     p = sub.add_parser("compute", help="write an indicator series")
-    p.add_argument("indicator", choices=["avg", "macd", "expansion"])
+    p.add_argument("indicator", choices=_INDICATORS)
     add_io(p, output_required=True)
     p.add_argument("--window", "-k", type=int, default=8, help="window in samples")
     p.add_argument("--n", type=int, default=4, help="expansion term count")
@@ -373,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("spectrum", help="write a kernel transfer function")
-    p.add_argument("kernel", choices=["avg", "macd", "triangle", "expansion"])
+    p.add_argument("kernel", choices=_KERNELS)
     p.add_argument("--output", "-o", required=True, help="output CSV path")
     p.add_argument("--window", "-k", type=int, default=8, help="window in samples")
     p.add_argument("--n", type=int, default=4, help="expansion term count")

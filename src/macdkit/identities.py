@@ -53,7 +53,6 @@ __all__ = [
     "CheckRecord",
     "run_checks",
     "ResidualReport",
-    "ExpansionSpec",
     "TrendLabel",
     "MonotonicityResult",
     "check_recursive_decomposition",
@@ -66,7 +65,6 @@ __all__ = [
     "classify_trend",
     "expansion_rhs",
     "smoothed_derivative",
-    "default_tolerance",
 ]
 
 

@@ -75,13 +75,6 @@ class KernelRep:
     def weight_sum(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def abs_weight_sum(self) -> float:
-        return float(np.abs(self.weights).sum())
-
-    def is_averaging(self, tol: float = 1e-14) -> bool:
-        return abs(self.weight_sum - 1.0) <= tol
-
     def is_difference(self, tol: float = 1e-14) -> bool:
         return abs(self.weight_sum) <= tol
 

@@ -44,8 +44,6 @@ __all__ = [
     "UniformSignal",
     "ExpansionSpec",
     "InsufficientSamplesError",
-    "window_size",
-    "lag_size",
     "sample_offset",
     "aligned_values",
 ]

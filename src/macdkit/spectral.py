@@ -29,8 +29,6 @@ __all__ = [
     "NotDifferenceKernelError",
     "transfer_function",
     "bandpass_check",
-    "DEFAULT_GRID",
-    "MAX_GRID",
 ]
 
 DEFAULT_GRID = 4096

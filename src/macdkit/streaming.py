@@ -23,7 +23,7 @@ import math
 
 from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count, window_size
 
-__all__ = ["MacdStream", "ExpansionStream", "RESUM_INTERVAL"]
+__all__ = ["MacdStream", "ExpansionStream"]
 
 RESUM_INTERVAL = 1 << 20
 
@@ -39,8 +39,6 @@ class ExpansionStream:
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
         resum_interval = _count(resum_interval, "resum interval must be a positive integer")
-        self.spec = spec
-        self.k = spec.b
         self._a = spec.a
         self._n = float(spec.n)
         self._den = float(spec.n * (spec.n + 1) * spec.b)

@@ -483,6 +483,20 @@ def test_spectrum_macd_dc_rejection(tmp_path, capsys):
     assert "bandpass: pass=true" in capsys.readouterr().out
 
 
+def test_spectrum_bandpass_failure_exits_one_and_still_writes(tmp_path, capsys):
+    # k = 1 is half the first difference: its response |sin(w/2)| peaks at pi.
+    out = str(tmp_path / "k1.csv")
+    assert main(["spectrum", "macd", "-k", "1", "-o", out]) == 1
+    assert read_spectrum(out).shape == (4096, 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert "bandpass: pass=false dc=0 peak_omega=3.14159 peak=1 nyquist=1" in lines
+    assert [line for line in lines if line.startswith("bandpass failure:")] == [
+        "bandpass failure: response peak sits on a grid endpoint",
+        "bandpass failure: no attenuation at pi: |H(pi)| = 1 >= peak 1",
+    ]
+    assert lines[-1].startswith("wall_time_s: ")
+
+
 def test_spectrum_avg_dc_gain_one(tmp_path, capsys):
     out = str(tmp_path / "avg.csv")
     assert main(["spectrum", "avg", "-k", "4", "--grid", "128", "-o", out]) == 0

@@ -47,7 +47,7 @@ def test_box_kernel_example():
     kern = box_kernel(2)
     assert kern.offsets == (0, 1)
     assert kern.weights.tolist() == [0.5, 0.5]
-    assert kern.is_averaging()
+    assert abs(kern.weight_sum - 1.0) <= 1e-14
 
 
 def test_macd_kernel_layout_and_zero_sum():
@@ -59,7 +59,7 @@ def test_macd_kernel_layout_and_zero_sum():
         assert np.all(kern.weights[k:] == -q)
         assert abs(kern.weight_sum) <= 1e-14
         assert kern.is_difference()
-        assert kern.abs_weight_sum == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(kern.weights).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_triangular_kernel_matches_self_convolution_oracle():

@@ -234,9 +234,16 @@ def test_window_sum_difference_same_finite_value_from_batch_and_stream(values, n
 
 
 def test_weighted_sum_of_box_means_that_overflows_raises():
-    # Every 1- and 3-sample window sum is finite, but the 1-mean minus the
-    # 3-mean at the last sample is 1.7e308 + 0.88e308 / 3, past the float64
-    # maximum.
+    # Every window sum is finite, but the two 1-means add to 3.4e308, past
+    # the float64 maximum, inside the weighted sum itself.
+    sig = UniformSignal(0.0, 1.0, [1.7e308, 1.7e308])
+    with pytest.raises(ValueError) as err:
+        _box_terms(sig, "a sum of means", [(1.0, 1, 0), (1.0, 1, 1)])
+    assert str(err.value) == WINDOW_SUM_OVERFLOW
+    assert err.traceback[-1].name == "_box_terms"
+    # Every 3-sample window sum is finite, but binary doubling first adds
+    # -1.292e308 + -1.292e308 as a partial 2-sum, which overflows, so the
+    # window sum raises before any mean is weighted.
     sig = UniformSignal(0.0, 1.0, [0.0, 1.292e308, -1.292e308, -1.292e308, 1.7e308])
     with pytest.raises(ValueError) as err:
         _box_terms(sig, "a difference of means", [(1.0, 1, 0), (-1.0, 3, 0)])
