@@ -8,16 +8,19 @@ classify  label the local trend at one index
 spectrum  write a kernel transfer function as omega,magnitude,phase CSV
 
 Exit codes: 0 success, 1 verification failure, 2 input or usage error.
+
+Input CSV is read once, in blocks of ``_READ_BLOCK`` lines, so ingest holds
+8 bytes per cell plus one block of text; ``ingest_csv`` gives the grammar.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import sys
 import time
 from array import array
-from typing import NoReturn
 
 import numpy as np
 
@@ -35,7 +38,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 65536  # rows formatted per write
-_LOCATE_BLOCK = 8192  # data lines per np.loadtxt call while naming a bad line
+_READ_BLOCK = 8192  # lines per np.loadtxt call
 # Input layouts and their column counts; "auto" takes the first data row's count.
 _SCHEMA_COLUMNS = {"auto": None, "value-only": 1, "time-value": 2}
 
@@ -73,28 +76,72 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     time,value form the timestamps must be strictly increasing and uniformly
     spaced within 1e-9 relative; value-only input gets ``dt = 1`` and ``t0 = 0``.
 
-    One ``np.loadtxt`` over the non-blank lines and ``_row_fault`` decide
-    every accept; only a rejected file is read again, to name its bad line.
+    The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
+    lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
+    to its first line with invalid UTF-8, a wrong column count or an
+    unparseable cell, and the read stops there.  Then ``_row_fault`` says
+    whether a row before that stop breaks a row rule, which comes first in
+    file order.  Ingest holds 8 bytes per cell plus one block of text.
     """
     if schema not in _SCHEMA_COLUMNS:
         raise IngestError(f"unknown schema {schema!r}")
+    parsed = array("d")
+    blocks = []  # (first row, first line, line of each row if the block held a blank line)
+    stop = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = itertools.filterfalse(str.isspace, fh)
+        # An undecodable byte reads as a lone surrogate, which no valid text
+        # holds; no such byte is a newline, so lines split as in strict decoding.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            lines = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                     if not line.isspace())
             first = next(lines, None)
-            if first is not None and _floats(_fields(first)) is None:  # header
+            if first is None:
+                raise IngestError(f"empty file: {path}")
+            if _is_utf8(first[1]) and _floats(_fields(first[1])) is None:  # header
                 first = next(lines, None)
-            rows = None if first is None else np.loadtxt(
-                itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):
-        rows = None
-    ncols = 0 if rows is None else rows.shape[1]
-    if ncols not in (1, 2) or ncols != (_SCHEMA_COLUMNS[schema] or ncols):
-        _raise_bad_line(path, schema)
+                if first is None:
+                    raise IngestError(f"empty file: {path} (header only)")
+            start, line = first
+            if not _is_utf8(line):
+                raise IngestError(f"invalid UTF-8 at line {start}")
+            want = _SCHEMA_COLUMNS[schema] or len(_fields(line))
+            if want not in (1, 2):
+                raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
+            # ``lines`` has read no further than ``first``, so blocks go on from ``fh``.
+            block = [line, *itertools.islice(fh, _READ_BLOCK - 1)]
+            while block:
+                text = list(itertools.filterfalse(str.isspace, block))
+                linenos = None if len(text) == len(block) else array(
+                    "q", (start + i for i, raw in enumerate(block) if not raw.isspace()))
+                if text:  # np.loadtxt warns on a block of blank lines only
+                    try:
+                        rows = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+                    except ValueError:
+                        rows = None
+                    if rows is None or rows.shape != (len(text), want):
+                        rows, stop = _scan_lines(
+                            zip(linenos or range(start, start + len(text)), text), want)
+                        # Only if loadtxt and the line parse disagree.
+                        stop = stop or f"could not parse {path}"
+                    blocks.append((len(parsed) // want, start, linenos))
+                    parsed.frombytes(rows.tobytes())
+                    if stop is not None:
+                        break
+                start += len(block)
+                block = text = rows = None  # free this block's text before reading the next
+                block = list(itertools.islice(fh, _READ_BLOCK))
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    rows = np.frombuffer(parsed, dtype=np.float64).reshape(-1, want)
     fault = _row_fault(rows)
     if fault is not None:
-        _raise_bad_line(path, schema, limit=fault[0] + 1)
-    if ncols == 1:
+        row, message = fault
+        first_row, lineno, linenos = blocks[bisect.bisect(blocks, row, key=lambda b: b[0]) - 1]
+        row -= first_row
+        stop = message.format(lineno + row if linenos is None else linenos[row])
+    if stop is not None:
+        raise IngestError(stop)
+    if want == 1:
         return UniformSignal(0.0, 1.0, rows[:, 0])
     t = rows[:, 0]
     return UniformSignal(t[0], t[1] - t[0] if t.size > 1 else 1.0, rows[:, 1])
@@ -120,57 +167,6 @@ def _row_fault(rows: np.ndarray) -> tuple[int, str] | None:
             if bad.any():
                 faults.append((int(bad.argmax()) + shift, message))
     return min(faults, key=lambda f: f[0], default=None)  # ties go to the earlier rule
-
-
-def _raise_bad_line(path: str, schema: str, limit: int | None = None) -> NoReturn:
-    """Raise the error naming the first bad line of a CSV ``ingest_csv`` rejected.
-
-    Reads the lines again, up to ``limit`` data rows, in blocks of
-    ``_LOCATE_BLOCK`` that ``np.loadtxt`` parses.  Only a block it rejects is
-    parsed line by line, up to its first line with invalid UTF-8, a wrong
-    column count or an unparseable cell.  Then ``_row_fault`` says whether a
-    row before that stop breaks a row rule, which comes first in file order.
-    """
-    error = f"could not parse {path}"  # only if loadtxt and the line parse disagree
-    try:
-        # An undecodable byte reads as a lone surrogate, which no valid text
-        # holds; no such byte is a newline, so lines split as in strict decoding.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            lines = ((lineno, line) for lineno, line in enumerate(fh, start=1)
-                     if not line.isspace())
-            first = next(lines, None)
-            if first is None:
-                raise IngestError(f"empty file: {path}")
-            if _is_utf8(first[1]) and _floats(_fields(first[1])) is None:  # header
-                first = next(lines, None)
-                if first is None:
-                    raise IngestError(f"empty file: {path} (header only)")
-            if not _is_utf8(first[1]):
-                raise IngestError(f"invalid UTF-8 at line {first[0]}")
-            want = _SCHEMA_COLUMNS[schema] or len(_fields(first[1]))
-            if want not in (1, 2):
-                raise IngestError(f"expected 1 or 2 columns, found {want} at line {first[0]}")
-            parsed, numbers = array("d"), array("q")  # 8 bytes per cell and per line
-            data = itertools.islice(itertools.chain([first], lines), limit)
-            while block := list(itertools.islice(data, _LOCATE_BLOCK)):
-                linenos, text = zip(*block)
-                try:
-                    rows, stop = np.loadtxt(text, delimiter=",", comments=None, ndmin=2), None
-                except ValueError:
-                    rows = None
-                if rows is None or rows.shape != (len(block), want):
-                    rows, stop = _scan_lines(block, want)
-                parsed.frombytes(rows.tobytes())
-                numbers.extend(linenos[:len(rows)])
-                if stop is not None:
-                    error = stop
-                    break
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    fault = _row_fault(np.frombuffer(parsed, dtype=np.float64).reshape(-1, want))
-    if fault is not None:
-        error = fault[1].format(numbers[fault[0]])
-    raise IngestError(error)
 
 
 def _scan_lines(block, want: int) -> tuple[np.ndarray, str | None]:

@@ -233,15 +233,14 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     return _ratio(norm(out.values), norm(signal.values))
 
 
-def check_window_monotonicity(signal: UniformSignal, a: int, b: int,
-                                 eq_tol: float | None = None) -> MonotonicityResult:
+def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> MonotonicityResult:
     """Scan the window-monotonicity implication over every valid index.
 
     Wherever the short average exceeds the long one, the short average must
     also exceed the ``(b-a)``-average taken ``a`` samples earlier.  The
     equality case is checked in tolerance form: a near-tie of the two
-    anchored averages forces a near-tie of the displaced pair, amplified by
-    ``b / (b - a)``.
+    anchored averages, within ``default_tolerance(signal)``, forces a near-tie
+    of the displaced pair, amplified by ``b / (b - a)``.
     """
     a = window_size(a)
     b = window_size(b)
@@ -257,8 +256,7 @@ def check_window_monotonicity(signal: UniformSignal, a: int, b: int,
     violations = hypothesis & ~(short > displaced)
     first = int(np.flatnonzero(violations)[0]) + start if violations.any() else None
 
-    if eq_tol is None:
-        eq_tol = default_tolerance(signal)
+    eq_tol = default_tolerance(signal)
     amplify = b / (b - a)
     near_tie = np.abs(short - long_) <= eq_tol
     eq_ok = np.abs(short - displaced) <= eq_tol * amplify * (1 + 1e-9)

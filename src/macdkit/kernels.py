@@ -75,8 +75,8 @@ class KernelRep:
     def weight_sum(self) -> float:
         return float(self.weights.sum())
 
-    def is_difference(self, tol: float = 1e-14) -> bool:
-        return abs(self.weight_sum) <= tol
+    def is_difference(self) -> bool:
+        return abs(self.weight_sum) <= 1e-14
 
     def dense(self) -> tuple[int, np.ndarray]:
         """(first offset, contiguous weight array) over the full support."""

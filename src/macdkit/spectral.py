@@ -94,8 +94,8 @@ def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> Frequ
     )
 
 
-def bandpass_check(resp: FrequencyResponse, dc_tol: float = 1e-12) -> BandpassVerdict:
-    """Verify DC rejection, an interior response peak and Nyquist attenuation.
+def bandpass_check(resp: FrequencyResponse) -> BandpassVerdict:
+    """Verify DC rejection to 1e-12, an interior response peak and Nyquist attenuation.
 
     Rejects responses of averaging kernels outright: a kernel whose response
     does not vanish at frequency zero is not a difference kernel and has no
@@ -111,8 +111,8 @@ def bandpass_check(resp: FrequencyResponse, dc_tol: float = 1e-12) -> BandpassVe
     peak = float(mag[peak_idx])
     nyquist = float(mag[-1])
     failures = []
-    if dc > dc_tol:
-        failures.append(f"|H(0)| = {dc:.3g} exceeds {dc_tol:.3g}")
+    if dc > 1e-12:
+        failures.append(f"|H(0)| = {dc:.3g} exceeds 1e-12")
     if peak_idx in (0, mag.size - 1):
         failures.append("response peak sits on a grid endpoint")
     if not nyquist < peak:

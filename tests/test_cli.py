@@ -23,12 +23,12 @@ def write(tmp_path):
 
 
 @pytest.fixture
-def no_locator(monkeypatch):
-    """Make any call of the line locator fail the test: the input must be accepted."""
-    def fail(path, *args, **kwargs):
-        raise AssertionError(f"the line locator ran on {path}")
+def no_line_scan(monkeypatch):
+    """Make any call of the line scanner fail the test: the input must be accepted."""
+    def fail(block, *args, **kwargs):
+        raise AssertionError(f"the line scanner ran on {list(block)}")
 
-    monkeypatch.setattr(cli, "_raise_bad_line", fail)
+    monkeypatch.setattr(cli, "_scan_lines", fail)
 
 
 @pytest.fixture
@@ -61,13 +61,13 @@ def test_ingest_time_value_with_header(write):
     ("1.7e9,4\n", "time-value", 1.7e9, 1.0, [4.0]),
     (" \t\nt,v\n  \n0,1\n\t\n1,2\n \n", "auto", 0.0, 1.0, [1.0, 2.0]),
 ], ids=["header", "blank-lines", "one-row", "whitespace-only-lines"])
-def test_ingest_accepts_well_formed_input_without_the_locator(write, no_locator, text, schema,
+def test_ingest_accepts_well_formed_input_without_the_locator(write, no_line_scan, text, schema,
                                                               t0, dt, values):
     sig = ingest_csv(write("ok.csv", text), schema)
     assert (sig.t0, sig.dt, sig.values.tolist()) == (t0, dt, values)
 
 
-def test_ingest_whitespace_only_line_is_blank(write, no_locator):
+def test_ingest_whitespace_only_line_is_blank(write, no_line_scan):
     rows = [f"{1.7e9 + 0.25 * i!r},{math.sin(i)!r}" for i in range(50)]
     plain = ingest_csv(write("plain.csv", "time,value\n" + "\n".join(rows) + "\n"))
     rows.insert(20, "  \t ")
@@ -165,15 +165,57 @@ def test_ingest_invalid_utf8_reports_line_number(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch, block):
-    monkeypatch.setattr(cli, "_LOCATE_BLOCK", block)
+    monkeypatch.setattr(cli, "_READ_BLOCK", block)
     cases = ["t,v\n0,1\n1,2\n3,4\n4,x\n", "0,1\n1,2\n2,3\n3,4\n5,5\n",
              "0,1\n1,2\n3,3\n4,x\n", "1\n2\n3\n\n4\n5\n6,7\n", "1\n2\n3\n4\nnan\n",
-             "1\n2\n3\n4\n5\n1_0\n", "0,1\n1,2\n2,3\n3,4\n4,5\n4,6\n"]
+             "1\n2\n3\n4\n5\n1_0\n", "0,1\n1,2\n2,3\n3,4\n4,5\n4,6\n",
+             "0,1\n\n1,2\n2,3\n\n3,4\n5,5\n", "1\n\n\n\n2\n3\nnan\n"]
     for text in cases:
         path = write("blocks.csv", text)
         with pytest.raises(IngestError) as err:
             ingest_csv(path)
         assert outcome(lambda: oracles.naive_ingest(path, "auto")) == str(err.value), text
+    # Accepted files whose blank lines fill whole blocks: such a block must not
+    # reach np.loadtxt, which warns on input with no data.
+    accepted = ["1\n2\n\n \n\t\n\n3\n4\n", "t,v\n\n\n\n\n0,1\n1,2\n2,3\n",
+                "0,1\n1,2\n2,3\n\n\n \n\n", "\n\n\n\nt,v\n\n\n\n0,1\n\n\n\n1,2\n\n\n\n"]
+    for text in accepted:
+        path = write("blocks.csv", text)
+        expected = outcome(lambda: oracles.naive_ingest(path, "auto"))
+        assert not isinstance(expected, str), text
+        assert outcome(lambda: read_ingest(path, "auto")) == expected, text
+
+
+@pytest.mark.parametrize("last, error, scans", [
+    (b"99,49.5\n", None, 0),
+    (b"100,49.5\n", "non-uniform spacing at line 100", 0),
+    (b"99,x\n", "could not parse line 100", 1),
+    (b"99,\xff\n", "invalid UTF-8 at line 100", 1),
+], ids=["accepted", "late-row-rule", "late-unparseable", "late-invalid-utf8"])
+def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, scans):
+    """One open per call; np.loadtxt sees each line once; only a rejected block is rescanned."""
+    path = tmp_path / "once.csv"
+    path.write_bytes("".join(f"{i},{i / 2}\n" for i in range(99)).encode() + last)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "open", counted("open", open), raising=False)
+    monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+    monkeypatch.setattr(cli, "_scan_lines", counted("scan", cli._scan_lines))
+    for block in (cli._READ_BLOCK, 7):
+        monkeypatch.setattr(cli, "_READ_BLOCK", block)
+        calls.update(open=0, loadtxt=0, scan=0)
+        if error is None:
+            assert len(ingest_csv(str(path))) == 100
+        else:
+            with pytest.raises(IngestError, match=f"^{error}$"):
+                ingest_csv(str(path))
+        assert calls == {"open": 1, "loadtxt": math.ceil(100 / block), "scan": scans}, block
 
 
 def test_ingest_missing_file(tmp_path):
@@ -248,9 +290,9 @@ def test_ingest_matches_line_scanner(case, tmp_path_factory):
     expected = outcome(lambda: oracles.naive_ingest(path, schema))
     assert outcome(lambda: read_ingest(path, schema)) == expected
     if not isinstance(expected, str):
-        # An accepted file never reaches the line locator.
+        # An accepted file never reaches the line scanner.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_raise_bad_line", lambda *args, **kwargs: pytest.fail(text))
+            mp.setattr(cli, "_scan_lines", lambda *args, **kwargs: pytest.fail(text))
             assert outcome(lambda: read_ingest(path, schema)) == expected
 
 
