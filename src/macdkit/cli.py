@@ -27,9 +27,8 @@ import numpy as np
 from . import identities
 from .kernels import box_kernel, expansion_kernel, macd_kernel, triangular_kernel
 from .operators import macd, right_avg
-from .signals import ExpansionSpec, InsufficientSamplesError, UniformSignal
-from .spectral import (DEFAULT_GRID, MAX_GRID, NotDifferenceKernelError, bandpass_check,
-                       transfer_function)
+from .signals import ExpansionSpec, UniformSignal
+from .spectral import DEFAULT_GRID, MAX_GRID, bandpass_check, transfer_function
 
 __all__ = ["main", "ingest_csv", "IngestError"]
 
@@ -69,12 +68,13 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
 
     Empty and whitespace-only lines are blank and skipped.  The first other
     line is a header when some field of it does not parse as a float.  Each
-    data cell is a finite ASCII decimal float with optional surrounding
-    whitespace; a cell holding ``_`` or a non-ASCII character, such as
-    ``1_000``, is rejected as unparseable with its line number, and a line
-    holding a byte that is not valid UTF-8 as ``invalid UTF-8 at line N``.  In
-    time,value form the timestamps must be strictly increasing and uniformly
-    spaced within 1e-9 relative; value-only input gets ``dt = 1`` and ``t0 = 0``.
+    data cell is a finite ASCII decimal float; Unicode whitespace around it,
+    such as U+00A0 or U+3000, is stripped.  A cell holding ``_`` or any other
+    non-ASCII character, such as ``1_000``, is rejected as unparseable with
+    its line number, and a line holding a byte that is not valid UTF-8 as
+    ``invalid UTF-8 at line N``.  In time,value form the timestamps must be
+    strictly increasing and uniformly spaced within 1e-9 relative; value-only
+    input gets ``dt = 1`` and ``t0 = 0``.
 
     The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
     lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
@@ -301,10 +301,7 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_spectrum(args, out) -> int:
-    try:
-        kernel = _KERNELS[args.kernel](args)
-    except ValueError as exc:
-        raise IngestError(str(exc))
+    kernel = _KERNELS[args.kernel](args)
     resp = transfer_function(kernel, args.grid)
     _write_csv(args.output, "omega,magnitude,phase",
                (resp.frequencies, resp.magnitudes, resp.phases))
@@ -393,8 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"command: macdkit {' '.join(echoed)}", file=out)
     try:
         code = args.fn(args, out)
-    except (IngestError, InsufficientSamplesError, NotDifferenceKernelError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # IngestError and every rejected parameter
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=out)

@@ -226,7 +226,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
             return float(np.sum(np.abs(vals)) * signal.dt)
         if p == 2:
             return float(math.sqrt(np.sum(vals * vals) * signal.dt))
-        if p in (math.inf, np.inf, "inf"):
+        if p == math.inf:
             return _max_abs(vals)
         raise ValueError(f"unsupported norm order: {p!r}")
 

@@ -134,21 +134,21 @@ def triangular_kernel(k: int) -> KernelRep:
     return _kernel(("compose", ("avg", k), ("avg", k)), f"triangle k={k}")
 
 
-def smoothed_derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
+def smoothed_derivative_kernel(k: int) -> KernelRep:
     """Rate of change of the double ``k``-average, times half a window length.
 
     Differentiating the outer average of the double average leaves the
     lag-``k`` difference quotient of the inner average, so the kernel is the
     difference-quotient kernel convolved with a single box, scaled by
-    ``k*dt/2``.  It reproduces :func:`macd_kernel` exactly.
+    ``k/2`` (any spacing cancels: ``k*dt/2`` times the quotient's ``1/(k*dt)``).
+    It reproduces :func:`macd_kernel` exactly.
     """
     k = window_size(k)
-    a = k * dt
-    return _kernel(("scale", a / 2.0, ("compose", ("deriv", k), ("avg", k))),
-                   f"smoothed-deriv k={k}", dt)
+    return _kernel(("scale", k / 2.0, ("compose", ("deriv", k), ("avg", k))),
+                   f"smoothed-deriv k={k}")
 
 
-def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
+def expansion_kernel(n: int, kb: int) -> KernelRep:
     """Kernel of the ``n``-term delayed-derivative expansion with block ``kb``.
 
     Weighted sum over ``i = 1..n`` of :attr:`ExpansionSpec.weights` times
@@ -157,16 +157,15 @@ def expansion_kernel(n: int, kb: int, dt: float = 1.0) -> KernelRep:
     difference of the ``n*kb``- and ``(n+1)*kb``-sample box kernels.
     """
     spec = ExpansionSpec(n, kb)
-    b = kb * dt
     terms = [
         (
             "scale",
-            w * (b / 2.0),
+            w * (kb / 2.0),
             ("compose", ("deriv", kb), ("delay", (i - 1) * kb), ("avg", kb)),
         )
         for i, w in enumerate(spec.weights, start=1)
     ]
-    return _kernel(("sum", *terms), f"expansion n={n} kb={kb}", dt)
+    return _kernel(("sum", *terms), f"expansion n={n} kb={kb}")
 
 
 def build_kernel(description, dt: float = 1.0) -> KernelRep:

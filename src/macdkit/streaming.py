@@ -8,10 +8,12 @@ of the ``b`` samples before those, the value is ``(R - n*O) / (n(n+1)b)``.
 MACD is the ``n = 1`` case, ``(R - O) / (2k)``.
 
 So one stream serves both: a ring of the last ``a + b`` samples and two
-Neumaier-compensated running sums, updated by add-newest /
-subtract-oldest.  A push costs O(1) whatever ``n`` and ``b``.  Every
-``resum_interval`` pushes the sums are rebuilt exactly from the ring, so
-outputs track the batch operators to well under 1e-9 over unbounded input.
+compensated running sums, updated by add-newest / subtract-oldest, with
+each addition's rounding error recovered exactly by Knuth's branch-free
+TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  Every
+``resum_interval`` pushes the sums are rebuilt exactly from the ring, even
+where a partial sum in ring order would overflow, so outputs track the
+batch operators to well under 1e-9 over unbounded input.
 No output is emitted until both windows are fully covered, matching the
 batch valid-range convention.  A push that is not finite, or that would
 make a window sum overflow, is rejected and leaves the stream unchanged.
@@ -45,7 +47,7 @@ class ExpansionStream:
         self._ring = [0.0] * (spec.a + spec.b)
         self._pos = 0
         # R (newest a samples) and O (the b before them), each as a running
-        # sum plus its Neumaier compensation.
+        # sum plus its compensation, the sum of its TwoSum rounding errors.
         self._r = self._rc = self._o = self._oc = 0.0
         self._resum_interval = resum_interval
         self._resums = 0
@@ -58,31 +60,22 @@ class ExpansionStream:
         pos = self._pos
         mid = ring[pos - self._a]  # leaves R, enters O (negative index wraps)
         old = ring[pos]            # leaves O
-        # R += x - mid and O += mid - old, each as two compensated additions.
+        # R += x - mid and O += mid - old, each as two TwoSum additions whose
+        # exact rounding errors accumulate in the compensation.
         s = self._r
-        c = self._rc
         t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
+        z = t - s
+        c = self._rc + ((s - (t - z)) + (x - z))
         r = t - mid
-        if abs(t) >= abs(mid):
-            rc = c + ((t - r) - mid)
-        else:
-            rc = c + ((-mid - r) + t)
+        z = r - t
+        rc = c + ((t - (r - z)) + (-mid - z))
         s = self._o
-        c = self._oc
         t = s + mid
-        if abs(s) >= abs(mid):
-            c += (s - t) + mid
-        else:
-            c += (mid - t) + s
+        z = t - s
+        c = self._oc + ((s - (t - z)) + (mid - z))
         o = t - old
-        if abs(t) >= abs(old):
-            oc = c + ((t - o) - old)
-        else:
-            oc = c + ((-old - o) + t)
+        z = o - t
+        oc = c + ((t - (o - z)) + (-old - z))
         # Not finite (inf - inf and nan - nan are nan): reject before any
         # state changes.
         if r - r or o - o:
@@ -113,7 +106,7 @@ class ExpansionStream:
         pos = self._pos
         ordered = self._ring[pos:] + self._ring[:pos]
         b = len(ordered) - self._a
-        return math.fsum(ordered[b:]), math.fsum(ordered[:b])
+        return _exact_sum(ordered[b:]), _exact_sum(ordered[:b])
 
     def _resum(self) -> None:
         self._r, self._o = self._exact_sums()
@@ -134,6 +127,15 @@ class ExpansionStream:
             "sum_drift": self.sum_drift(),
             "warm": self.samples_seen >= len(self._ring),
         }
+
+
+def _exact_sum(values: list[float]) -> float:
+    """Correctly rounded sum, also where a partial sum in ring order overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # "intermediate overflow in fsum"; a sum of Fractions has none
+        from fractions import Fraction  # here, not at the top: ~1 ms of every launch
+        return float(sum(map(Fraction, values)))
 
 
 class MacdStream(ExpansionStream):

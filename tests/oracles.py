@@ -105,8 +105,9 @@ def naive_ingest(path, schema):
     """``(t0, dt, values)`` of a CSV read line by line, or ValueError at its first bad line.
 
     The CSV grammar and error texts of ``macdkit.cli.ingest_csv``, checked one
-    row at a time in file order.  A data cell parses as Python's ``float``
-    does, except that one holding ``_`` or a non-ASCII character does not.
+    row at a time in file order.  A data cell, stripped of surrounding Unicode
+    whitespace, parses as Python's ``float`` does, except that one holding
+    ``_`` or a non-ASCII character does not.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()

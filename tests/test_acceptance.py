@@ -98,7 +98,7 @@ def test_criterion_3_kernel_identity():
     with criterion(3, "kernel identity"):
         for k in range(1, 65):
             direct = macd_kernel(k)
-            composed = smoothed_derivative_kernel(k, dt=1.0)
+            composed = smoothed_derivative_kernel(k)
             assert composed.offsets == direct.offsets
             dev = np.max(np.abs(composed.weights - direct.weights))
             assert dev <= 1e-14, (k, dev)

@@ -60,7 +60,10 @@ def test_ingest_time_value_with_header(write):
     ("\n 1 \n\n2\n", "value-only", 0.0, 1.0, [1.0, 2.0]),
     ("1.7e9,4\n", "time-value", 1.7e9, 1.0, [4.0]),
     (" \t\nt,v\n  \n0,1\n\t\n1,2\n \n", "auto", 0.0, 1.0, [1.0, 2.0]),
-], ids=["header", "blank-lines", "one-row", "whitespace-only-lines"])
+    ("1\n\u00a02\n3\u3000\n", "auto", 0.0, 1.0, [1.0, 2.0, 3.0]),
+    ("t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n", "auto", 0.0, 1.0, [1.0, 2.0, 3.0]),
+], ids=["header", "blank-lines", "one-row", "whitespace-only-lines", "unicode-padding",
+        "unicode-padding-time-value"])
 def test_ingest_accepts_well_formed_input_without_the_locator(write, no_line_scan, text, schema,
                                                               t0, dt, values):
     sig = ingest_csv(write("ok.csv", text), schema)
@@ -281,6 +284,8 @@ def read_ingest(path, schema):
 @given(case=csv_cases())
 @example(case=("-1e308,1\n1e308,2\n", "auto"))  # the step overflows to inf
 @example(case=("-1e308,1\n1e308,2\n1.7e308,3\n", "auto"))
+@example(case=("1\n\u00a02\n3\u3000\n", "auto"))  # Unicode whitespace is stripped
+@example(case=("t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n", "auto"))
 @settings(max_examples=400, deadline=None)
 def test_ingest_matches_line_scanner(case, tmp_path_factory):
     text, schema = case

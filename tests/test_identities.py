@@ -241,8 +241,9 @@ def test_lp_bound_zero_signal_is_zero():
 
 
 def test_lp_bound_rejects_unknown_order():
-    with pytest.raises(ValueError, match="norm order"):
-        check_lp_bound(constant(40), 4, 3)
+    for p in (3, "inf"):  # math.inf is the one infinity norm order
+        with pytest.raises(ValueError, match="norm order"):
+            check_lp_bound(constant(40), 4, p)
 
 
 # --- monotonicity ---------------------------------------------------------------------

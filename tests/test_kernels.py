@@ -19,7 +19,6 @@ from macdkit import (
     macd_kernel,
     right_avg,
     sample_offset,
-    smoothed_derivative_kernel,
     triangular_kernel,
     windowed_derivative,
 )
@@ -151,7 +150,7 @@ def test_macd_kernel_equals_scaled_derivative_of_double_box(dt):
     # change of the double-box smoother, element for element.
     for k in (1, 2, 3, 8, 33, 64):
         direct = macd_kernel(k)
-        composed = smoothed_derivative_kernel(k, dt)
+        composed = build_kernel(("scale", k * dt / 2, ("compose", ("deriv", k), ("avg", k))), dt)
         assert composed.offsets == direct.offsets
         assert np.max(np.abs(composed.weights - direct.weights)) <= 1e-14
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+import struct
 import time
 
 import numpy as np
@@ -79,6 +82,54 @@ def test_overflowing_push_rejected_without_state_change():
     for v in (0.0, -1e308, 3.0, 0.5, 2.0, -1.0):
         assert stream.push(v) == reference.push(v)
     assert stream.stats() == reference.stats()
+
+
+def test_resum_is_exact_where_a_partial_sum_overflows():
+    # In ring order R's re-sum passes 1e308 + 1e308 before the -1e308, so a
+    # plain fsum overflows although every window sum is finite.
+    feed = [-1e308, 1e308, 1e308, -1e308]
+    spec = ExpansionSpec(3, 1)
+    stream = ExpansionStream(spec, resum_interval=4)
+    outs = [stream.push(v) for v in feed]
+    batch = expansion_rhs(UniformSignal(0.0, 1.0, np.array(feed)), spec).values
+    assert outs == [None, None, None, 3.333333333333333e+307]
+    assert abs(outs[3] - batch[0]) <= 1e-15 * abs(batch[0])
+    assert stream.stats() == {"samples_seen": 4, "resums": 1, "sum_drift": 0.0, "warm": True}
+    macd_stream = MacdStream(3, resum_interval=4)
+    assert [macd_stream.push(v) for v in feed] == [None] * 4
+    assert macd_stream.stats() == {"samples_seen": 4, "resums": 1, "sum_drift": 0.0,
+                                   "warm": False}
+    assert (macd_stream._r, macd_stream._o) == (1e308, -1e308)
+
+
+# Signed zeros, subnormals, the float64 extremes and values that cancel exactly.
+FUZZ_ALPHABET = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1.0, -1.0, 0.1, 3.0,
+                 1e16, -1e16, 2.0 ** 53, 1e308, -1e308]
+
+
+def test_rejected_push_leaves_no_trace_at_any_resum_phase():
+    # Every push returns a float or None or raises ValueError, and a stream
+    # that rejected some pushes behaves bit for bit like a twin fed only the
+    # accepted samples: same outputs, same stats() after every push.
+    def bits(out):
+        return out if out is None else struct.pack("<d", out)
+
+    rng = random.Random(1707)
+    rejected = 0
+    for n, b, interval, _ in itertools.product(range(1, 4), range(1, 4), range(1, 8), range(12)):
+        stream = ExpansionStream(ExpansionSpec(n, b), interval)
+        twin = ExpansionStream(ExpansionSpec(n, b), interval)
+        for _ in range(rng.randint(1, 24)):
+            x = rng.choice(FUZZ_ALPHABET)
+            try:
+                out = stream.push(x)
+            except ValueError:
+                rejected += 1
+            else:
+                assert out is None or type(out) is float
+                assert bits(out) == bits(twin.push(x))
+            assert stream.stats() == twin.stats()
+    assert rejected > 100
 
 
 @pytest.mark.parametrize("bad", [0, -1, 0.5, 2.0, True, "4"])
