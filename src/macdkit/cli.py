@@ -16,7 +16,6 @@ Input CSV is read once, in blocks of ``_READ_BLOCK`` lines, so ingest holds
 from __future__ import annotations
 
 import argparse
-import bisect
 import itertools
 import sys
 import time
@@ -79,14 +78,15 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
     lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
     to its first line with invalid UTF-8, a wrong column count or an
-    unparseable cell, and the read stops there.  Then ``_row_fault`` says
-    whether a row before that stop breaks a row rule, which comes first in
-    file order.  Ingest holds 8 bytes per cell plus one block of text.
+    unparseable cell, and the read stops there.  ``_row_fault`` checks each
+    block's rows, with the row before them, against the file's first time
+    step, so a row that breaks a row rule also stops the read; before a
+    parse stop in the same block, it comes first in file order.  Ingest
+    holds 8 bytes per cell plus one block of text.
     """
     if schema not in _SCHEMA_COLUMNS:
         raise IngestError(f"unknown schema {schema!r}")
     parsed = array("d")
-    blocks = []  # (first row, first line, line of each row if the block held a blank line)
     stop = None
     try:
         # An undecodable byte reads as a lone surrogate, which no valid text
@@ -107,6 +107,7 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
             want = _SCHEMA_COLUMNS[schema] or len(_fields(line))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
+            last = np.empty((0, want))  # the row before this block, whose steps it checks
             # ``lines`` has read no further than ``first``, so blocks go on from ``fh``.
             block = [line, *itertools.islice(fh, _READ_BLOCK - 1)]
             while block:
@@ -123,41 +124,40 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
                             zip(linenos or range(start, start + len(text)), text), want)
                         # Only if loadtxt and the line parse disagree.
                         stop = stop or f"could not parse {path}"
-                    blocks.append((len(parsed) // want, start, linenos))
                     parsed.frombytes(rows.tobytes())
+                    dt = parsed[2] - parsed[0] if want == 2 and len(parsed) >= 4 else 1.0
+                    fault = _row_fault(np.concatenate([last, rows]), dt)
+                    if fault is not None:  # a row before the parse stop comes first
+                        row, message = fault[0] - len(last), fault[1]
+                        stop = message.format(start + row if linenos is None else linenos[row])
                     if stop is not None:
                         break
+                    last = rows[-1:].copy()
                 start += len(block)
                 block = text = rows = None  # free this block's text before reading the next
                 block = list(itertools.islice(fh, _READ_BLOCK))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    rows = np.frombuffer(parsed, dtype=np.float64).reshape(-1, want)
-    fault = _row_fault(rows)
-    if fault is not None:
-        row, message = fault
-        first_row, lineno, linenos = blocks[bisect.bisect(blocks, row, key=lambda b: b[0]) - 1]
-        row -= first_row
-        stop = message.format(lineno + row if linenos is None else linenos[row])
     if stop is not None:
         raise IngestError(stop)
+    rows = np.frombuffer(parsed, dtype=np.float64).reshape(-1, want)
     if want == 1:
         return UniformSignal(0.0, 1.0, rows[:, 0])
     t = rows[:, 0]
     return UniformSignal(t[0], t[1] - t[0] if t.size > 1 else 1.0, rows[:, 1])
 
 
-def _row_fault(rows: np.ndarray) -> tuple[int, str] | None:
+def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
     """The first row of ``(value,)`` or ``(time, value)`` rows that breaks a rule.
 
     Returns ``(row, message)`` or None; ``message`` takes a line number via
-    ``str.format``.  On one row the rules rank in the order listed.  A verdict
-    on a row reads only the rows up to it, so a prefix has the same first fault.
+    ``str.format``.  On one row the rules rank in the order listed.  Each time
+    step must be within 1e-9 relative of ``dt``, so a verdict on a row reads
+    only ``dt`` and the rows up to it.
     """
     faults = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is a fault
         steps = np.diff(rows[:, 0]) if rows.shape[1] == 2 else rows[:0, 0]
-        dt = steps[0] if steps.size else 1.0
         for shift, rule, message in (
                 (0, lambda: ~np.isfinite(rows).all(axis=1), "non-finite value at line {}"),
                 (1, lambda: steps <= 0, "timestamps must be strictly increasing (line {})"),

@@ -1,11 +1,14 @@
 """Explicit FIR kernels for every operator and their composition algebra.
 
 Each operator in :mod:`macdkit.operators` is linear and time-invariant, so it
-has a finite impulse response: a list of integer sample lags (0 = current
-sample, positive = past, negative = future) with one weight per lag.
-:func:`build_kernel` turns a small declarative description into that kernel
-by recursing on dense ``(first lag, contiguous weights)`` pairs: composition
-is :func:`numpy.convolve`, a sum adds the weights aligned on their lags and
+has a finite impulse response: one weight per integer sample lag (0 = current
+sample, positive = past, negative = future).  A :class:`KernelRep` is its first
+lag and one dense, read-only float64 array over every lag it spans, zeros
+included: 8 bytes per spanned lag.  Every kernel comes from one recursion on
+``(first lag, weights)`` pairs, whose base cases write the four shapes once:
+a ``1/k`` box (at lag 0, or ``-k/2`` centered), a delay's single 1 and a
+difference quotient's ``+q, 0, ..., 0, -q``.  Composition is
+:func:`numpy.convolve`, a sum adds the weights aligned on their lags and
 scaling multiplies them.  :func:`apply_kernel` evaluates a kernel with one
 valid-mode :func:`numpy.convolve`, which must agree with the direct operator
 evaluation on any signal.
@@ -48,28 +51,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class KernelRep:
-    """FIR kernel: strictly increasing integer lags with one weight each."""
+    """FIR kernel: dense weights on the consecutive lags from ``first`` on.
 
-    offsets: tuple[int, ...]
+    ``KernelRep(offsets, weights)`` takes strictly increasing integer lags
+    with one weight each and stores the zero-filled span between them.
+    Equality is identity, as the weights are an array.
+    """
+
+    first: int
     weights: np.ndarray = field(repr=False)
     scale_note: str = ""
 
-    def __post_init__(self):
-        offs = tuple(int(o) for o in self.offsets)
-        w = np.array(self.weights, dtype=np.float64, copy=True).reshape(-1)
-        if len(offs) == 0:
+    def __init__(self, offsets, weights, scale_note: str = ""):
+        lags = np.asarray(offsets).reshape(-1)
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if lags.size == 0:
             raise ValueError("kernel needs at least one tap")
-        if len(offs) != w.size:
+        if lags.dtype.kind not in "iu":
+            raise ValueError(f"offsets must be integer lags, got {lags.dtype.name}")
+        if lags.size != w.size:
             raise ValueError("offsets and weights must have the same length")
-        if any(b <= a for a, b in zip(offs, offs[1:])):
+        lags = lags.astype(np.int64)
+        if np.any(np.diff(lags) <= 0):
             raise ValueError("offsets must be strictly increasing")
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")
-        w.flags.writeable = False
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "weights", w)
+        first = int(lags[0])
+        dense = np.zeros(int(lags[-1]) - first + 1)
+        dense[lags - first] = w
+        dense.flags.writeable = False
+        vars(self).update(first=first, weights=dense, scale_note=scale_note)
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """Every lag the kernel spans, ``first`` to ``first + len(weights) - 1``."""
+        return tuple(range(self.first, self.first + self.weights.size))
 
     @property
     def weight_sum(self) -> float:
@@ -78,18 +96,10 @@ class KernelRep:
     def is_difference(self) -> bool:
         return abs(self.weight_sum) <= 1e-14
 
-    def dense(self) -> tuple[int, np.ndarray]:
-        """(first offset, contiguous weight array) over the full support."""
-        lo, hi = self.offsets[0], self.offsets[-1]
-        w = np.zeros(hi - lo + 1)
-        w[np.asarray(self.offsets) - lo] = self.weights
-        return lo, w
-
 
 def box_kernel(k: int) -> KernelRep:
     """Trailing box average of ``k`` samples: weight ``1/k`` on lags 0..k-1."""
-    k = window_size(k)
-    return KernelRep(tuple(range(k)), np.full(k, 1.0 / k), f"avg k={k}")
+    return _kernel(("avg", k), f"avg k={k}")
 
 
 def centered_box_kernel(k: int) -> KernelRep:
@@ -98,35 +108,28 @@ def centered_box_kernel(k: int) -> KernelRep:
     Matches the shifted-trailing-average convention: the tap window around
     index ``i`` covers samples ``i - k/2 + 1 .. i + k/2``.
     """
-    k = window_size(k, even=True)
-    h = k // 2
-    return KernelRep(tuple(range(-h, h)), np.full(k, 1.0 / k), f"centered k={k}")
+    return _kernel(("centered", k), f"centered k={k}")
 
 
 def delay_kernel(lag: int) -> KernelRep:
     """Pure delay of ``lag`` samples."""
-    lag = lag_size(lag)
-    return KernelRep((lag,), np.ones(1), f"delay {lag}")
+    return _kernel(("delay", lag), f"delay {lag}")
 
 
 def derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
-    """Lag-``k`` difference quotient: ``(+1, -1) / (k*dt)`` on lags 0 and k."""
-    k = window_size(k)
-    q = 1.0 / (k * dt)
-    return KernelRep((0, k), np.array([q, -q]), f"deriv k={k}")
+    """Lag-``k`` difference quotient: ``(+1, -1) / (k*dt)`` on lags 0 and k, zeros between."""
+    return _kernel(("deriv", k), f"deriv k={k}", dt)
 
 
 def macd_kernel(k: int) -> KernelRep:
     """Difference of ``k``- and ``2k``-sample box averages, expanded.
 
     The two box kernels combine into ``+1/(2k)`` on the ``k`` most recent
-    lags and ``-1/(2k)`` on the ``k`` lags before those; the weights sum to
-    zero, so constants are rejected analytically.
+    lags and ``-1/(2k)`` on the ``k`` lags before those (exactly, as
+    ``1/k - 1/(2k)`` rounds to ``1/(2k)``); the weights sum to zero, so
+    constants are rejected analytically.
     """
-    k = window_size(k)
-    q = 1.0 / (2 * k)
-    w = np.concatenate([np.full(k, q), np.full(k, -q)])
-    return KernelRep(tuple(range(2 * k)), w, f"macd k={k}")
+    return _kernel(("diff", ("avg", k), ("avg", 2 * k)), f"macd k={k}")
 
 
 def triangular_kernel(k: int) -> KernelRep:
@@ -157,14 +160,9 @@ def expansion_kernel(n: int, kb: int) -> KernelRep:
     difference of the ``n*kb``- and ``(n+1)*kb``-sample box kernels.
     """
     spec = ExpansionSpec(n, kb)
-    terms = [
-        (
-            "scale",
-            w * (kb / 2.0),
-            ("compose", ("deriv", kb), ("delay", (i - 1) * kb), ("avg", kb)),
-        )
-        for i, w in enumerate(spec.weights, start=1)
-    ]
+    terms = [("scale", w * (kb / 2.0),
+              ("compose", ("deriv", kb), ("delay", (i - 1) * kb), ("avg", kb)))
+             for i, w in enumerate(spec.weights, start=1)]
     return _kernel(("sum", *terms), f"expansion n={n} kb={kb}")
 
 
@@ -179,24 +177,27 @@ def build_kernel(description, dt: float = 1.0) -> KernelRep:
 
 def _kernel(description, note: str, dt: float = 1.0) -> KernelRep:
     lo, w = _dense(description, dt)
-    return KernelRep(tuple(range(lo, lo + w.size)), w, note)
+    return KernelRep(np.arange(lo, lo + w.size), w, note)
 
 
 def _dense(description, dt: float) -> tuple[int, np.ndarray]:
     """(first lag, contiguous weights) of a description."""
     if isinstance(description, KernelRep):
-        return description.dense()
+        return description.first, description.weights
     if not isinstance(description, tuple) or not description:
         raise ValueError(f"malformed kernel description: {description!r}")
     head = description[0]
-    if head == "avg":
-        return box_kernel(description[1]).dense()
-    if head == "centered":
-        return centered_box_kernel(description[1]).dense()
+    if head in ("avg", "centered"):
+        k = window_size(description[1], even=head == "centered")
+        return -(k // 2) if head == "centered" else 0, np.full(k, 1.0 / k)
     if head == "delay":
-        return delay_kernel(description[1]).dense()
+        return lag_size(description[1]), np.ones(1)
     if head == "deriv":
-        return derivative_kernel(description[1], dt).dense()
+        k = window_size(description[1])
+        w = np.zeros(k + 1)
+        w[0] = 1.0 / (k * dt)
+        w[-1] = -w[0]
+        return 0, w
     if head == "scale":
         _, alpha, inner = description
         lo, w = _dense(inner, dt)
@@ -205,15 +206,12 @@ def _dense(description, dt: float) -> tuple[int, np.ndarray]:
         parts = [_dense(part, dt) for part in description[1:]]
         if not parts:
             raise ValueError("empty composition")
-        return reduce(_convolve if head == "compose" else _add, parts)
+        return reduce(_add if head == "sum" else
+                      lambda a, b: (a[0] + b[0], np.convolve(a[1], b[1])), parts)
     if head == "diff":
         _, d1, d2 = description
         return _dense(("sum", d1, ("scale", -1.0, d2)), dt)
     raise ValueError(f"unknown kernel stage: {head!r}")
-
-
-def _convolve(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-    return a[0] + b[0], np.convolve(a[1], b[1])
 
 
 def _add(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
@@ -243,11 +241,10 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
     delay-only or advance-only kernel keeps the current sample's index in
     that range.
     """
-    ahead = min(kernel.offsets[0], 0)
-    lo = max(kernel.offsets[-1], 0)
-    span = lo - ahead + 1
-    signal.require(span, f"kernel '{kernel.scale_note}'")
-    taps = np.zeros(span)
-    taps[np.asarray(kernel.offsets) - ahead] = kernel.weights
+    last = kernel.first + kernel.weights.size - 1
+    ahead = min(kernel.first, 0)
+    lo = max(last, 0)
+    signal.require(lo - ahead + 1, f"kernel '{kernel.scale_note}'")
+    taps = np.pad(kernel.weights, (kernel.first - ahead, lo - last))
     out = np.convolve(signal.values, taps, mode="valid")
     return UniformSignal(signal.t0 + lo * signal.dt, signal.dt, out)

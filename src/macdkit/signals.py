@@ -68,7 +68,7 @@ def _check_length(n: int, required: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformSignal:
     """A finite, uniformly sampled real-valued series.
 
@@ -76,9 +76,10 @@ class UniformSignal:
     immutable float64 array; non-finite samples are rejected at construction
     rather than propagated.
 
-    A signal also holds a private memo of its window sums (not a field, so
-    it takes no part in ``==``, ``repr`` or ``fields()``): at most 8 read-only
-    arrays of at most ``n`` floats each, ``64 * n`` bytes per live signal.
+    Equality is identity, as the values are an array.  A signal also holds a
+    private memo of its window sums (not a field, so it takes no part in
+    ``repr`` or ``fields()``): at most 8 read-only arrays of at most ``n``
+    floats each, ``64 * n`` bytes per live signal.
     """
 
     t0: float

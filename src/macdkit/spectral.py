@@ -11,7 +11,7 @@ A grid of ``G`` points puts ``linspace(0, pi, G)`` on the bins of one real
 FFT of length ``N = 2*(G-1)``.  At those bins ``exp(-i*w*o)`` is periodic in
 the lag ``o`` with period ``N``, so each weight is folded into the FFT input
 at its lag modulo ``N``: future taps at negative lags and kernels spanning
-more than ``N`` lags stay exact, and memory is ``O(G)`` whatever the kernel.
+more than ``N`` lags stay exact, and memory is ``O(G)`` plus the kernel's span.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ class NotDifferenceKernelError(ValueError):
     """Band-pass analysis applied to a kernel that does not reject DC."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyResponse:
-    """Sampled transfer function of one kernel on [0, pi]."""
+    """Sampled transfer function of one kernel on [0, pi]; equality is identity."""
 
     frequencies: np.ndarray = field(repr=False)
     magnitudes: np.ndarray = field(repr=False)
@@ -82,8 +82,8 @@ def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> Frequ
     if grid_size > MAX_GRID:
         raise ValueError(f"grid needs at most {MAX_GRID} points, got {grid_size}")
     size = 2 * (grid_size - 1)
-    folded = np.bincount(np.asarray(kernel.offsets) % size, weights=kernel.weights,
-                         minlength=size)
+    lags = kernel.first + np.arange(kernel.weights.size)
+    folded = np.bincount(lags % size, weights=kernel.weights, minlength=size)
     response = np.fft.rfft(folded)
     omega = np.linspace(0.0, np.pi, grid_size)
     return FrequencyResponse(

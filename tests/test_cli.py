@@ -221,6 +221,23 @@ def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, scans):
         assert calls == {"open": 1, "loadtxt": math.ceil(100 / block), "scan": scans}, block
 
 
+def test_ingest_stops_at_the_block_holding_a_row_fault(tmp_path, monkeypatch):
+    # A spacing fault at line 5 ends the read after the first 7-line block.
+    path = tmp_path / "early.csv"
+    path.write_text("".join(f"{i + (i == 4)},{i}\n" for i in range(100)))
+    calls = []
+
+    def loadtxt(*args, loadtxt=np.loadtxt, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 7)
+    with pytest.raises(IngestError, match="^non-uniform spacing at line 5$"):
+        ingest_csv(str(path))
+    assert len(calls) == 1
+
+
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         ingest_csv(str(tmp_path / "nope.csv"))

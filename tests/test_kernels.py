@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,21 +21,24 @@ from macdkit import (
     macd_kernel,
     right_avg,
     sample_offset,
+    smoothed_derivative_kernel,
+    transfer_function,
     triangular_kernel,
     windowed_derivative,
 )
 
-from .oracles import naive_box_self_convolution, naive_kernel_apply
-
-
-def dense_weights(kern):
-    lo, w = kern.dense()
-    return lo, w
+from .oracles import naive_box_self_convolution, naive_kernel_apply, naive_transfer_magnitude
 
 
 def test_kernel_rep_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         KernelRep((0, 0), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        KernelRep(np.array([3, 1], dtype=np.uint8), [0.5, 0.5])
+    # A lag is a whole sample count: no float, string or bool lag is rounded.
+    for offsets in [(0.5, 1.7), (0.0, 1.0), ("0", "1"), (True, False), np.array([0.0, 2.0])]:
+        with pytest.raises(ValueError, match="^offsets must be integer lags, got "):
+            KernelRep(offsets, [1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         KernelRep((0, 1), np.array([0.5, np.inf]))
     with pytest.raises(ValueError, match="same length"):
@@ -118,6 +123,77 @@ def test_apply_kernel_matches_naive_convolution(random_signal):
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
 
 
+def _box_taps(k, first=0):
+    return [(first + j, 1.0 / k) for j in range(k)]
+
+
+def _difference_taps(a, b):
+    """Closed-form taps of the a-sample box minus the b-sample box (a < b)."""
+    return ([(j, 1.0 / a - 1.0 / b) for j in range(a)]
+            + [(j, -1.0 / b) for j in range(a, b)])
+
+
+# Each kernel with the (lag, weight) taps it stands for, written out by hand:
+# every constructor, and user kernels with gaps, future taps or both.
+KERNEL_TAPS = {
+    "box": (lambda: box_kernel(5), _box_taps(5)),
+    "centered": (lambda: centered_box_kernel(6), _box_taps(6, first=-3)),
+    "delay": (lambda: delay_kernel(4), [(4, 1.0)]),
+    "deriv": (lambda: derivative_kernel(3, 0.5), [(0, 1 / 1.5), (3, -1 / 1.5)]),
+    "macd": (lambda: macd_kernel(7), _difference_taps(7, 14)),
+    "triangle": (lambda: triangular_kernel(4), list(enumerate(naive_box_self_convolution(4)))),
+    "smoothed-deriv": (lambda: smoothed_derivative_kernel(5), _difference_taps(5, 10)),
+    "expansion": (lambda: expansion_kernel(3, 4), _difference_taps(12, 16)),
+    "gap": (lambda: KernelRep((3, 7), [0.5, -0.5]), [(3, 0.5), (7, -0.5)]),
+    "advance": (lambda: KernelRep((-2,), [1.0]), [(-2, 1.0)]),
+    "straddle": (lambda: KernelRep((-3, 2), [0.25, 0.75]), [(-3, 0.25), (2, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_TAPS)
+def test_every_kernel_matches_the_naive_oracles(name, random_signal):
+    build, taps = KERNEL_TAPS[name]
+    kern = build()
+    lags, weights = [lag for lag, _ in taps], [w for _, w in taps]
+    # One dense array over every spanned lag, zeros between the taps.
+    assert kern.first == lags[0]
+    assert kern.weights.size == lags[-1] - lags[0] + 1
+    assert kern.offsets == tuple(range(lags[0], lags[-1] + 1))
+    sig = random_signal(60, dt=0.5, t0=10.0)
+    out = apply_kernel(kern, sig)
+    lo, expected = naive_kernel_apply(lags, weights, sig.values.tolist())
+    assert out.t0 == sig.t0 + lo * sig.dt and out.dt == sig.dt
+    assert len(out) == len(expected)
+    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+    resp = transfer_function(kern, 33)
+    want = [naive_transfer_magnitude(lags, weights, omega) for omega in resp.frequencies]
+    np.testing.assert_allclose(resp.magnitudes, want, rtol=0, atol=1e-14)
+    # Immutable: no attribute can be set, and the weights are read-only.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kern.first = 0
+    with pytest.raises(AttributeError):
+        kern.offsets = (0,)
+    with pytest.raises(ValueError, match="read-only"):
+        kern.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 64])
+def test_one_format_per_kernel(k):
+    # A constructor, its description and a rebuild of it give the same kernel.
+    pairs = [
+        (derivative_kernel(k, 0.25), build_kernel(("deriv", k), 0.25)),
+        (box_kernel(k), build_kernel(("avg", k))),
+        (centered_box_kernel(2 * k), build_kernel(("centered", 2 * k))),
+        (delay_kernel(k), build_kernel(("delay", k))),
+        (macd_kernel(k), build_kernel(("diff", ("avg", k), ("avg", 2 * k)))),
+    ]
+    for kern, described in pairs:
+        for other in (described, build_kernel(kern)):
+            assert other.first == kern.first, kern.scale_note
+            assert other.weights.tobytes() == kern.weights.tobytes(), kern.scale_note
+        assert build_kernel(kern).scale_note == kern.scale_note
+
+
 def rel_dev(a, b):
     scale = max(np.max(np.abs(a)), 1e-30)
     return np.max(np.abs(a - b)) / scale
@@ -157,26 +233,25 @@ def test_macd_kernel_equals_scaled_derivative_of_double_box(dt):
 
 def test_difference_of_boxes_expands_to_macd_weights():
     for k in (1, 4, 9):
-        lo, w = build_kernel(("diff", ("avg", k), ("avg", 2 * k))).dense()
-        lo_m, wm = macd_kernel(k).dense()
-        assert lo == lo_m == 0
-        assert np.max(np.abs(w - wm)) <= 1e-16
+        diff = build_kernel(("diff", ("avg", k), ("avg", 2 * k)))
+        direct = macd_kernel(k)
+        assert diff.first == direct.first == 0
+        assert np.max(np.abs(diff.weights - direct.weights)) <= 1e-16
 
 
 def test_expansion_kernel_reduces_to_macd_for_single_term():
     for k in (2, 4, 8):
-        lo_e, we = expansion_kernel(1, k).dense()
-        lo_m, wm = macd_kernel(k).dense()
-        assert lo_e == lo_m
-        assert np.max(np.abs(we - wm)) <= 1e-15
+        expanded, direct = expansion_kernel(1, k), macd_kernel(k)
+        assert expanded.first == direct.first
+        assert np.max(np.abs(expanded.weights - direct.weights)) <= 1e-15
 
 
 def test_expansion_kernel_equals_nested_difference_kernel():
     for n, k in [(2, 3), (3, 4), (5, 2), (8, 8)]:
-        lo_e, we = expansion_kernel(n, k).dense()
-        lo_d, wd = build_kernel(("diff", ("avg", n * k), ("avg", (n + 1) * k))).dense()
-        assert lo_e == lo_d
-        assert np.max(np.abs(we - wd)) <= 1e-15
+        expanded = expansion_kernel(n, k)
+        diff = build_kernel(("diff", ("avg", n * k), ("avg", (n + 1) * k)))
+        assert expanded.first == diff.first
+        assert np.max(np.abs(expanded.weights - diff.weights)) <= 1e-15
 
 
 def test_centered_kernel_has_future_taps():
@@ -189,8 +264,8 @@ def test_centered_kernel_has_future_taps():
 def test_delay_and_derivative_kernels():
     assert delay_kernel(3).offsets == (3,)
     d = derivative_kernel(4, 0.5)
-    assert d.offsets == (0, 4)
-    assert d.weights.tolist() == [0.5, -0.5]
+    assert d.offsets == (0, 1, 2, 3, 4)
+    assert d.weights.tolist() == [0.5, 0.0, 0.0, 0.0, -0.5]
 
 
 def test_apply_kernel_insufficient_samples():

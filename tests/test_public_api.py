@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import macdkit
+from macdkit import KernelRep, UniformSignal, macd_kernel, transfer_function
 
 SUBMODULES = ["signals", "operators", "identities", "kernels", "spectral", "streaming", "cli"]
 
@@ -63,3 +64,25 @@ def test_benchmark_span_targets_resolve():
         namespace = importlib.import_module(f"macdkit.{module}")
         missing = [name for name in names if not callable(getattr(namespace, name, None))]
         assert not missing, (module, missing)
+
+
+def test_kernel_surface_the_benchmark_reads():
+    # The benchmark compares a kernel's offsets with tuple(range(...)), and its
+    # drop-tap self-test rebuilds a kernel without its last lag.
+    kern = macd_kernel(12)
+    assert type(kern.offsets) is tuple and all(type(lag) is int for lag in kern.offsets)
+    short = KernelRep(kern.offsets[:-1], kern.weights[:-1], kern.scale_note)
+    assert short.offsets == kern.offsets[:-1] and short.weights.size == kern.weights.size - 1
+    assert short.scale_note == kern.scale_note
+
+
+def test_array_holding_types_compare_by_identity():
+    kern = macd_kernel(2)
+    twins = [
+        (UniformSignal(0.0, 1.0, [1.0, 2.0]), UniformSignal(0.0, 1.0, [1.0, 2.0])),
+        (kern, macd_kernel(2)),
+        (transfer_function(kern, 8), transfer_function(kern, 8)),
+    ]
+    for one, twin in twins:
+        assert one == one and one != twin
+        assert len({one, twin, one}) == 2
