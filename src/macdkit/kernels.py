@@ -9,9 +9,14 @@ included: 8 bytes per spanned lag.  Every kernel comes from one recursion on
 a ``1/k`` box (at lag 0, or ``-k/2`` centered), a delay's single 1 and a
 difference quotient's ``+q, 0, ..., 0, -q``.  Composition is
 :func:`numpy.convolve`, a sum adds the weights aligned on their lags and
-scaling multiplies them.  :func:`apply_kernel` evaluates a kernel with one
-valid-mode :func:`numpy.convolve`, which must agree with the direct operator
-evaluation on any signal.
+scaling multiplies them.
+
+:func:`apply_kernel` reads the kernel's structure from its weights alone.
+A kernel of few runs of equal weights (every named kernel but the
+triangle) is a sum of delayed box averages, evaluated from the signal's
+window sums like the operators; the self-convolved box is the double
+average; anything else takes one valid-mode :func:`numpy.convolve`.  Every
+path must agree with the direct operator evaluation on any signal.
 
 Descriptions are nested tuples:
 
@@ -34,6 +39,7 @@ from functools import reduce
 
 import numpy as np
 
+from .operators import _box_terms, double_right_avg
 from .signals import ExpansionSpec, UniformSignal, lag_size, window_size
 
 __all__ = [
@@ -154,16 +160,14 @@ def smoothed_derivative_kernel(k: int) -> KernelRep:
 def expansion_kernel(n: int, kb: int) -> KernelRep:
     """Kernel of the ``n``-term delayed-derivative expansion with block ``kb``.
 
-    Weighted sum over ``i = 1..n`` of :attr:`ExpansionSpec.weights` times
+    The weighted sum over ``i = 1..n`` of :attr:`ExpansionSpec.weights` times
     the smoothed difference quotient of the block average delayed by
-    ``(i-1)*kb`` samples, all scaled by half a block length.  Equals the
-    difference of the ``n*kb``- and ``(n+1)*kb``-sample box kernels.
+    ``(i-1)*kb`` samples, all scaled by half a block length, telescopes to
+    the difference of the ``n*kb``- and ``(n+1)*kb``-sample box kernels.  It
+    is built as that difference, so its weights are two exact runs.
     """
     spec = ExpansionSpec(n, kb)
-    terms = [("scale", w * (kb / 2.0),
-              ("compose", ("deriv", kb), ("delay", (i - 1) * kb), ("avg", kb)))
-             for i, w in enumerate(spec.weights, start=1)]
-    return _kernel(("sum", *terms), f"expansion n={n} kb={kb}")
+    return _kernel(("diff", ("avg", spec.a), ("avg", spec.a + spec.b)), f"expansion n={n} kb={kb}")
 
 
 def build_kernel(description, dt: float = 1.0) -> KernelRep:
@@ -233,18 +237,51 @@ def _describe(description) -> str:
 
 
 def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
-    """Evaluate a kernel on a signal by direct convolution.
+    """Evaluate a kernel on a signal, by the structure of its weights.
 
     The output covers exactly the indices where every tap lands inside the
     input, matching the valid-range convention of the direct operators.  The
     taps span lags ``min(first, 0)..max(last, 0)``, zero-padded, so a
     delay-only or advance-only kernel keeps the current sample's index in
-    that range.
+    that range.  One of three evaluations, chosen from the weights alone:
+
+    * *Box runs*, when the kernel has at most two runs of equal nonzero
+      weights, or at most half as many as it has weights.  A run of ``L``
+      weights ``w`` from lag ``g`` is the box term ``(w*L, L, g)``, and all
+      runs go through one ``_box_terms`` call, which reads the signal's kept
+      window sums.  Every named kernel but the triangle takes this path.
+    * *The double average*, when the weights are bit for bit the ``m``-sample
+      box convolved with itself, from lag 0: ``double_right_avg(signal, m)``,
+      byte-equal to it.
+    * *Direct convolution*, one valid-mode :func:`numpy.convolve`, otherwise.
+
+    The first two raise the operators' ``WINDOW_SUM_OVERFLOW`` where a
+    window sum overflows; a convolution that overflows raises the
+    constructor's "non-finite value at sample j".
     """
-    last = kernel.first + kernel.weights.size - 1
-    ahead = min(kernel.first, 0)
-    lo = max(last, 0)
-    signal.require(lo - ahead + 1, f"kernel '{kernel.scale_note}'")
-    taps = np.pad(kernel.weights, (kernel.first - ahead, lo - last))
-    out = np.convolve(signal.values, taps, mode="valid")
-    return UniformSignal(signal.t0 + lo * signal.dt, signal.dt, out)
+    first, w = kernel.first, kernel.weights
+    last = first + w.size - 1
+    ahead, lo = min(first, 0), max(last, 0)
+    what = f"kernel '{kernel.scale_note}'"
+    signal.require(lo - ahead + 1, what)
+    t0, length = signal.t0 + lo * signal.dt, len(signal) - lo + ahead
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w)) + 1))
+    runs = np.diff(starts, append=w.size)
+    levels = w[starts]
+    boxes = levels != 0
+    with np.errstate(over="ignore"):
+        coefs = levels * runs  # inf where a run's total weight overflows
+    if 0 < np.count_nonzero(boxes) <= max(2, w.size // 2) and np.isfinite(coefs).all():
+        # Box lags shift by -ahead >= 0.  The side ends where the kernel's
+        # range ends, and starts earlier where its last lags weigh zero or
+        # lie in the future.
+        terms = zip(coefs[boxes].tolist(), runs[boxes].tolist(),
+                    (starts[boxes] + first - ahead).tolist())
+        (side,) = _box_terms(signal, what, list(terms))
+        return UniformSignal._wrap(t0, signal.dt, side.values[-length:])
+    m = (w.size + 1) // 2
+    if first == 0 and w.size % 2 and np.array_equal(
+            w, _dense(("compose", ("avg", m), ("avg", m)), 1.0)[1]):
+        return UniformSignal._wrap(t0, signal.dt, double_right_avg(signal, m).values)
+    taps = np.pad(w, (first - ahead, lo - last))
+    return UniformSignal(t0, signal.dt, np.convolve(signal.values, taps, mode="valid"))

@@ -19,15 +19,16 @@ Every window sum an operator reads comes from ``_window_sums``, the one
 place window sums are shared.  It keeps each sum on its signal, so a
 read-only signal's ``S_k`` is computed once per signal and window: MACD,
 the averages and the identity checks, which call these public operators,
-share it on one input.  The memo holds at most ``_MEMO_WINDOWS`` (8)
-arrays of at most ``n`` floats per live signal and evicts the least
-recently used window first.  It uses only single dict operations, each
-atomic under the GIL, so threads sharing a signal can at worst compute one
-sum twice, never raise or read a wrong one.  A miss continues, bit for bit,
-from the longest binary prefix ``k >> s`` the signal keeps, and otherwise
-calls the module's ``sliding_sums`` by name, so a wrapper on that name (a
-tracer, say) sees each sum computed from scratch; a continued sum is timed
-in its caller.  Public ``sliding_sums`` keeps no memo.
+share it on one input, and so do kernels applied by their box runs.  The
+memo holds at most ``_MEMO_WINDOWS`` (8) arrays of at most ``n`` floats per
+live signal and evicts the least recently used window first.  It uses only
+single dict operations, each atomic under the GIL, so threads sharing a
+signal can at worst compute one sum twice, never raise or read a wrong one.
+A miss continues, bit for bit, from the longest binary prefix ``k >> s``
+the signal keeps, and otherwise calls the module's ``sliding_sums`` by
+name, so a wrapper on that name (a tracer, say) sees each sum computed from
+scratch; a continued sum is timed in its caller.  Public ``sliding_sums``
+keeps no memo.
 
 The averages, MACD, ``_box_terms`` and ``delay`` are finite by
 construction and wrap their fresh (or read-only) arrays with no copy;

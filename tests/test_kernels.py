@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from macdkit import (
+    ExpansionSpec,
     InsufficientSamplesError,
     KernelRep,
     UniformSignal,
@@ -26,6 +27,8 @@ from macdkit import (
     triangular_kernel,
     windowed_derivative,
 )
+from macdkit import kernels, operators
+from macdkit.signals import WINDOW_SUM_OVERFLOW
 
 from .oracles import naive_box_self_convolution, naive_kernel_apply, naive_transfer_magnitude
 
@@ -247,11 +250,20 @@ def test_expansion_kernel_reduces_to_macd_for_single_term():
 
 
 def test_expansion_kernel_equals_nested_difference_kernel():
-    for n, k in [(2, 3), (3, 4), (5, 2), (8, 8)]:
+    for n, k in [(2, 3), (3, 4), (5, 2), (8, 8), (8, 32)]:
         expanded = expansion_kernel(n, k)
+        # The paper's form: the weighted sum over i = 1..n of the smoothed
+        # difference quotients of the block average delayed by (i-1)*k.
+        paper = build_kernel(("sum", *[
+            ("scale", w * (k / 2.0), ("compose", ("deriv", k), ("delay", (i - 1) * k), ("avg", k)))
+            for i, w in enumerate(ExpansionSpec(n, k).weights, start=1)]))
+        assert expanded.first == paper.first == 0
+        assert expanded.weights.size == paper.weights.size
+        assert np.max(np.abs(expanded.weights - paper.weights)) <= 1e-15
+        # Built in run form: the two boxes' difference, two runs exactly.
         diff = build_kernel(("diff", ("avg", n * k), ("avg", (n + 1) * k)))
-        assert expanded.first == diff.first
-        assert np.max(np.abs(expanded.weights - diff.weights)) <= 1e-15
+        assert expanded.weights.tobytes() == diff.weights.tobytes()
+        assert np.count_nonzero(np.diff(expanded.weights)) == 1
 
 
 def test_centered_kernel_has_future_taps():
@@ -279,3 +291,123 @@ def test_build_kernel_accepts_nested_kernel_rep():
     pre = macd_kernel(2)
     scaled = build_kernel(("scale", 2.0, pre))
     assert np.allclose(scaled.weights, 2.0 * pre.weights)
+
+
+def test_kernels_overflow_like_the_operators():
+    # Each window sum of two samples overflows, though every weighted sample
+    # is finite: the box-run and double-average paths raise the operators'
+    # error instead of returning 1.7e308.
+    huge = UniformSignal(0.0, 1.0, [1.7e308] * 4)
+    pairs = [
+        (box_kernel(2), lambda s: right_avg(s, 2)),
+        (centered_box_kernel(2), lambda s: centered_avg(s, 2)),
+        (macd_kernel(2), lambda s: macd(s, 2)),
+        (triangular_kernel(2), lambda s: double_right_avg(s, 2)),
+    ]
+    for kern, direct in pairs:
+        for call in (lambda: apply_kernel(kern, huge), lambda: direct(huge)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == WINDOW_SUM_OVERFLOW, kern.scale_note
+    # The np.convolve path still reports the constructor's error.
+    with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
+        apply_kernel(KernelRep((0, 1, 2), [1.0, 2.0, 3.0]), UniformSignal(0.0, 1.0, [1e308] * 5))
+    # A run whose total weight 2e308 overflows is no box term: it convolves,
+    # and every output here is finite.
+    small = UniformSignal(0.0, 1.0, [0.25, 0.5, -0.75, 0.5])
+    out = apply_kernel(KernelRep((0, 1), [1e308, 1e308]), small)
+    np.testing.assert_allclose(out.values, [0.75e308, -0.25e308, -0.25e308], rtol=1e-15)
+
+
+class SignalConvolution(AssertionError):
+    """np.convolve was asked to run over the signal."""
+
+
+SIGNAL_LENGTH = 2000
+
+
+@pytest.fixture
+def real_convolve(monkeypatch):
+    """np.convolve, after making it fail, in macdkit.kernels, on signal-length arrays.
+
+    Kernels stay buildable: their compositions, and the triangle the
+    double-average path compares weights with, convolve kernel-sized arrays.
+    """
+    convolve = np.convolve
+
+    def stub(a, v, mode="full"):
+        if max(len(a), len(v)) >= SIGNAL_LENGTH:
+            raise SignalConvolution(f"np.convolve over {max(len(a), len(v))} samples")
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(kernels.np, "convolve", stub)
+    return convolve
+
+
+NAMED = {
+    "box": box_kernel,
+    "centered": lambda k: centered_box_kernel(2 * k),
+    "delay": delay_kernel,
+    "deriv": lambda k: derivative_kernel(k, 0.5),
+    "macd": macd_kernel,
+    "smoothed-deriv": smoothed_derivative_kernel,
+    "expansion": lambda k: expansion_kernel(3, k),
+    "triangle": triangular_kernel,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 256])
+def test_named_kernels_apply_by_their_structure(k, real_convolve, random_signal):
+    sig = random_signal(SIGNAL_LENGTH, dt=0.25, t0=-4.0)
+    for name, make in NAMED.items():
+        kern = make(k)
+        out = apply_kernel(kern, sig)
+        # Today's output: valid-mode convolution over the zero-padded span.
+        last = kern.first + kern.weights.size - 1
+        ahead, lo = min(kern.first, 0), max(last, 0)
+        taps = np.pad(kern.weights, (kern.first - ahead, lo - last))
+        want = real_convolve(sig.values, taps, mode="valid")
+        assert out.t0 == sig.t0 + lo * sig.dt and out.dt == sig.dt, name
+        assert len(out) == want.size, name
+        assert np.max(np.abs(out.values - want)) <= 1e-14, name
+    # The double average gives the operator's bytes, from either build.
+    direct = double_right_avg(sig, k).values.tobytes()
+    for kern in (triangular_kernel(k), build_kernel(("compose", ("avg", k), ("avg", k)))):
+        assert apply_kernel(kern, sig).values.tobytes() == direct
+    # Arbitrary weights, and a triangle one ulp off, still convolve.
+    nudged = triangular_kernel(12).weights.copy()
+    nudged[7] = np.nextafter(nudged[7], 1.0)
+    weights = np.random.default_rng(2020).normal(size=9)
+    for kern in (KernelRep(np.arange(9), weights), KernelRep(np.arange(nudged.size), nudged)):
+        with pytest.raises(SignalConvolution):
+            apply_kernel(kern, sig)
+
+
+@pytest.mark.parametrize("offsets,weights,t0,length", [
+    ((0, 5), [1.0, 0.0], 3.0 + 5 * 0.5, 35),     # trailing zeros
+    ((-2, 3), [0.0, 1.0], 3.0 + 3 * 0.5, 35),    # leading zero at a future lag
+    ((0,), [0.0], 3.0, 40),                      # no weight at all
+    ((-3, -2), [1.0, 1.0], 3.0, 37),             # advance only
+])
+def test_zero_weights_and_advances_keep_the_output_range(offsets, weights, t0, length,
+                                                         random_signal):
+    sig = random_signal(40, dt=0.5, t0=3.0)
+    out = apply_kernel(KernelRep(offsets, weights), sig)
+    assert out.t0 == t0 and out.dt == sig.dt and len(out) == length
+    lo, expected = naive_kernel_apply(offsets, weights, sig.values.tolist())
+    assert out.t0 == sig.t0 + lo * sig.dt and len(expected) == length
+    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 3, 12, 64])
+def test_macd_kernel_reads_the_window_sum_macd_took(k, monkeypatch, random_signal):
+    sig = random_signal(500)
+    calls = []
+    sums = operators.sliding_sums
+    monkeypatch.setattr(operators, "sliding_sums", lambda v, w: calls.append(w) or sums(v, w))
+    via_operator = macd(sig, k)
+    assert calls == [k]
+    via_kernel = apply_kernel(macd_kernel(k), sig)
+    assert calls == [k]
+    assert via_kernel.t0 == via_operator.t0 and len(via_kernel) == len(via_operator)
+    assert rel_dev(via_operator.values, via_kernel.values) <= 1e-12
