@@ -12,9 +12,9 @@ difference quotient's ``+q, 0, ..., 0, -q``.  Composition is
 scaling multiplies them.
 
 :func:`apply_kernel` reads the kernel's structure from its weights alone.
-A kernel of few runs of equal weights (every named kernel but the
-triangle) is a sum of delayed box averages, evaluated from the signal's
-window sums like the operators; the self-convolved box is the double
+A kernel of one or two runs of equal nonzero weights (every named kernel
+but the triangle) is a sum of delayed box averages, evaluated from the
+signal's window sums like the operators; the self-convolved box is the double
 average; anything else takes one valid-mode :func:`numpy.convolve`.  Every
 path must agree with the direct operator evaluation on any signal.
 
@@ -245,19 +245,22 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
     delay-only or advance-only kernel keeps the current sample's index in
     that range.  One of three evaluations, chosen from the weights alone:
 
-    * *Box runs*, when the kernel has at most two runs of equal nonzero
-      weights, or at most half as many as it has weights.  A run of ``L``
-      weights ``w`` from lag ``g`` is the box term ``(w*L, L, g)``, and all
-      runs go through one ``_box_terms`` call, which reads the signal's kept
-      window sums.  Every named kernel but the triangle takes this path.
+    * *Box runs*, when the kernel has one or two runs of equal nonzero
+      weights (zero runs between them are free).  A run of ``L`` weights
+      ``w`` from lag ``g`` is the box term ``(w*L, L, g)``, and both runs go
+      through one ``_box_terms`` call, which reads the signal's kept window
+      sums.  Every named kernel but the triangle takes this path.
     * *The double average*, when the weights are bit for bit the ``m``-sample
       box convolved with itself, from lag 0: ``double_right_avg(signal, m)``,
       byte-equal to it.
     * *Direct convolution*, one valid-mode :func:`numpy.convolve`, otherwise.
 
-    The first two raise the operators' ``WINDOW_SUM_OVERFLOW`` where a
-    window sum overflows; a convolution that overflows raises the
-    constructor's "non-finite value at sample j".
+    Box runs and the double average raise the operators'
+    ``WINDOW_SUM_OVERFLOW`` where a window sum overflows.  A convolution
+    that overflows, or a kernel of one-sample runs only (a delay or a
+    difference quotient, which take no window sum), raises the
+    constructor's "non-finite value at sample j", as
+    :func:`~macdkit.operators.windowed_derivative` does.
     """
     first, w = kernel.first, kernel.weights
     last = first + w.size - 1
@@ -271,16 +274,24 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
     boxes = levels != 0
     with np.errstate(over="ignore"):
         coefs = levels * runs  # inf where a run's total weight overflows
-    if 0 < np.count_nonzero(boxes) <= max(2, w.size // 2) and np.isfinite(coefs).all():
+    if 0 < np.count_nonzero(boxes) <= 2 and np.isfinite(coefs).all():
         # Box lags shift by -ahead >= 0.  The side ends where the kernel's
         # range ends, and starts earlier where its last lags weigh zero or
         # lie in the future.
         terms = zip(coefs[boxes].tolist(), runs[boxes].tolist(),
                     (starts[boxes] + first - ahead).tolist())
-        (side,) = _box_terms(signal, what, list(terms))
-        return UniformSignal._wrap(t0, signal.dt, side.values[-length:])
+        try:
+            (side,) = _box_terms(signal, what, list(terms))
+            return UniformSignal._wrap(t0, signal.dt, side.values[-length:])
+        except ValueError:
+            # One-sample runs sum no window: the convolution below finds
+            # the sample whose weighted taps overflow.
+            if (runs[boxes] > 1).any():
+                raise
     m = (w.size + 1) // 2
-    if first == 0 and w.size % 2 and np.array_equal(
+    corner = (1.0 / m) * (1.0 / m)
+    # The corners are one product each, so they screen before the m-tap build.
+    if first == 0 and w.size % 2 and w[0] == w[-1] == corner and np.array_equal(
             w, _dense(("compose", ("avg", m), ("avg", m)), 1.0)[1]):
         return UniformSignal._wrap(t0, signal.dt, double_right_avg(signal, m).values)
     taps = np.pad(w, (first - ahead, lo - last))

@@ -309,6 +309,13 @@ def test_kernels_overflow_like_the_operators():
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == WINDOW_SUM_OVERFLOW, kern.scale_note
+    # A difference quotient's taps sum no window: kernel and operator both
+    # report the sample whose quotient overflows.
+    steep = UniformSignal(0.0, 1e-300, [0.0, 1e10, 0.0, 1e10])
+    for call in (lambda: apply_kernel(derivative_kernel(1, 1e-300), steep),
+                 lambda: windowed_derivative(steep, 1)):
+        with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
+            call()
     # The np.convolve path still reports the constructor's error.
     with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
         apply_kernel(KernelRep((0, 1, 2), [1.0, 2.0, 3.0]), UniformSignal(0.0, 1.0, [1e308] * 5))
@@ -328,8 +335,9 @@ SIGNAL_LENGTH = 2000
 
 @pytest.fixture
 def real_convolve(monkeypatch):
-    """np.convolve, after making it fail, in macdkit.kernels, on signal-length arrays.
+    """np.convolve, after making numpy.convolve fail on signal-length arrays.
 
+    The stub replaces numpy.convolve process-wide for the test's duration.
     Kernels stay buildable: their compositions, and the triangle the
     double-average path compares weights with, convolve kernel-sized arrays.
     """
@@ -374,11 +382,15 @@ def test_named_kernels_apply_by_their_structure(k, real_convolve, random_signal)
     direct = double_right_avg(sig, k).values.tobytes()
     for kern in (triangular_kernel(k), build_kernel(("compose", ("avg", k), ("avg", k)))):
         assert apply_kernel(kern, sig).values.tobytes() == direct
-    # Arbitrary weights, and a triangle one ulp off, still convolve.
-    nudged = triangular_kernel(12).weights.copy()
+    # Arbitrary weights, three runs, and a triangle one ulp off in the
+    # middle or at a corner still convolve.
+    triangle = triangular_kernel(12).weights
+    nudged, cornered = triangle.copy(), triangle.copy()
     nudged[7] = np.nextafter(nudged[7], 1.0)
+    cornered[0] = np.nextafter(cornered[0], 1.0)
     weights = np.random.default_rng(2020).normal(size=9)
-    for kern in (KernelRep(np.arange(9), weights), KernelRep(np.arange(nudged.size), nudged)):
+    for w in (weights, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0], nudged, cornered):
+        kern = KernelRep(np.arange(len(w)), w)
         with pytest.raises(SignalConvolution):
             apply_kernel(kern, sig)
 
