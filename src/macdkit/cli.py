@@ -11,11 +11,17 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error.
 
 Input CSV is read once, in blocks of ``_READ_BLOCK`` lines, so ingest holds
 8 bytes per cell plus one block of text; ``ingest_csv`` gives the grammar.
+
+Output CSV is the text ``%.17g`` gives, so it re-ingests bit for bit.  numpy
+computes its digits ``_WRITE_BLOCK`` rows at a time (``_csv_text``); only a
+value that block arithmetic cannot decide, such as a 17-digit rounding tie or
+a subnormal, is formatted alone by ``_fmt``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
@@ -35,10 +41,18 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-_WRITE_BLOCK = 65536  # rows formatted per write
+_WRITE_BLOCK = 2048  # rows formatted and written per block
 _READ_BLOCK = 8192  # lines per np.loadtxt call
 # Input layouts and their column counts; "auto" takes the first data row's count.
 _SCHEMA_COLUMNS = {"auto": None, "value-only": 1, "time-value": 2}
+
+
+# The block formatter ``_csv_text``.  Its scaling is exact to the tie guard
+# for |x| in [_FAST_MIN, _FAST_MAX], where every 10**p it needs has a normal
+# low part and no product overflows.
+_FAST_MIN, _FAST_MAX = 1e-270, 1e290
+_TIE_GUARD = 1e-10  # scaled values this close to a tie go to ``_fmt``
+_SPLIT = 2.0**27 + 1  # Dekker's splitter
 
 
 class IngestError(ValueError):
@@ -199,18 +213,160 @@ def _is_utf8(line: str) -> bool:
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """Write equal-length float columns as CSV rows that re-ingest bit for bit.
+    """Write equal-length float columns as ``%.17g`` CSV rows that re-ingest bit for bit.
 
-    17 significant digits round-trip every float64, and ``%.17g`` formats
-    faster than ``repr``'s shortest round-trip text.  Rows are joined in
-    blocks of ``_WRITE_BLOCK`` so the text in memory stays bounded.
+    17 significant digits round-trip every float64.  ``_csv_text`` computes
+    the same bytes as ``%.17g`` with numpy, ``_WRITE_BLOCK`` rows at a time,
+    and each block's text is written before the next is formatted, so the
+    writer holds about 320 bytes per cell of one block (1.3 MB at two
+    columns) beyond the columns themselves.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _WRITE_BLOCK):
-            block = zip(*(c[i:i + _WRITE_BLOCK].tolist() for c in columns))
-            fh.write("".join([row % cells for cells in block]))
+            cells = np.column_stack([c[i:i + _WRITE_BLOCK] for c in columns])
+            fh.write(_csv_text(cells.ravel(), len(columns)))
+
+
+def _csv_text(cells: np.ndarray, width: int) -> str:
+    """``%.17g`` CSV text of row-major ``cells``, ``width`` cells to a line.
+
+    A finite ``x`` with ``_FAST_MIN <= |x| <= _FAST_MAX`` is scaled to
+    ``|x|·10^(16−e)``, ``e = floor(log10|x|)``, as a double-double product
+    (Dekker 1971), correct to about 1e-14 of its 17th digit.  Rounding it
+    gives the 17 digits ``%g`` prints, unless it lies within ``_TIE_GUARD``
+    of a tie.  Such a value, and a subnormal, non-finite or out-of-range one,
+    is formatted by ``_fmt``.  Each cell fills one 48-byte row of a matrix:
+    sign, a "0.000" prefix, the digits with a point slot after each, "e±ddd"
+    and the separator.  Unused bytes stay 0 and are dropped.
+    """
+    a = np.abs(cells)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)  # zeros then scale to 1e16 at e = 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, e)
+    off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
+    if off.size:  # log10 was one off, next to a power of ten
+        e[off] += np.where(whole[off] < 10**16, -1, 1)
+        whole[off], frac[off] = _scaled(a[off], e[off])
+        # Out on the other side: the product is 10**16 at the larger exponent
+        # to within its error, so both exponents round to those digits.
+        edge = off[(whole[off] < 10**16) | (whole[off] >= 10**17)]
+        e[edge] += whole[edge] >= 10**17
+        whole[edge], frac[edge] = 10**16, 0.0
+    slow = np.flatnonzero(~(fast | zero) | (abs(frac - 0.5) < _TIE_GUARD))
+    whole += frac > 0.5
+    high = whole // 10**8  # the first 9 of the 17 digits
+    low = (whole - high * 10**8).astype(np.uint32)
+    carry = high == 10**9  # rounded up to 10**17
+    high[carry] = 10**8
+    e += carry
+    lead = high // 10**8
+    high = (high - lead * 10**8).astype(np.uint32)
+
+    rest = np.where(low == 0, high, low)  # the trailing zeros are 8·(low == 0) + rest's
+    zeros = 8 * (low == 0) + 8 * (rest == 0)
+    rest[rest == 0] = 1
+    for step, count in ((10**4, 4), (10**2, 2), (10, 1)):
+        fewer = rest // step
+        exact = fewer * step == rest
+        rest = np.where(exact, fewer, rest)
+        zeros += exact * count
+    fixed = (e >= -4) & (e < 17)
+    shown = np.where(fixed, np.maximum(17 - zeros, e + 1), 17 - zeros)  # integer zeros stay
+    point = np.where(fixed, e, 0)  # the point follows this digit, if one is shown after it
+    point[(shown <= point + 1) | (point < 0)] = -1
+
+    halves = np.stack([high, low])
+    quads = np.empty((4, cells.size), np.uint32)  # digits 1-4, 5-8, 9-12, 13-16
+    quads[0::2] = halves // 10**4
+    quads[1::2] = halves - quads[0::2] * 10**4
+    pairs = np.empty((8, cells.size), np.intp)
+    pairs[0::2] = quads // 100
+    pairs[1::2] = quads - pairs[0::2] * 100
+    head, pair_text, layout, tail = _text_tables()
+    pairs += np.take(layout, shown * 18 + point + 1, axis=1)
+    text = np.empty((cells.size, 6), np.uint64)  # 48 bytes a cell
+    text[:, 0] = head[np.signbit(cells) + 2 * np.where(fixed & (e < 0), -e, 0)
+                      + 10 * np.where(zero, 0, lead) + 100 * (point == 0)]
+    text.view(np.uint32)[:, 2:10] = pair_text[pairs].T
+    newline = np.zeros(cells.size, np.intp)
+    newline[width - 1::width] = 1
+    text[:, 5] = tail[newline + 2 * np.where(fixed, 0, e + 325)]
+    text = text.view(np.uint8)
+    for i in slow.tolist():
+        cell = _fmt(float(cells[i])).encode("ascii") + text[i, 45:46].tobytes()
+        text[i] = 0
+        text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor and fraction of ``a·10^(16−e)`` from a double-double product.
+
+    ``a·hi`` splits exactly into ``p + err`` (Dekker's product), and ``p`` is
+    an integer once it passes 2**53.
+    """
+    scale = 16 - e
+    first = int(scale.min())  # the powers of ten the block spans, by row
+    powers = np.array([_pow10(q) for q in range(first, int(scale.max()) + 1)]).T
+    hi, hi_high, hi_low, lo = np.take(powers, scale - first, axis=1)
+    c = a * _SPLIT
+    a_high = c - (c - a)
+    a_low = a - a_high
+    p = a * hi
+    tail = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
+    floor = np.floor(tail)
+    return p.astype(np.int64) + floor.astype(np.int64), tail - floor
+
+
+@functools.cache
+def _pow10(q: int) -> tuple[float, float, float, float]:
+    """``hi + lo`` is ``10**q`` to about 2**-107 relative; ``hi_high + hi_low`` is ``hi``
+    split for Dekker's product.  Integer arithmetic, correctly rounded by Python, gives both."""
+    if q >= 0:
+        hi = float(10**q)
+        lo = float(10**q - int(hi))
+    else:  # hi = m / k exactly, so 10**q - hi = (k - m·10**-q) / (10**-q · k)
+        hi = 1 / 10**-q
+        m, k = hi.as_integer_ratio()
+        lo = (k - m * 10**-q) / (10**-q * k)
+    c = hi * _SPLIT
+    return hi, c - (c - hi), hi - (c - (c - hi)), lo
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The text pieces ``_csv_text`` gathers, NUL where a byte is blank.
+
+    - ``head[sign + 2·k + 10·lead + 100·point]``, 8 bytes: "-", the
+      "0." and ``k − 1`` zeros of ``e = −k``, the lead digit and a point;
+    - ``pair_text[pair + 100·dropped + 300·point]``, 4 bytes: the tens, a
+      point after them (``point`` 1), the units and a point after them (2),
+      with ``dropped`` digits blanked from the right;
+    - ``layout[18·shown + point + 1]``, the ``100·dropped + 300·point`` of the
+      8 pairs when ``shown`` digits show and the point follows digit
+      ``point`` (−1 for none);
+    - ``tail[newline + 2·(e + 325)]``, 8 bytes: "e±dd" or "e±ddd" and the
+      separator; ``e + 325`` is 0 for no exponent.
+    """
+    head = b"".join(bytes([45 * sign]) + b"0.000"[:k + 1 if k else 0].ljust(5, b"\0")
+                    + bytes([48 + lead, 46 * point])
+                    for point in range(2) for lead in range(10) for k in range(5)
+                    for sign in range(2))
+    pair_text = b"".join(bytes([(48 + pair // 10) * (dropped < 2), 46 * (point == 1),
+                                (48 + pair % 10) * (dropped < 1), 46 * (point == 2)])
+                         for point in range(3) for dropped in range(3) for pair in range(100))
+    k = np.arange(1, 9)
+    shown, point = np.divmod(np.arange(18 * 18), 18)
+    point = point[:, None] - 1
+    layout = (100 * np.clip(2 * k + 1 - shown[:, None], 0, 2)
+              + 300 * ((point == 2 * k - 1) + 2 * (point == 2 * k)))
+    tail = b"".join((b"" if e == -325 else b"e%+03d" % e).ljust(5, b"\0") + sep + b"\0\0"
+                    for e in range(-325, 309) for sep in (b",", b"\n"))
+    return (np.frombuffer(head, np.uint64), np.frombuffer(pair_text, np.uint32),
+            layout.T.astype(np.intp), np.frombuffer(tail, np.uint64))
 
 
 def write_series_csv(path: str, signal: UniformSignal) -> None:
@@ -372,7 +528,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="expansion term count")
     p.add_argument("--b", type=int, default=4, help="expansion block in samples")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help=f"grid points on [0, pi], 2 to {MAX_GRID} (default {DEFAULT_GRID})")
+                   help=f"grid points on [0, pi], 2 to {MAX_GRID} (default {DEFAULT_GRID}); "
+                        "2**m + 1 points are fastest")
     p.set_defaults(fn=_cmd_spectrum)
 
     return parser

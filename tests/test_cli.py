@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg, run_checks
-from macdkit import cli, identities
+from macdkit import cli, identities, macd_kernel, transfer_function
 from macdkit.cli import IngestError, ingest_csv, main, write_series_csv
 
 from . import oracles
@@ -346,6 +347,19 @@ def test_compute_avg_and_expansion_round_trip(tmp_path, random_csv):
     assert np.array_equal(ingest_csv(out).values, expected.values)
 
 
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_write_csv_blocks_give_the_same_bytes(tmp_path, monkeypatch, rng, block, rows):
+    columns = (1.7e9 + 0.25 * np.arange(rows), rng.standard_normal(rows))
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    cli._write_csv(str(whole), "time,value", columns)
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+    cli._write_csv(str(blocks), "time,value", columns)
+    assert blocks.read_bytes() == whole.read_bytes()
+    if rows:
+        assert np.array_equal(ingest_csv(str(blocks)).values, columns[1])
+
+
 def test_write_series_csv_blocks_round_trip(tmp_path, monkeypatch, rng):
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 3)
     sig = UniformSignal(1.7e9, 0.25, rng.standard_normal(10))
@@ -354,6 +368,83 @@ def test_write_series_csv_blocks_round_trip(tmp_path, monkeypatch, rng):
     back = ingest_csv(out)
     assert (back.t0, back.dt) == (sig.t0, sig.dt)
     assert np.array_equal(back.values, sig.values)
+
+
+def percent_g_csv(path, header, columns):
+    """The reference writer: one ``%.17g`` Python call per cell, through a text-mode file."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(row % cells for cells in zip(*(c.tolist() for c in columns))))
+
+
+def assert_writes_percent_g(directory, columns):
+    got, want = directory / "got.csv", directory / "want.csv"
+    cli._write_csv(str(got), "h", columns)
+    percent_g_csv(str(want), "h", columns)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def hard_floats():
+    """Values at the edges of the block formatter's cases, with their neighbours."""
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e290, 1e-270,
+             1e-5, 9.9999999999999991e-5, 1e16, 1e17, 99999999999999999.0,
+             *(float(f"1e{k}") for k in range(-20, 23))]
+    values = [v for edge in edges
+              for v in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))]
+    ties = [2.0**50 * k + frac for k in (1, 3, 7) for frac in (0.25, 0.75)]  # 17 digits and a 5
+    three_digit = [1.5e-100, 2.5e100, 1e-300, 1e300, 4.9406564584124654e-322]
+    epoch = [1.7e9 + k for k in range(5)] + [1_699_999_999.0, 86400.0 * 20000]
+    values += ties + three_digit + epoch + [math.inf, math.nan]
+    return np.array(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_write_csv_hard_cases_match_percent_g(tmp_path, width):
+    cells = hard_floats()
+    cells = cells[:cells.size - cells.size % width].reshape(-1, width)
+    assert_writes_percent_g(tmp_path, tuple(cells.T))
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+finite_floats = st.integers(0, 2**64 - 1).map(float_from_bits).filter(math.isfinite)
+
+
+@given(width=st.integers(1, 3), cells=st.lists(finite_floats, max_size=40))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_write_csv_matches_percent_g_on_raw_bit_patterns(width, cells, tmp_path_factory):
+    """Every exponent and subnormal: the bits are drawn, not the value."""
+    cells = np.array(cells[:len(cells) - len(cells) % width], dtype=np.float64)
+    assert_writes_percent_g(tmp_path_factory.mktemp("bits"), tuple(cells.reshape(-1, width).T))
+
+
+def test_ordinary_output_never_formats_one_value_at_a_time(tmp_path, monkeypatch, rng):
+    """An AR(1) series with epoch-second times, a 65,537-point spectrum, the powers of ten
+    and the floats just below them, where ``log10`` rounds up, take no ``_fmt`` call."""
+    values = np.empty(20000)
+    values[0] = 100.0
+    for i in range(1, values.size):  # AR(1) around 100
+        values[i] = 100.0 + 0.95 * (values[i - 1] - 100.0) + rng.standard_normal()
+    series = UniformSignal(1_700_000_000.0, 1.0, values)
+    resp = transfer_function(macd_kernel(256), 65537)
+    spectrum = (resp.frequencies, resp.magnitudes, resp.phases)
+    assert (spectrum[0] == 0).any() and (spectrum[2] == 0).any()
+    powers = np.array([float(f"1e{k}") for k in range(-20, 23)])
+    below = (np.concatenate([powers, np.nextafter(powers[:35], 0)]),)  # below 1e15 is a tie
+    want = tmp_path / "want"
+    want.mkdir()
+    percent_g_csv(str(want / "series.csv"), "time,value", (series.times(), series.values))
+    percent_g_csv(str(want / "spectrum.csv"), "omega,magnitude,phase", spectrum)
+    percent_g_csv(str(want / "below.csv"), "x", below)
+    monkeypatch.setattr(cli, "_fmt", lambda x: pytest.fail(f"{x!r} was formatted alone"))
+    write_series_csv(str(tmp_path / "series.csv"), series)
+    cli._write_csv(str(tmp_path / "spectrum.csv"), "omega,magnitude,phase", spectrum)
+    cli._write_csv(str(tmp_path / "below.csv"), "x", below)
+    for name in ("series.csv", "spectrum.csv", "below.csv"):
+        assert (tmp_path / name).read_bytes() == (want / name).read_bytes()
 
 
 def test_compute_macd_constant_is_zero(tmp_path, write):
