@@ -9,8 +9,8 @@ spectrum  write a kernel transfer function as omega,magnitude,phase CSV
 
 Exit codes: 0 success, 1 verification failure, 2 input or usage error.
 
-Input CSV is read once, in blocks of ``_READ_BLOCK`` lines, so ingest holds
-8 bytes per cell plus one block of text; ``ingest_csv`` gives the grammar.
+Input CSV is value-only or time,value, as its first data row has 1 or 2 columns.
+``ingest_csv`` gives the grammar, and reads the file once, ``_READ_BLOCK`` lines at a time.
 
 Output CSV is the text ``%.17g`` gives, so it re-ingests bit for bit.  numpy
 computes its digits ``_WRITE_BLOCK`` rows at a time (``_csv_text``); only a
@@ -43,8 +43,6 @@ EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 2048  # rows formatted and written per block
 _READ_BLOCK = 8192  # lines per np.loadtxt call
-# Input layouts and their column counts; "auto" takes the first data row's count.
-_SCHEMA_COLUMNS = {"auto": None, "value-only": 1, "time-value": 2}
 
 
 # The block formatter ``_csv_text``.  Its scaling is exact to the tie guard
@@ -76,11 +74,12 @@ def _floats(fields: list[str]) -> list[float] | None:
         return None
 
 
-def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
+def ingest_csv(path: str) -> UniformSignal:
     """Read a signal from CSV in value-only or time,value form.
 
     Empty and whitespace-only lines are blank and skipped.  The first other
-    line is a header when some field of it does not parse as a float.  Each
+    line is a header when some field of it does not parse as a float.  The
+    first data row's column count, 1 or 2, sets the layout.  Each
     data cell is a finite ASCII decimal float; Unicode whitespace around it,
     such as U+00A0 or U+3000, is stripped.  A cell holding ``_`` or any other
     non-ASCII character, such as ``1_000``, is rejected as unparseable with
@@ -98,8 +97,6 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
     parse stop in the same block, it comes first in file order.  Ingest
     holds 8 bytes per cell plus one block of text.
     """
-    if schema not in _SCHEMA_COLUMNS:
-        raise IngestError(f"unknown schema {schema!r}")
     parsed = array("d")
     stop = None
     try:
@@ -118,7 +115,7 @@ def ingest_csv(path: str, schema: str = "auto") -> UniformSignal:
             start, line = first
             if not _is_utf8(line):
                 raise IngestError(f"invalid UTF-8 at line {start}")
-            want = _SCHEMA_COLUMNS[schema] or len(_fields(line))
+            want = len(_fields(line))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
             last = np.empty((0, want))  # the row before this block, whose steps it checks
@@ -407,7 +404,7 @@ _KERNELS = {
 
 
 def _cmd_compute(args, out) -> int:
-    signal = ingest_csv(args.input, args.schema)
+    signal = ingest_csv(args.input)
     series, tag = _INDICATORS[args.indicator](signal, args)
     write_series_csv(args.output, series)
     print(_digest_line(signal), file=out)
@@ -416,7 +413,7 @@ def _cmd_compute(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    signal = ingest_csv(args.input, args.schema)
+    signal = ingest_csv(args.input)
     names = None
     if args.checks != "all":
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -439,7 +436,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    signal = ingest_csv(args.input, args.schema)
+    signal = ingest_csv(args.input)
     if args.index == "latest":
         index = len(signal) - 1
     else:
@@ -486,8 +483,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_io(p, output_required):
         p.add_argument("input", help="input CSV path")
-        p.add_argument("--schema", choices=_SCHEMA_COLUMNS,
-                       default="auto", help="input CSV layout (default: auto)")
         if output_required:
             p.add_argument("--output", "-o", required=True, help="output CSV path")
 
@@ -552,7 +547,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=out)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

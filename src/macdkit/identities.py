@@ -107,6 +107,13 @@ def default_tolerance(signal: UniformSignal) -> float:
     return 1e-9 * _max_abs(signal.values)
 
 
+def _tolerance(tol: float) -> float:
+    """``tol`` if it is finite and non-negative; a negative or NaN one would mislabel silently."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def _max_abs(vals: np.ndarray) -> float:
     """``max|vals|`` as ``max(|max vals|, |min vals|)``: two passes, no temporary array."""
     return float(max(abs(vals.max()), abs(vals.min())))
@@ -278,12 +285,13 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
 
     The margin is the ``a``-average minus the ``(a+b)``-average, both from
     the ``a + b`` samples that end at ``index``.  A positive margin beyond
-    ``tol`` means the recent block sits above the older history (locally
-    increasing); negative means decreasing; within tolerance the signal is
-    locally linear (a symmetric profile also lands here).
+    ``tol`` (finite, non-negative) means the recent block sits above the older
+    history (locally increasing); negative means decreasing; within tolerance
+    the signal is locally linear (a symmetric profile also lands here).
     """
     a = window_size(a)
     b = window_size(b)
+    tol = default_tolerance(signal) if tol is None else _tolerance(tol)
     total = a + b
     n = len(signal)
     if index < total - 1 or index >= n:
@@ -291,8 +299,6 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
             f"index {index} outside the valid range [{total - 1}, {n - 1}] "
             f"of the {total}-sample average"
         )
-    if tol is None:
-        tol = default_tolerance(signal)
     lo = index + 1 - total
     recent = signal.with_values(signal.values[lo : index + 1], t0=signal.t0 + lo * signal.dt)
     [diff] = _box_terms(recent, "the margin", [(1.0, a, 0), (-1.0, total, 0)])
@@ -352,8 +358,10 @@ def run_checks(signal: UniformSignal, names=None, *, window: int = 8, long_windo
                n: int = 4, b: int = 4, tol: float = 1e-12) -> list[CheckRecord]:
     """Run the :data:`CHECKS` keys in ``names`` (default: all), then return one record each.
 
-    An unknown name (``KeyError``) or a bad parameter (``ValueError``) raises.
+    An unknown name (``KeyError``) or a bad parameter (``ValueError``), such
+    as a negative or non-finite ``tol``, raises.
     """
+    tol = _tolerance(tol)
     records = []
     entries = [(name, CHECKS[name]) for name in (CHECKS if names is None else names)]
     for name, (params_of, gate, call) in entries:

@@ -21,7 +21,7 @@ path must agree with the direct operator evaluation on any signal.
 Descriptions are nested tuples:
 
     ("avg", k)            trailing box average over k samples
-    ("centered", k)       centered box average (k even)
+    ("centered", k)       centered box average (k even) on lags -k/2..k/2-1
     ("delay", L)          shift L samples into the past
     ("deriv", k)          lag-k difference quotient, scaled by 1/(k*dt)
     ("scale", alpha, d)   alpha times the kernel of d
@@ -47,9 +47,6 @@ __all__ = [
     "build_kernel",
     "apply_kernel",
     "box_kernel",
-    "centered_box_kernel",
-    "delay_kernel",
-    "derivative_kernel",
     "macd_kernel",
     "triangular_kernel",
     "smoothed_derivative_kernel",
@@ -106,25 +103,6 @@ class KernelRep:
 def box_kernel(k: int) -> KernelRep:
     """Trailing box average of ``k`` samples: weight ``1/k`` on lags 0..k-1."""
     return _kernel(("avg", k), f"avg k={k}")
-
-
-def centered_box_kernel(k: int) -> KernelRep:
-    """Centered box average of ``k`` samples (k even): lags -k/2..k/2-1.
-
-    Matches the shifted-trailing-average convention: the tap window around
-    index ``i`` covers samples ``i - k/2 + 1 .. i + k/2``.
-    """
-    return _kernel(("centered", k), f"centered k={k}")
-
-
-def delay_kernel(lag: int) -> KernelRep:
-    """Pure delay of ``lag`` samples."""
-    return _kernel(("delay", lag), f"delay {lag}")
-
-
-def derivative_kernel(k: int, dt: float = 1.0) -> KernelRep:
-    """Lag-``k`` difference quotient: ``(+1, -1) / (k*dt)`` on lags 0 and k, zeros between."""
-    return _kernel(("deriv", k), f"deriv k={k}", dt)
 
 
 def macd_kernel(k: int) -> KernelRep:

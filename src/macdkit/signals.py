@@ -3,8 +3,9 @@
 Every operator in this package consumes and produces :class:`UniformSignal`
 values.  Operators shrink the valid index range instead of padding, and the
 output carries an explicit ``t0`` so that the index-to-time mapping survives
-arbitrary composition: two signals derived from the same input can always be
-re-aligned by comparing start times.
+arbitrary composition: signals derived from one input re-align by start time,
+except at an epoch ``t0``: at ``1.7e9`` with ``dt = 1e-3``, six of the seven
+checks raise "signals are not grid-aligned" (ROADMAP item 2).
 
 The public constructor copies and validates its values, so a signal never
 shares a buffer its caller can still write.  Operators whose results are

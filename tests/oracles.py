@@ -101,7 +101,7 @@ def _csv_floats(fields):
         return None
 
 
-def naive_ingest(path, schema):
+def naive_ingest(path):
     """``(t0, dt, values)`` of a CSV read line by line, or ValueError at its first bad line.
 
     The CSV grammar and error texts of ``macdkit.cli.ingest_csv``, checked one
@@ -122,12 +122,9 @@ def naive_ingest(path, schema):
         if first is None:
             raise ValueError(f"empty file: {path} (header only)")
 
-    ncols = len(first[1])
-    if schema == "auto":
-        schema = {1: "value-only", 2: "time-value"}.get(ncols, "")
-        if not schema:
-            raise ValueError(f"expected 1 or 2 columns, found {ncols} at line {first[0]}")
-    want = 1 if schema == "value-only" else 2
+    want = len(first[1])
+    if want not in (1, 2):
+        raise ValueError(f"expected 1 or 2 columns, found {want} at line {first[0]}")
 
     values = []
     t0 = t_prev = 0.0

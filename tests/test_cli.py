@@ -1,11 +1,16 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import macdkit
 from macdkit import ExpansionSpec, UniformSignal, expansion_rhs, macd, right_avg, run_checks
 from macdkit import cli, identities, macd_kernel, transfer_function
 from macdkit.cli import IngestError, ingest_csv, main, write_series_csv
@@ -56,18 +61,18 @@ def test_ingest_time_value_with_header(write):
     assert sig.values.tolist() == [1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("text, schema, t0, dt, values", [
-    ("t,v\n10,1\n10.5,2\n11.0,3\n", "auto", 10.0, 0.5, [1.0, 2.0, 3.0]),
-    ("\n 1 \n\n2\n", "value-only", 0.0, 1.0, [1.0, 2.0]),
-    ("1.7e9,4\n", "time-value", 1.7e9, 1.0, [4.0]),
-    (" \t\nt,v\n  \n0,1\n\t\n1,2\n \n", "auto", 0.0, 1.0, [1.0, 2.0]),
-    ("1\n\u00a02\n3\u3000\n", "auto", 0.0, 1.0, [1.0, 2.0, 3.0]),
-    ("t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n", "auto", 0.0, 1.0, [1.0, 2.0, 3.0]),
+@pytest.mark.parametrize("text, t0, dt, values", [
+    ("t,v\n10,1\n10.5,2\n11.0,3\n", 10.0, 0.5, [1.0, 2.0, 3.0]),
+    ("\n 1 \n\n2\n", 0.0, 1.0, [1.0, 2.0]),
+    ("1.7e9,4\n", 1.7e9, 1.0, [4.0]),
+    (" \t\nt,v\n  \n0,1\n\t\n1,2\n \n", 0.0, 1.0, [1.0, 2.0]),
+    ("1\n\u00a02\n3\u3000\n", 0.0, 1.0, [1.0, 2.0, 3.0]),
+    ("t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n", 0.0, 1.0, [1.0, 2.0, 3.0]),
 ], ids=["header", "blank-lines", "one-row", "whitespace-only-lines", "unicode-padding",
         "unicode-padding-time-value"])
-def test_ingest_accepts_well_formed_input_without_the_locator(write, no_line_scan, text, schema,
-                                                              t0, dt, values):
-    sig = ingest_csv(write("ok.csv", text), schema)
+def test_ingest_accepts_well_formed_input_without_the_locator(write, no_line_scan, text, t0, dt,
+                                                              values):
+    sig = ingest_csv(write("ok.csv", text))
     assert (sig.t0, sig.dt, sig.values.tolist()) == (t0, dt, values)
 
 
@@ -116,7 +121,7 @@ def test_ingest_rejects_overflowing_time_step(write):
     # 1e308 - (-1e308) overflows to inf; both parsers must name the line.
     for text, lineno in (("-1e308,1\n1e308,2\n", 2), ("t,v\n-1e308,1\n1e308,2\n", 3)):
         path = write("overflow.csv", text)
-        for read in (ingest_csv, lambda p: oracles.naive_ingest(p, "auto")):
+        for read in (ingest_csv, oracles.naive_ingest):
             with pytest.raises(ValueError, match=f"^non-finite time step at line {lineno}$"):
                 read(path)
 
@@ -132,7 +137,7 @@ def test_ingest_column_mismatch(write):
     with pytest.raises(IngestError, match="expected 1 column"):
         ingest_csv(write("mix.csv", "1\n2,3\n"))
     with pytest.raises(IngestError, match="expected 2 column"):
-        ingest_csv(write("short.csv", "0,1\n2\n"), schema="time-value")
+        ingest_csv(write("short.csv", "0,1\n2\n"))
     with pytest.raises(IngestError, match="1 or 2 columns"):
         ingest_csv(write("wide.csv", "1,2,3\n4,5,6\n"))
 
@@ -142,12 +147,15 @@ def test_ingest_unparsable_row(write):
         ingest_csv(write("bad.csv", "1\n2\noops\n"))
 
 
-def test_ingest_schema_override(write):
-    path = write("tv2.csv", "0,5\n1,6\n2,7\n")
-    sig = ingest_csv(path, schema="time-value")
-    assert sig.values.tolist() == [5.0, 6.0, 7.0]
-    with pytest.raises(IngestError, match="unknown schema"):
-        ingest_csv(path, schema="columns")
+def test_ingest_first_row_sets_the_layout(write):
+    # Two columns read as time,value and one as values at dt = 1; a later
+    # row of the other width is a column-count error at its line.
+    sig = ingest_csv(write("tv2.csv", "0,5\n1,6\n2,7\n"))
+    assert (sig.t0, sig.dt, sig.values.tolist()) == (0.0, 1.0, [5.0, 6.0, 7.0])
+    sig = ingest_csv(write("v2.csv", "5\n6\n7\n"))
+    assert (sig.t0, sig.dt, sig.values.tolist()) == (0.0, 1.0, [5.0, 6.0, 7.0])
+    with pytest.raises(IngestError, match="^expected 1 column\\(s\\) at line 3, found 2$"):
+        ingest_csv(write("v2tv.csv", "v\n5\n6,7\n"))
 
 
 def test_ingest_invalid_utf8_reports_line_number(tmp_path):
@@ -178,16 +186,16 @@ def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch
         path = write("blocks.csv", text)
         with pytest.raises(IngestError) as err:
             ingest_csv(path)
-        assert outcome(lambda: oracles.naive_ingest(path, "auto")) == str(err.value), text
+        assert outcome(lambda: oracles.naive_ingest(path)) == str(err.value), text
     # Accepted files whose blank lines fill whole blocks: such a block must not
     # reach np.loadtxt, which warns on input with no data.
     accepted = ["1\n2\n\n \n\t\n\n3\n4\n", "t,v\n\n\n\n\n0,1\n1,2\n2,3\n",
                 "0,1\n1,2\n2,3\n\n\n \n\n", "\n\n\n\nt,v\n\n\n\n0,1\n\n\n\n1,2\n\n\n\n"]
     for text in accepted:
         path = write("blocks.csv", text)
-        expected = outcome(lambda: oracles.naive_ingest(path, "auto"))
+        expected = outcome(lambda: oracles.naive_ingest(path))
         assert not isinstance(expected, str), text
-        assert outcome(lambda: read_ingest(path, "auto")) == expected, text
+        assert outcome(lambda: read_ingest(path)) == expected, text
 
 
 @pytest.mark.parametrize("last, error, scans", [
@@ -250,7 +258,7 @@ ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "\u0661", "", "x", "0x
 
 @st.composite
 def csv_cases(draw):
-    """CSV text near the accept/reject boundary, and a schema to read it with."""
+    """CSV text near the accept/reject boundary."""
     n = draw(st.integers(min_value=0, max_value=6))
     ncols = draw(st.sampled_from([1, 2, 2, 3]))
     t0 = draw(st.sampled_from([0.0, -2.5, 1.7e9, 1.7e9 + 0.125]))
@@ -281,8 +289,7 @@ def csv_cases(draw):
     header = draw(st.sampled_from([None, None, "time,value", "t", "v,w,x", "1,2"]))
     if header is not None:
         rows.insert(draw(st.integers(0, min(1, len(rows)))), header)
-    text = "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
-    return text, draw(st.sampled_from(["auto", "auto", "value-only", "time-value"]))
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n"]))
 
 
 def outcome(read):
@@ -294,29 +301,28 @@ def outcome(read):
     return [float(v).hex() for v in (t0, dt, *values)]
 
 
-def read_ingest(path, schema):
-    sig = ingest_csv(path, schema)
+def read_ingest(path):
+    sig = ingest_csv(path)
     return sig.t0, sig.dt, sig.values
 
 
-@given(case=csv_cases())
-@example(case=("-1e308,1\n1e308,2\n", "auto"))  # the step overflows to inf
-@example(case=("-1e308,1\n1e308,2\n1.7e308,3\n", "auto"))
-@example(case=("1\n\u00a02\n3\u3000\n", "auto"))  # Unicode whitespace is stripped
-@example(case=("t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n", "auto"))
+@given(text=csv_cases())
+@example(text="-1e308,1\n1e308,2\n")  # the step overflows to inf
+@example(text="-1e308,1\n1e308,2\n1.7e308,3\n")
+@example(text="1\n\u00a02\n3\u3000\n")  # Unicode whitespace is stripped
+@example(text="t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n")
 @settings(max_examples=400, deadline=None)
-def test_ingest_matches_line_scanner(case, tmp_path_factory):
-    text, schema = case
+def test_ingest_matches_line_scanner(text, tmp_path_factory):
     path = tmp_path_factory.mktemp("parity") / "in.csv"
     path.write_text(text, encoding="utf-8")
     path = str(path)
-    expected = outcome(lambda: oracles.naive_ingest(path, schema))
-    assert outcome(lambda: read_ingest(path, schema)) == expected
+    expected = outcome(lambda: oracles.naive_ingest(path))
+    assert outcome(lambda: read_ingest(path)) == expected
     if not isinstance(expected, str):
         # An accepted file never reaches the line scanner.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_scan_lines", lambda *args, **kwargs: pytest.fail(text))
-            assert outcome(lambda: read_ingest(path, schema)) == expected
+            assert outcome(lambda: read_ingest(path)) == expected
 
 
 # --- compute -----------------------------------------------------------------------
@@ -611,6 +617,20 @@ def test_classify_ramp_up_down_flat(write, capsys):
     assert "label=linear" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_and_classify_reject_a_bad_tolerance(write, capsys, tol):
+    path = write("sig.csv", "".join(f"{math.sin(i / 7)!r}\n" for i in range(40)))
+    want = f"error: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+    for argv in (["classify", path, f"--tol={tol}"],
+                 ["verify", path, "--checks", "macd_derivative", f"--tol={tol}"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == want
+        assert "label=" not in captured.out and "check " not in captured.out
+    assert main(["classify", path, "--tol", "0"]) == 0
+    assert main(["verify", path, "--checks", "lp_bound", "--tol", "0"]) == 0
+
+
 def test_classify_explicit_index_and_range_error(write, capsys):
     path = write("sig.csv", "".join(f"{v}\n" for v in range(30)))
     assert main(["classify", path, "--index", "10", "-k", "2", "--b", "2"]) == 0
@@ -694,3 +714,31 @@ def test_usage_error_exit_code():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, write, capsys):
+    # The package's module entry point, in a fresh interpreter, writes the
+    # bytes the in-process main writes and prints the same lines.
+    path = write("epoch.csv", "time,value\n" + "".join(
+        f"{1.7e9 + i!r},{math.sin(i / 5)!r}\n" for i in range(64)))
+    src = str(Path(macdkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "macdkit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def lines(out):
+        return [line for line in out.splitlines() if not line.startswith("wall_time_s:")]
+
+    inline, spawned = str(tmp_path / "inline.csv"), str(tmp_path / "spawned.csv")
+    argv = ["compute", "macd", path, "-k", "4", "-o"]
+    done = run(*argv, spawned)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main([*argv, inline]) == 0
+    assert lines(capsys.readouterr().out) == lines(done.stdout.replace(spawned, inline))
+    assert Path(spawned).read_bytes() == Path(inline).read_bytes()
+    done = run("verify", path, "--schema", "auto")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --schema auto" in done.stderr

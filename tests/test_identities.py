@@ -254,12 +254,15 @@ def test_monotonicity_on_strict_ramp():
     assert result.first_violation is None
     assert result.hypothesis_count == result.scanned  # increasing: always fires
     assert result.equality_passed
+    assert result.equality_count == 0  # the two averages stay (b - a) / 2 apart
 
 
 def test_monotonicity_vacuous_on_constant():
     result = check_window_monotonicity(constant(100), 3, 8)
     assert result.passed
     assert result.hypothesis_count == 0
+    assert result.equality_count == result.scanned  # every index is a tie
+    assert result.equality_passed
 
 
 def test_monotonicity_random_batch(rng):
@@ -326,6 +329,24 @@ def test_classify_trend_index_bounds():
 def test_default_tolerance_tracks_magnitude():
     sig = UniformSignal(0.0, 1.0, np.array([0.5, -4.0, 1.0]))
     assert default_tolerance(sig) == pytest.approx(4e-9)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
+    # A negative tolerance labelled every margin above it "increasing", and
+    # NaN labelled every margin "linear" and failed every gate.
+    sig = ramp(40)
+    want = f"tolerance must be finite and non-negative, got {tol!r}"
+    for call in (lambda: classify_trend(sig, 39, 8, 4, tol=tol),
+                 lambda: run_checks(sig, ["macd_derivative"], tol=tol),
+                 lambda: run_checks(sig, ["lp_bound"], tol=tol)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == want
+    # Zero is a tolerance: only an exact margin is linear, only a zero residual passes.
+    assert classify_trend(sig, 39, 8, 4, tol=0.0).label == "increasing"
+    assert classify_trend(constant(40), 39, 8, 4, tol=0.0).label == "linear"
+    assert run_checks(constant(40), ["macd_derivative"], tol=0.0)[0].passed
 
 
 def test_identity_battery_with_non_representable_spacing(rng):

@@ -12,10 +12,7 @@ from macdkit import (
     box_kernel,
     build_kernel,
     centered_avg,
-    centered_box_kernel,
     delay,
-    delay_kernel,
-    derivative_kernel,
     double_right_avg,
     expansion_kernel,
     macd,
@@ -140,9 +137,9 @@ def _difference_taps(a, b):
 # every constructor, and user kernels with gaps, future taps or both.
 KERNEL_TAPS = {
     "box": (lambda: box_kernel(5), _box_taps(5)),
-    "centered": (lambda: centered_box_kernel(6), _box_taps(6, first=-3)),
-    "delay": (lambda: delay_kernel(4), [(4, 1.0)]),
-    "deriv": (lambda: derivative_kernel(3, 0.5), [(0, 1 / 1.5), (3, -1 / 1.5)]),
+    "centered": (lambda: build_kernel(("centered", 6)), _box_taps(6, first=-3)),
+    "delay": (lambda: build_kernel(("delay", 4)), [(4, 1.0)]),
+    "deriv": (lambda: build_kernel(("deriv", 3), 0.5), [(0, 1 / 1.5), (3, -1 / 1.5)]),
     "macd": (lambda: macd_kernel(7), _difference_taps(7, 14)),
     "triangle": (lambda: triangular_kernel(4), list(enumerate(naive_box_self_convolution(4)))),
     "smoothed-deriv": (lambda: smoothed_derivative_kernel(5), _difference_taps(5, 10)),
@@ -182,16 +179,18 @@ def test_every_kernel_matches_the_naive_oracles(name, random_signal):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 64])
 def test_one_format_per_kernel(k):
-    # A constructor, its description and a rebuild of it give the same kernel.
+    # A constructor, or for a stage with none its closed-form taps, its
+    # description and a rebuild of either give the same kernel.
+    q = 1 / (k * 0.25)
     pairs = [
-        (derivative_kernel(k, 0.25), build_kernel(("deriv", k), 0.25)),
+        (KernelRep((0, k), [q, -q]), build_kernel(("deriv", k), 0.25)),
         (box_kernel(k), build_kernel(("avg", k))),
-        (centered_box_kernel(2 * k), build_kernel(("centered", 2 * k))),
-        (delay_kernel(k), build_kernel(("delay", k))),
+        (KernelRep(range(-k, k), np.full(2 * k, 1 / (2 * k))), build_kernel(("centered", 2 * k))),
+        (KernelRep((k,), [1.0]), build_kernel(("delay", k))),
         (macd_kernel(k), build_kernel(("diff", ("avg", k), ("avg", 2 * k)))),
     ]
     for kern, described in pairs:
-        for other in (described, build_kernel(kern)):
+        for other in (described, build_kernel(kern), build_kernel(described)):
             assert other.first == kern.first, kern.scale_note
             assert other.weights.tobytes() == kern.weights.tobytes(), kern.scale_note
         assert build_kernel(kern).scale_note == kern.scale_note
@@ -267,15 +266,15 @@ def test_expansion_kernel_equals_nested_difference_kernel():
 
 
 def test_centered_kernel_has_future_taps():
-    kern = centered_box_kernel(4)
+    kern = build_kernel(("centered", 4))
     assert kern.offsets == (-2, -1, 0, 1)
     with pytest.raises(ValueError, match="even"):
-        centered_box_kernel(3)
+        build_kernel(("centered", 3))
 
 
 def test_delay_and_derivative_kernels():
-    assert delay_kernel(3).offsets == (3,)
-    d = derivative_kernel(4, 0.5)
+    assert build_kernel(("delay", 3)).offsets == (3,)
+    d = build_kernel(("deriv", 4), 0.5)
     assert d.offsets == (0, 1, 2, 3, 4)
     assert d.weights.tolist() == [0.5, 0.0, 0.0, 0.0, -0.5]
 
@@ -300,7 +299,7 @@ def test_kernels_overflow_like_the_operators():
     huge = UniformSignal(0.0, 1.0, [1.7e308] * 4)
     pairs = [
         (box_kernel(2), lambda s: right_avg(s, 2)),
-        (centered_box_kernel(2), lambda s: centered_avg(s, 2)),
+        (build_kernel(("centered", 2)), lambda s: centered_avg(s, 2)),
         (macd_kernel(2), lambda s: macd(s, 2)),
         (triangular_kernel(2), lambda s: double_right_avg(s, 2)),
     ]
@@ -312,7 +311,7 @@ def test_kernels_overflow_like_the_operators():
     # A difference quotient's taps sum no window: kernel and operator both
     # report the sample whose quotient overflows.
     steep = UniformSignal(0.0, 1e-300, [0.0, 1e10, 0.0, 1e10])
-    for call in (lambda: apply_kernel(derivative_kernel(1, 1e-300), steep),
+    for call in (lambda: apply_kernel(build_kernel(("deriv", 1), 1e-300), steep),
                  lambda: windowed_derivative(steep, 1)):
         with pytest.raises(ValueError, match="^non-finite value at sample 0$"):
             call()
@@ -354,9 +353,9 @@ def real_convolve(monkeypatch):
 
 NAMED = {
     "box": box_kernel,
-    "centered": lambda k: centered_box_kernel(2 * k),
-    "delay": delay_kernel,
-    "deriv": lambda k: derivative_kernel(k, 0.5),
+    "centered": lambda k: build_kernel(("centered", 2 * k)),
+    "delay": lambda k: build_kernel(("delay", k)),
+    "deriv": lambda k: build_kernel(("deriv", k), 0.5),
     "macd": macd_kernel,
     "smoothed-deriv": smoothed_derivative_kernel,
     "expansion": lambda k: expansion_kernel(3, k),

@@ -13,9 +13,8 @@ PACKAGE_NAMES = {
     "UniformSignal", "InsufficientSamplesError", "aligned_values", "sample_offset",
     "right_avg", "centered_avg", "double_right_avg", "macd", "delay", "windowed_derivative",
     "sliding_sums",
-    "KernelRep", "build_kernel", "apply_kernel", "box_kernel", "centered_box_kernel",
-    "delay_kernel", "derivative_kernel", "macd_kernel", "triangular_kernel",
-    "smoothed_derivative_kernel", "expansion_kernel",
+    "KernelRep", "build_kernel", "apply_kernel", "box_kernel", "macd_kernel",
+    "triangular_kernel", "smoothed_derivative_kernel", "expansion_kernel",
     "CHECKS", "CheckRecord", "run_checks", "ResidualReport", "ExpansionSpec", "TrendLabel",
     "MonotonicityResult", "check_recursive_decomposition", "check_difference_identity",
     "check_macd_derivative", "check_phase_corrected_form", "check_recursive_expansion",

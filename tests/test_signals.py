@@ -12,7 +12,6 @@ from macdkit import (
     box_kernel,
     build_kernel,
     centered_avg,
-    centered_box_kernel,
     check_difference_identity,
     check_lp_bound,
     check_macd_derivative,
@@ -21,8 +20,6 @@ from macdkit import (
     check_window_monotonicity,
     classify_trend,
     delay,
-    delay_kernel,
-    derivative_kernel,
     expansion_rhs,
     double_right_avg,
     expansion_kernel,
@@ -103,8 +100,8 @@ def test_bad_window_same_error_in_every_layer(bad):
         "check_window_monotonicity": lambda k: check_window_monotonicity(sig, k, 8),
         "classify_trend": lambda k: classify_trend(sig, 63, k, 4),
         "box_kernel": box_kernel,
-        "centered_box_kernel": centered_box_kernel,
-        "derivative_kernel": derivative_kernel,
+        "build_kernel centered": lambda k: build_kernel(("centered", k)),
+        "build_kernel deriv": lambda k: build_kernel(("deriv", k)),
         "macd_kernel": macd_kernel,
         "triangular_kernel": triangular_kernel,
         "smoothed_derivative_kernel": smoothed_derivative_kernel,
@@ -122,7 +119,7 @@ def test_bad_window_same_error_in_every_layer(bad):
 def test_odd_centered_window_same_error_in_every_layer():
     sig = UniformSignal(0.0, 1.0, np.arange(64.0))
     for call in (lambda: centered_avg(sig, 7), lambda: check_phase_corrected_form(sig, 7),
-                 lambda: centered_box_kernel(7)):
+                 lambda: build_kernel(("centered", 7))):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == "centered window must have an even sample count, got 7"
@@ -154,7 +151,6 @@ def test_bad_lag_same_error_in_every_layer(bad):
     sig = UniformSignal(0.0, 1.0, np.arange(64.0))
     layers = {
         "delay": lambda lag: delay(sig, lag),
-        "delay_kernel": delay_kernel,
         "build_kernel": lambda lag: build_kernel(("delay", lag)),
     }
     want = f"lag needs a non-negative integer sample count, got {bad!r}"

@@ -138,6 +138,18 @@ def test_bandpass_fails_for_high_pass_kernel():
     assert any("attenuation" in f for f in verdict.failures)
 
 
+def test_bandpass_fails_for_a_kernel_that_leaks_dc():
+    # One weight of the k = 8 trend kernel nudged by 1e-9: |H(0)| is that
+    # nudge, below the averaging-kernel cut of 1e-3 but above the 1e-12 gate.
+    kern = macd_kernel(8)
+    weights = kern.weights.copy()
+    weights[0] += 1e-9
+    verdict = bandpass_check(transfer_function(KernelRep(kern.offsets, weights), 4096))
+    assert verdict.dc_magnitude == pytest.approx(1e-9, rel=1e-6)
+    assert not verdict.passed
+    assert verdict.failures == ("|H(0)| = 1e-09 exceeds 1e-12",)
+
+
 def test_expansion_spectrum_matches_difference_spectrum():
     omega = None
     for n, k in [(1, 8), (3, 4), (5, 2)]:
