@@ -79,7 +79,7 @@ class ResidualReport:
     insufficient: bool = False
 
     def passes(self, rel_tol: float = 1e-12) -> bool:
-        return not self.insufficient and self.max_rel_residual <= rel_tol
+        return not self.insufficient and self.max_rel_residual <= _tolerance(rel_tol)
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,8 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
             f"of the {total}-sample average"
         )
     lo = index + 1 - total
-    recent = signal.with_values(signal.values[lo : index + 1], t0=signal.t0 + lo * signal.dt)
+    recent = UniformSignal._wrap(signal.t0 + lo * signal.dt, signal.dt,
+                                 signal.values[lo : index + 1])
     [diff] = _box_terms(recent, "the margin", [(1.0, a, 0), (-1.0, total, 0)])
     margin = float(diff.values[0])
     label = "increasing" if margin > tol else "decreasing" if margin < -tol else "linear"

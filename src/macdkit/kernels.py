@@ -92,13 +92,6 @@ class KernelRep:
         """Every lag the kernel spans, ``first`` to ``first + len(weights) - 1``."""
         return tuple(range(self.first, self.first + self.weights.size))
 
-    @property
-    def weight_sum(self) -> float:
-        return float(self.weights.sum())
-
-    def is_difference(self) -> bool:
-        return abs(self.weight_sum) <= 1e-14
-
 
 def box_kernel(k: int) -> KernelRep:
     """Trailing box average of ``k`` samples: weight ``1/k`` on lags 0..k-1."""
@@ -273,4 +266,5 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
             w, _dense(("compose", ("avg", m), ("avg", m)), 1.0)[1]):
         return UniformSignal._wrap(t0, signal.dt, double_right_avg(signal, m).values)
     taps = np.pad(w, (first - ahead, lo - last))
-    return UniformSignal(t0, signal.dt, np.convolve(signal.values, taps, mode="valid"))
+    return UniformSignal._wrap(t0, signal.dt, np.convolve(signal.values, taps, mode="valid"),
+                               checked=True)

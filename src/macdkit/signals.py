@@ -8,13 +8,15 @@ except at an epoch ``t0``: at ``1.7e9`` with ``dt = 1e-3``, six of the seven
 checks raise "signals are not grid-aligned" (ROADMAP item 2).
 
 The public constructor copies and validates its values, so a signal never
-shares a buffer its caller can still write.  Operators whose results are
-fresh float64 arrays, finite by construction (a window sum that would
-overflow raises first), wrap them with the private no-copy
-``UniformSignal._wrap`` instead; a derived signal may then share a
-read-only buffer with another, as a centered average does with the
-trailing one and a delay with its input.  A result that can overflow, such
-as a difference quotient, is wrapped only once it is found finite.
+shares a buffer its caller can still write.  Every signal the library
+derives goes through the private no-copy ``UniformSignal._wrap`` instead:
+operator results, kernel applies and the classifier's ``a + b`` window.
+Their values are samples already checked, or fresh float64 arrays finite by
+construction (a window sum that would overflow raises first), so a derived
+signal may share a read-only buffer with another, as a centered average
+does with the trailing one and a delay with its input.  A result that can
+overflow, such as a difference quotient or a convolution, is wrapped
+``checked``: the constructor names its first non-finite sample.
 
 Because a signal's values never change, each signal also keeps the window
 sums the operators took of it.  That memo is the only way window sums are
@@ -96,11 +98,12 @@ class UniformSignal:
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite value at sample {bad}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_sums", {})
+        self._set(self.t0, self.dt, vals)
+
+    def _set(self, t0: float, dt: float, values: np.ndarray) -> None:
+        """Set every field and an empty window-sum memo; ``values`` turns read-only."""
+        values.flags.writeable = False
+        vars(self).update(t0=float(t0), dt=float(dt), values=values, _sums={})
 
     @classmethod
     def _wrap(cls, t0: float, dt: float, values: np.ndarray, checked=False) -> "UniformSignal":
@@ -114,11 +117,7 @@ class UniformSignal:
         if checked and not np.isfinite(values).all():
             return cls(t0, dt, values)
         sig = object.__new__(cls)
-        values.flags.writeable = False
-        object.__setattr__(sig, "t0", float(t0))
-        object.__setattr__(sig, "dt", float(dt))
-        object.__setattr__(sig, "values", values)
-        object.__setattr__(sig, "_sums", {})
+        sig._set(t0, dt, values)
         return sig
 
     def __len__(self) -> int:

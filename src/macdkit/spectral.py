@@ -100,9 +100,9 @@ def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> Frequ
 def bandpass_check(resp: FrequencyResponse) -> BandpassVerdict:
     """Verify DC rejection to 1e-12, an interior response peak and Nyquist attenuation.
 
-    Rejects responses of averaging kernels outright: a kernel whose response
-    does not vanish at frequency zero is not a difference kernel and has no
-    band to pass.
+    Rejects responses of averaging kernels outright, raising
+    :class:`NotDifferenceKernelError`: a kernel whose |H(0)| exceeds 1e-3 is
+    not a difference kernel and has no band to pass.
     """
     mag = resp.magnitudes
     dc = float(mag[0])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count, window_size
+from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count
 
 __all__ = ["MacdStream", "ExpansionStream"]
 
@@ -146,4 +146,4 @@ class MacdStream(ExpansionStream):
     """
 
     def __init__(self, window: int, resum_interval: int = RESUM_INTERVAL):
-        super().__init__(ExpansionSpec(1, window_size(window)), resum_interval)
+        super().__init__(ExpansionSpec(1, window), resum_interval)

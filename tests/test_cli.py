@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import struct
@@ -673,11 +674,13 @@ def test_spectrum_bandpass_failure_exits_one_and_still_writes(tmp_path, capsys):
 
 
 def test_spectrum_avg_dc_gain_one(tmp_path, capsys):
-    out = str(tmp_path / "avg.csv")
-    assert main(["spectrum", "avg", "-k", "4", "--grid", "128", "-o", out]) == 0
-    data = read_spectrum(out)
-    assert data[0, 1] == pytest.approx(1.0, abs=1e-14)
-    assert "bandpass" not in capsys.readouterr().out  # averaging kernel: no verdict
+    # bandpass_check rejects every averaging kernel, so none gets a verdict.
+    for kernel in ("avg", "triangle"):
+        out = str(tmp_path / f"{kernel}.csv")
+        assert main(["spectrum", kernel, "-k", "4", "--grid", "128", "-o", out]) == 0
+        data = read_spectrum(out)
+        assert data[0, 1] == pytest.approx(1.0, abs=1e-14)
+        assert "bandpass" not in capsys.readouterr().out, kernel
 
 
 def test_spectrum_expansion_matches_macd(tmp_path):
@@ -714,6 +717,51 @@ def test_usage_error_exit_code():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# Each subcommand's options as (flags, type, default, help), by dest.  The
+# positionals are pinned in the order they parse.
+_WINDOW = (("--window", "-k"), int, 8, "window in samples")
+_SHORT = (("--window", "-k"), int, 8, "short window in samples")
+_N = (("--n",), int, 4, "expansion term count")
+_B = (("--b",), int, 4, "expansion block in samples")
+_OUTPUT = (("--output", "-o"), None, None, "output CSV path")
+_OPTIONS = {
+    "compute": (["indicator", "input"],
+                {"output": _OUTPUT, "window": _WINDOW, "n": _N, "b": _B}),
+    "verify": (["input"], {
+        "checks": (("--checks",), None, "all", "comma list from {recursive_decomposition,"
+                   "difference_identity,macd_derivative,phase_corrected_form,"
+                   "recursive_expansion,lp_bound,monotonicity} or 'all'"),
+        "window": _SHORT,
+        "long_window": (("--long-window",), int, 12, "second window (t2 / b) in samples"),
+        "n": _N, "b": _B,
+        "tol": (("--tol",), float, 1e-12, "relative residual gate (default 1e-12)")}),
+    "classify": (["input"], {
+        "index": (("--index",), None, "latest", "sample index or 'latest'"),
+        "window": _SHORT,
+        "b": (("--b",), int, 4, "history extension in samples"),
+        "tol": (("--tol",), float, None, "linear-band tolerance (default: 1e-9 * max|signal|)")}),
+    "spectrum": (["kernel"], {
+        "output": _OUTPUT, "window": _WINDOW, "n": _N, "b": _B,
+        "grid": (("--grid",), int, 4096, "grid points on [0, pi], 2 to 4194305 (default 4096); "
+                 "2**m + 1 points are fastest")}),
+}
+
+
+def test_every_subcommand_option_is_pinned():
+    (commands,) = [a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(_OPTIONS)
+    for name, (positionals, options) in _OPTIONS.items():
+        actions = [a for a in commands.choices[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert [a.dest for a in actions if not a.option_strings] == positionals, name
+        found = {a.dest: (tuple(a.option_strings), a.type, a.default, a.help)
+                 for a in actions if a.option_strings}
+        assert found == options, name
+        required = {a.dest for a in actions if a.required}
+        assert required == set(positionals) | ({"output"} & set(options)), name
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, write, capsys):

@@ -334,12 +334,16 @@ def test_default_tolerance_tracks_magnitude():
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     # A negative tolerance labelled every margin above it "increasing", and
-    # NaN labelled every margin "linear" and failed every gate.
+    # NaN labelled every margin "linear" and failed every gate.  A report's
+    # own passes() "failed" a zero residual at such a gate with no error.
     sig = ramp(40)
     want = f"tolerance must be finite and non-negative, got {tol!r}"
+    report = check_macd_derivative(constant(40), 4)
+    assert report.max_rel_residual == 0.0
     for call in (lambda: classify_trend(sig, 39, 8, 4, tol=tol),
                  lambda: run_checks(sig, ["macd_derivative"], tol=tol),
-                 lambda: run_checks(sig, ["lp_bound"], tol=tol)):
+                 lambda: run_checks(sig, ["lp_bound"], tol=tol),
+                 lambda: report.passes(tol)):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == want
@@ -347,6 +351,7 @@ def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     assert classify_trend(sig, 39, 8, 4, tol=0.0).label == "increasing"
     assert classify_trend(constant(40), 39, 8, 4, tol=0.0).label == "linear"
     assert run_checks(constant(40), ["macd_derivative"], tol=0.0)[0].passed
+    assert report.passes(0.0)
 
 
 def test_identity_battery_with_non_representable_spacing(rng):

@@ -51,7 +51,7 @@ def test_box_kernel_example():
     kern = box_kernel(2)
     assert kern.offsets == (0, 1)
     assert kern.weights.tolist() == [0.5, 0.5]
-    assert abs(kern.weight_sum - 1.0) <= 1e-14
+    assert abs(float(kern.weights.sum()) - 1.0) <= 1e-14
 
 
 def test_macd_kernel_layout_and_zero_sum():
@@ -61,8 +61,7 @@ def test_macd_kernel_layout_and_zero_sum():
         q = 1.0 / (2 * k)
         assert np.all(kern.weights[:k] == q)
         assert np.all(kern.weights[k:] == -q)
-        assert abs(kern.weight_sum) <= 1e-14
-        assert kern.is_difference()
+        assert abs(float(kern.weights.sum())) <= 1e-14
         assert np.abs(kern.weights).sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -72,7 +71,7 @@ def test_triangular_kernel_matches_self_convolution_oracle():
         expected = naive_box_self_convolution(k)
         assert kern.offsets == tuple(range(2 * k - 1))
         np.testing.assert_allclose(kern.weights, expected, rtol=0, atol=1e-16)
-        assert abs(kern.weight_sum - 1.0) <= 1e-14
+        assert abs(float(kern.weights.sum()) - 1.0) <= 1e-14
     assert triangular_kernel(2).weights.tolist() == [0.25, 0.5, 0.25]
 
 
@@ -84,7 +83,7 @@ def test_averaging_compositions_have_unit_weight_sum():
         ("compose", ("avg", 4), ("delay", 9), ("centered", 2)),
     ]
     for desc in descriptions:
-        assert abs(build_kernel(desc).weight_sum - 1.0) <= 1e-14
+        assert abs(float(build_kernel(desc).weights.sum()) - 1.0) <= 1e-14
 
 
 def test_difference_compositions_have_zero_weight_sum():
@@ -94,7 +93,7 @@ def test_difference_compositions_have_zero_weight_sum():
         ("compose", ("deriv", 4), ("avg", 4)),
     ]
     for desc in descriptions:
-        assert abs(build_kernel(desc).weight_sum) <= 1e-14
+        assert abs(float(build_kernel(desc).weights.sum())) <= 1e-14
 
 
 def test_build_kernel_rejects_bad_descriptions():

@@ -275,3 +275,9 @@ def test_aligned_values_empty_overlap():
     b = UniformSignal(10.0, 1.0, np.arange(3.0))
     with pytest.raises(ValueError, match="overlap"):
         aligned_values(a, b)
+
+
+def test_aligned_values_needs_a_signal():
+    with pytest.raises(ValueError) as err:
+        aligned_values()
+    assert str(err.value) == "need at least one signal"

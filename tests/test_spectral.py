@@ -182,7 +182,10 @@ def test_response_bounded_by_total_absolute_weight(rng):
 
 
 def test_frequency_response_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        from macdkit import FrequencyResponse
+    from macdkit import FrequencyResponse
 
+    with pytest.raises(ValueError, match="strictly increasing"):
         FrequencyResponse(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError) as err:
+        FrequencyResponse(np.array([0.0, 1.0]), np.array([1.0, -1e-300]), np.zeros(2))
+    assert str(err.value) == "magnitudes must be non-negative"
