@@ -10,8 +10,14 @@ Every side of a check is built by the public operators it names
 (``macd``, ``centered_avg``, ``delay``, ``smoothed_derivative`` and the
 like), so a broken operator fails its check.  Those operators keep each
 window sum on their input (see :mod:`~macdkit.operators`), so the checks
-and operators run on one signal take each ``S_k`` once; the block-average
-sides of the other identities come from one ``operators._box_terms`` pass.
+and operators run on one signal take each ``S_k`` once; each block-average
+side of the other identities is one ``operators._box_terms`` call, which
+reads the same kept sums.
+
+The identities are statements about samples, in which the spacing cancels:
+rates are per sample and norms are sums over samples.  So ``dt`` enters
+only the start times that align the two sides, and every residual is the
+one the same samples give at ``dt = 1``.
 
 The relative residual is taken against ``max |lhs|`` over the common range
 (0/0 counts as zero) so that signals of wildly different magnitude can share
@@ -145,8 +151,8 @@ def check_recursive_decomposition(signal: UniformSignal, t1: int, t2: int) -> Re
     t1 = window_size(t1)
     t2 = window_size(t2)
     total = t1 + t2
-    [rhs] = _box_terms(signal, "the decomposition check",
-                       [(t1 / total, t1, 0), (t2 / total, t2, t1)])
+    rhs = _box_terms(signal, "the decomposition check",
+                     [(t1 / total, t1, 0), (t2 / total, t2, t1)])
     return _report("recursive_decomposition", right_avg(signal, total), rhs, signal)
 
 
@@ -155,25 +161,31 @@ def check_difference_identity(signal: UniformSignal, a: int, b: int) -> Residual
     a = window_size(a)
     b = window_size(b)
     factor = b / (a + b)
-    lhs, rhs = _box_terms(signal, "the difference-identity check",
-                          [(1.0, a, 0), (-1.0, a + b, 0)], [(factor, a, 0), (-factor, b, a)])
+    # Both sides span a + b samples, so they start at the same sample.
+    lhs = _box_terms(signal, "the difference-identity check", [(1.0, a, 0), (-1.0, a + b, 0)])
+    rhs = _box_terms(signal, "the difference-identity check", [(factor, a, 0), (-factor, b, a)])
     return _report("difference_identity", lhs, rhs, signal)
 
 
 def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
-    """Half-window-scaled exact rate of change of the double average.
+    """Half-window-scaled exact rate of change of the double average, per sample.
 
-    Computed as the lag-``k`` difference quotient of the single trailing
-    average times ``a/2``; differentiating the outer average of the double
-    average leaves exactly this expression.
+    Computed as the lag-``a`` difference quotient, per sample, of the single
+    ``a``-sample trailing average, times ``a/2``; differentiating the outer
+    average of the double average leaves exactly this expression.  ``dt``
+    cancels from it and only places the result in time.
     """
     return _half_window_rate(right_avg(signal, a), a)
 
 
 def _half_window_rate(avg: UniformSignal, a: int) -> UniformSignal:
-    """``a*dt/2`` times the lag-``a`` difference quotient of ``avg``."""
-    der = windowed_derivative(avg, a)
-    return UniformSignal._wrap(der.t0, der.dt, der.values * (a * avg.dt / 2.0), checked=True)
+    """``a/2`` times the lag-``a`` difference quotient of ``avg`` at unit spacing.
+
+    That is about half a difference of two samples, so it is finite wherever
+    the quotient is, and the quotient raises on a non-finite sample.
+    """
+    rate = windowed_derivative(UniformSignal._wrap(0.0, 1.0, avg.values), a)
+    return UniformSignal._wrap(avg.t0 + a * avg.dt, avg.dt, rate.values * (a / 2.0))
 
 
 def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
@@ -207,37 +219,42 @@ def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
     terms = []
     for i, w in enumerate(spec.weights, start=1):
         terms += [(w / 2, b, (i - 1) * b), (-w / 2, b, i * b)]
-    [rhs] = _box_terms(signal, f"the {spec.n}-term expansion", terms)
-    return rhs
+    return _box_terms(signal, f"the {spec.n}-term expansion", terms)
 
 
 def check_recursive_expansion(signal: UniformSignal,
                               spec: ExpansionSpec) -> ResidualReport:
     """Long-window difference as the ``n``-term delayed-derivative sum."""
-    [lhs] = _box_terms(signal, "the expansion check",
-                       [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)])
+    lhs = _box_terms(signal, "the expansion check",
+                     [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)])
     return _report("recursive_expansion", lhs, expansion_rhs(signal, spec), signal)
 
 
 def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
-    """Operator-norm ratio ``|macd(signal)|_p / |signal|_p`` (dt-weighted).
+    """Operator-norm ratio ``|macd(signal)|_p / |signal|_p`` over samples.
 
     The ratio never exceeds 2 and, because the expanded kernel has total
     absolute weight 1, in practice never exceeds 1 beyond rounding.  On an
     all-zero signal the indicator is exactly zero, and 0/0 counts as zero.
+    ``dt`` would weight both norms alike, so it cancels.  Where a norm's sum
+    is not a normal float, both arrays are summed again times the one power
+    of two that brings the signal's peak to [0.5, 1), which keeps the ratio.
     """
-    out = macd(signal, a)
-
-    def norm(vals: np.ndarray) -> float:
-        if p == 1:
-            return float(np.sum(np.abs(vals)) * signal.dt)
-        if p == 2:
-            return float(math.sqrt(np.sum(vals * vals) * signal.dt))
-        if p == math.inf:
-            return _max_abs(vals)
+    out, vals = macd(signal, a).values, signal.values
+    if p == math.inf:
+        return _ratio(_max_abs(out), _max_abs(vals))
+    if p not in (1, 2):
         raise ValueError(f"unsupported norm order: {p!r}")
 
-    return _ratio(norm(out.values), norm(signal.values))
+    def sums(*arrays: np.ndarray) -> list[float]:
+        with np.errstate(over="ignore"):
+            return [float(np.sum(np.abs(x)) if p == 1 else np.sum(x * x)) for x in arrays]
+
+    totals = sums(out, vals)
+    if not all(np.finfo(float).tiny <= s < math.inf for s in totals):
+        e = -math.frexp(_max_abs(vals))[1]
+        totals = sums(np.ldexp(out, e), np.ldexp(vals, e))
+    return _ratio(*(totals if p == 1 else map(math.sqrt, totals)))
 
 
 def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> MonotonicityResult:
@@ -302,7 +319,7 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
     lo = index + 1 - total
     recent = UniformSignal._wrap(signal.t0 + lo * signal.dt, signal.dt,
                                  signal.values[lo : index + 1])
-    [diff] = _box_terms(recent, "the margin", [(1.0, a, 0), (-1.0, total, 0)])
+    diff = _box_terms(recent, "the margin", [(1.0, a, 0), (-1.0, total, 0)])
     margin = float(diff.values[0])
     label = "increasing" if margin > tol else "decreasing" if margin < -tol else "linear"
     return TrendLabel(label, margin)

@@ -252,7 +252,7 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
         terms = zip(coefs[boxes].tolist(), runs[boxes].tolist(),
                     (starts[boxes] + first - ahead).tolist())
         try:
-            (side,) = _box_terms(signal, what, list(terms))
+            side = _box_terms(signal, what, terms)
             return UniformSignal._wrap(t0, signal.dt, side.values[-length:])
         except ValueError:
             # One-sample runs sum no window: the convolution below finds

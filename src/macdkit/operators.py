@@ -126,41 +126,35 @@ def _window_sums(signal: UniformSignal, k: int) -> np.ndarray:
     return sums
 
 
-def _box_terms(signal: UniformSignal, what: str, *sides) -> list[UniformSignal]:
-    """One signal per side, ``sum(c * mean_k(i - lag) for c, k, lag in side)``.
+def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
+    """``sum(c * mean_k(i - lag) for c, k, lag in terms)``, one signal.
 
     ``mean_k(i)`` is the mean of the ``k`` samples ending at sample ``i``.
-    Every side's output 0 sits at input index ``span - 1``, with ``span`` the
-    largest ``k + lag`` over all sides, so ``what`` needs ``span`` samples.
-    Each distinct ``k`` reads one window sum of ``signal``, shared by the sides.
-    Terms with the same ``(k, lag)`` add their coefficients first, so the
-    expansion's ``2n`` telescoping terms take ``n + 1`` passes; the first term
-    is written into the side's output and the rest through one scratch array.
+    Output 0 sits at input index ``span - 1``, with ``span`` the largest
+    ``k + lag``, so ``what`` needs ``span`` samples; two calls whose terms
+    reach equally far back start at the same sample.  Each distinct ``k``
+    reads one window sum of ``signal``.  Terms with the same ``(k, lag)`` add
+    their coefficients first, so the expansion's ``2n`` telescoping terms take
+    ``n + 1`` passes; the first term is written into the output and the rest
+    through one scratch array.
     """
-    merged = [Counter() for _ in sides]
-    for coefs, side in zip(merged, sides):
-        for c, k, lag in side:
-            coefs[k, lag] += c
-    span = max(k + lag for coefs in merged for k, lag in coefs)
+    coefs = Counter()
+    for c, k, lag in terms:
+        coefs[k, lag] += c
+    span = max(k + lag for k, lag in coefs)
     signal.require(span, what)
     # Shortest first, so a longer window can continue from a kept prefix.
-    windows = sorted({k for coefs in merged for k, _ in coefs})
-    means = {k: _window_sums(signal, k) / k for k in windows}
-    t0 = signal.t0 + (span - 1) * signal.dt
-    scratch = np.empty(len(signal) - span + 1)
-    out = []
+    means = {k: _window_sums(signal, k) / k for k in sorted({k for k, _ in coefs})}
+    parts = [(c, means[k][span - k - lag : means[k].size - lag]) for (k, lag), c in coefs.items()]
     try:
         with np.errstate(over="raise"):
-            for coefs in merged:
-                terms = [(c, means[k][span - k - lag : means[k].size - lag])
-                         for (k, lag), c in coefs.items()]
-                acc = np.multiply(*terms[0])
-                for c, term in terms[1:]:
-                    acc += np.multiply(c, term, out=scratch)
-                out.append(UniformSignal._wrap(t0, signal.dt, acc))
+            out = np.multiply(*parts[0])
+            scratch = np.empty_like(out)
+            for c, term in parts[1:]:
+                out += np.multiply(c, term, out=scratch)
     except FloatingPointError:
         raise ValueError(WINDOW_SUM_OVERFLOW) from None
-    return out
+    return UniformSignal._wrap(signal.t0 + (span - 1) * signal.dt, signal.dt, out)
 
 
 def right_avg(signal: UniformSignal, w: int) -> UniformSignal:

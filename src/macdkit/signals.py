@@ -76,8 +76,8 @@ class UniformSignal:
     """A finite, uniformly sampled real-valued series.
 
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
-    immutable float64 array; non-finite samples are rejected at construction
-    rather than propagated.
+    immutable float64 array; a non-finite ``t0``, ``dt`` or sample is
+    rejected at construction rather than propagated.
 
     Equality is identity, as the values are an array.  A signal also holds a
     private memo of its window sums (not a field, so it takes no part in
@@ -95,6 +95,8 @@ class UniformSignal:
             raise ValueError("signal needs at least one sample")
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not -np.inf < self.t0 < np.inf:
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite value at sample {bad}")
@@ -127,9 +129,9 @@ class UniformSignal:
         """Sample timestamps ``t0 + i*dt``."""
         return self.t0 + self.dt * np.arange(self.values.size)
 
-    def with_values(self, values: np.ndarray, t0: float | None = None) -> "UniformSignal":
-        """New signal on the same grid, optionally re-anchored at ``t0``."""
-        return UniformSignal(self.t0 if t0 is None else t0, self.dt, values)
+    def with_values(self, values: np.ndarray) -> "UniformSignal":
+        """New signal with ``values``, on the same grid from the same ``t0``."""
+        return UniformSignal(self.t0, self.dt, values)
 
     def require(self, n: int, what: str) -> None:
         """Raise :class:`InsufficientSamplesError` unless at least ``n`` samples."""

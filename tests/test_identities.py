@@ -240,6 +240,20 @@ def test_lp_bound_zero_signal_is_zero():
     assert all(r.passed for r in records)
 
 
+def test_lp_bound_keeps_its_ratio_at_extreme_magnitudes():
+    # Scaling by 2**j is exact, so every ratio is the j = 0 one, though at
+    # j = -560 the squares underflow and at j = 1000 their sum overflows.
+    w = np.random.default_rng(13).standard_normal(2000).cumsum()
+    want = {p: check_lp_bound(UniformSignal(0, 1, w), 8, p) for p in (1, 2, math.inf)}
+    for j in (-560, 500, 1000):
+        sig = UniformSignal(0, 1, w * 2.0**j)
+        for p in want:
+            got = check_lp_bound(sig, 8, p)
+            assert math.isfinite(got) and abs(got - want[p]) <= 1e-12 * want[p], (j, p, got)
+        [record] = run_checks(sig, ["lp_bound"])
+        assert abs(record.max_rel_residual - max(want.values())) <= 1e-12 * max(want.values())
+
+
 def test_lp_bound_rejects_unknown_order():
     for p in (3, "inf"):  # math.inf is the one infinity norm order
         with pytest.raises(ValueError, match="norm order"):
@@ -369,6 +383,22 @@ def test_identity_battery_with_non_representable_spacing(rng):
         assert report.max_rel_residual <= 1e-12, report
 
 
+@pytest.mark.parametrize("dt", [0.37, 1e-3, 1e-320, 1e300])
+def test_check_records_do_not_depend_on_dt(dt):
+    # The identities are statements about samples, in which the spacing
+    # cancels, so every record at any dt is the dt = 1 one.
+    x = np.random.default_rng(17).standard_normal(3000).cumsum()
+    assert run_checks(UniformSignal(0.0, dt, x)) == run_checks(UniformSignal(0.0, 1.0, x))
+
+
+def test_derivative_checks_at_a_tiny_spacing_on_large_values():
+    # Differences near 1e10 over 8e-300 time units would overflow float64 as
+    # a rate per unit time; the checks take the rate per sample.
+    sig = UniformSignal(0.0, 1e-300, 1e10 * np.random.default_rng(19).standard_normal(500))
+    for check in (check_macd_derivative, check_phase_corrected_form):
+        assert check(sig, 8).passes(), check.__name__
+
+
 # --- residual report scale invariance ------------------------------------------------------
 
 def test_residual_rel_scale_invariance(random_signal):
@@ -427,19 +457,22 @@ def test_run_checks_calls_checks_through_module_names(monkeypatch, random_signal
 
 
 def test_derivative_checks_compare_the_public_macd(monkeypatch):
-    # Both derivative-form checks read MACD through the operator itself, so a
-    # skew of one part in 1e9 in macd fails them.
+    # Both derivative-form checks read MACD through the operator itself, and
+    # take their rate from windowed_derivative, so a skew of one part in 1e9
+    # in either fails them.
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(3).standard_normal(500).cumsum())
     for check in (check_macd_derivative, check_phase_corrected_form):
         assert check(sig, 8).passes()
 
-    def skewed(signal, k):
-        out = macd(signal, k)
-        return out.with_values(out.values * (1 + 1e-9))
+    for name in ("macd", "windowed_derivative"):
+        def skewed(signal, k, op=getattr(operators, name)):
+            out = op(signal, k)
+            return out.with_values(out.values * (1 + 1e-9))
 
-    monkeypatch.setattr(identities, "macd", skewed)
-    for check in (check_macd_derivative, check_phase_corrected_form):
-        assert not check(sig, 8).passes(), check.__name__
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, name, skewed)
+            for check in (check_macd_derivative, check_phase_corrected_form):
+                assert not check(sig, 8).passes(), (name, check.__name__)
 
 
 @pytest.fixture

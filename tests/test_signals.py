@@ -54,6 +54,10 @@ def test_signal_validates_inputs():
         UniformSignal(0.0, 1.0, [1.0, np.nan, 2.0])
     with pytest.raises(ValueError, match="non-finite"):
         UniformSignal(0.0, 1.0, [1.0, np.inf])
+    # A non-finite start would place every sample at nan or at an infinity.
+    for t0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^t0 must be finite, got {t0}$"):
+            UniformSignal(t0, 1.0, [1.0, 2.0])
 
 
 def test_signal_values_are_immutable():
