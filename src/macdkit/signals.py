@@ -76,8 +76,9 @@ class UniformSignal:
     """A finite, uniformly sampled real-valued series.
 
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
-    immutable float64 array; a non-finite ``t0``, ``dt`` or sample is
-    rejected at construction rather than propagated.
+    immutable float64 array; a non-finite ``t0``, ``dt``, sample or last
+    sample time ``t0 + (n - 1) * dt`` is rejected at construction rather than
+    propagated.  Derived signals never start after their input's last sample.
 
     Equality is identity, as the values are an array.  A signal also holds a
     private memo of its window sums (not a field, so it takes no part in
@@ -97,6 +98,8 @@ class UniformSignal:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not -np.inf < self.t0 < np.inf:
             raise ValueError(f"t0 must be finite, got {self.t0}")
+        if not abs(self.t0 + (vals.size - 1) * self.dt) < np.inf:
+            raise ValueError(f"last sample time {self.t0} + {vals.size - 1}*{self.dt} overflows")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite value at sample {bad}")

@@ -60,6 +60,18 @@ def test_signal_validates_inputs():
             UniformSignal(t0, 1.0, [1.0, 2.0])
 
 
+def test_signal_rejects_a_last_sample_time_past_the_float_range():
+    # A finite t0 near the float maximum once gave derived starts of inf, and
+    # run_checks then raised "cannot convert float NaN to integer".
+    walk = np.cumsum(np.random.default_rng(5).standard_normal(300))
+    with pytest.raises(ValueError,
+                       match=r"^last sample time 1\.7e\+308 \+ 299\*1e\+306 overflows$"):
+        UniformSignal(1.7e308, 1e306, walk)
+    # A grid that ends below the float maximum is accepted, as is one sample at it.
+    assert np.isfinite(UniformSignal(1.7e308, 1e303, walk).times()).all()
+    assert UniformSignal(np.finfo(float).max, 1e306, [1.0]).t0 == np.finfo(float).max
+
+
 def test_signal_values_are_immutable():
     sig = UniformSignal(0.0, 1.0, [1.0, 2.0])
     with pytest.raises(ValueError):
