@@ -379,7 +379,7 @@ def _digest_line(signal: UniformSignal) -> str:
     )
 
 
-def _check_line(r: identities.CheckRecord) -> str:
+def _check_line(r: identities.ResidualReport) -> str:
     p = " ".join(f"{key}={val}" for key, val in r.params.items())
     result = (f"skipped=insufficient_samples required={r.required}" if r.required is not None
               else f"max_abs_residual={r.max_abs_residual:.6g} "

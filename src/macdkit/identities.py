@@ -24,17 +24,17 @@ The relative residual is taken against ``max |lhs|`` over the common range
 one gate.  Every window parameter (``t1``, ``t2``, ``a``, ``b``) is a sample
 count, a plain ``int`` checked by :func:`~macdkit.signals.window_size`.
 
-:data:`CHECKS` maps each check name to its parameters (from the window, long
-window, term count and block), its call and its gate kind: relative residual
-(gate ``tol``), norm ratio (gate 2) or scan (gate 0).  :func:`run_checks`
-returns one :class:`CheckRecord` per entry, and ``macdkit verify`` prints
-them, so a new check takes one entry and no CLI edit.
+Every check result is one record, a :class:`ResidualReport`.  :data:`CHECKS`
+maps each check name to its parameters (from the window, long window, term
+count and block) and a call that returns its record gated at the run's
+``tol``.  :func:`run_checks` returns one record per entry, named by its key,
+and ``macdkit verify`` prints them, so a new check takes one entry and no CLI edit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,7 +56,6 @@ from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, al
 
 __all__ = [
     "CHECKS",
-    "CheckRecord",
     "run_checks",
     "ResidualReport",
     "TrendLabel",
@@ -76,12 +75,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Worst-case residual of one identity over its valid index range."""
+    """One check's worst residuals, gate and verdict.
 
-    identity_name: str
-    valid_range: tuple[int, int] | None
+    ``required`` is set (and the record fails) on a too-short signal.  A
+    residual check gates its relative residual at 1e-12 and gives the index
+    range where both sides are defined.
+    """
+
+    name: str
+    params: dict
     max_abs_residual: float
     max_rel_residual: float
+    gate: float
+    passed: bool
+    required: int | None = None
+    valid_range: tuple[int, int] | None = None
     insufficient: bool = False
 
     def passes(self, rel_tol: float = 1e-12) -> bool:
@@ -125,13 +133,14 @@ def _max_abs(vals: np.ndarray) -> float:
     return float(max(abs(vals.max()), abs(vals.min())))
 
 
-def _report(name: str, lhs: UniformSignal, rhs: UniformSignal,
+def _report(name: str, params: dict, lhs: UniformSignal, rhs: UniformSignal,
             reference: UniformSignal) -> ResidualReport:
     lv, rv = aligned_values(lhs, rhs)
     start = max(sample_offset(lhs, reference), sample_offset(rhs, reference))
     max_abs = _max_abs(lv - rv)
     max_rel = _ratio(max_abs, _max_abs(lv))
-    return ResidualReport(name, (start, start + lv.size - 1), max_abs, max_rel)
+    return ResidualReport(name, params, max_abs, max_rel, 1e-12, max_rel <= 1e-12,
+                          valid_range=(start, start + lv.size - 1))
 
 
 def _ratio(num: float, denom: float) -> float:
@@ -153,7 +162,8 @@ def check_recursive_decomposition(signal: UniformSignal, t1: int, t2: int) -> Re
     total = t1 + t2
     rhs = _box_terms(signal, "the decomposition check",
                      [(t1 / total, t1, 0), (t2 / total, t2, t1)])
-    return _report("recursive_decomposition", right_avg(signal, total), rhs, signal)
+    return _report("recursive_decomposition", {"t1": t1, "t2": t2}, right_avg(signal, total),
+                   rhs, signal)
 
 
 def check_difference_identity(signal: UniformSignal, a: int, b: int) -> ResidualReport:
@@ -164,7 +174,7 @@ def check_difference_identity(signal: UniformSignal, a: int, b: int) -> Residual
     # Both sides span a + b samples, so they start at the same sample.
     lhs = _box_terms(signal, "the difference-identity check", [(1.0, a, 0), (-1.0, a + b, 0)])
     rhs = _box_terms(signal, "the difference-identity check", [(factor, a, 0), (-factor, b, a)])
-    return _report("difference_identity", lhs, rhs, signal)
+    return _report("difference_identity", {"a": a, "b": b}, lhs, rhs, signal)
 
 
 def smoothed_derivative(signal: UniformSignal, a: int) -> UniformSignal:
@@ -192,7 +202,8 @@ def check_macd_derivative(signal: UniformSignal, a: int) -> ResidualReport:
     """Short-minus-long average equals the smoothed-derivative form."""
     k = window_size(a)
     signal.require(2 * k, "the MACD-derivative check")
-    return _report("macd_derivative", macd(signal, k), smoothed_derivative(signal, k), signal)
+    return _report("macd_derivative", {"a": k}, macd(signal, k), smoothed_derivative(signal, k),
+                   signal)
 
 
 def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
@@ -209,7 +220,7 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
     k = window_size(a, even=True)
     signal.require(3 * k - 1, "the phase-corrected check")
     rhs = _half_window_rate(delay(centered_avg(signal, k), k // 2), k)
-    return _report("phase_corrected_form", macd(signal, k), rhs, signal)
+    return _report("phase_corrected_form", {"a": k}, macd(signal, k), rhs, signal)
 
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
@@ -227,7 +238,8 @@ def check_recursive_expansion(signal: UniformSignal,
     """Long-window difference as the ``n``-term delayed-derivative sum."""
     lhs = _box_terms(signal, "the expansion check",
                      [(1.0, spec.a, 0), (-1.0, spec.a + spec.b, 0)])
-    return _report("recursive_expansion", lhs, expansion_rhs(signal, spec), signal)
+    return _report("recursive_expansion", {"n": spec.n, "b": spec.b}, lhs,
+                   expansion_rhs(signal, spec), signal)
 
 
 def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
@@ -325,68 +337,56 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
     return TrendLabel(label, margin)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One registry check's result; ``required`` is set (and it fails) on a short signal."""
-
-    name: str
-    params: dict
-    max_abs_residual: float
-    max_rel_residual: float
-    gate: float
-    passed: bool
-    required: int | None = None
+def _gated(report: ResidualReport, tol: float) -> ResidualReport:
+    """``report`` with its relative residual gated at ``tol``."""
+    return replace(report, gate=tol, passed=report.passes(tol))
 
 
-def _relative_gate(report: ResidualReport, tol: float) -> tuple:
-    return report.max_abs_residual, report.max_rel_residual, tol, report.passes(tol)
+def _scan_record(r: MonotonicityResult, a: int, b: int) -> ResidualReport:
+    """The scan as a record: residuals 1.0 for a violation and 0.0 for none, gate 0."""
+    return ResidualReport("monotonicity", {"a": a, "b": b}, float(not r.passed),
+                          float(not r.equality_passed), 0.0, r.passed and r.equality_passed)
 
 
-def _norm_gate(ratio: float, tol: float) -> tuple:
-    return ratio, ratio, 2.0, ratio <= 2.0
-
-
-def _scan_gate(r: MonotonicityResult, tol: float) -> tuple:
-    return float(not r.passed), float(not r.equality_passed), 0.0, r.passed and r.equality_passed
-
-
-# name -> (params, gate, call).  params(window, long window, n, b) gives the
-# keyword arguments of call(signal, **params), and gate(result, tol) gives
-# (max abs, max rel, gate, passed).  Calls look their check up in this module
-# when they run, so a name replaced here (a tracing wrapper, say) is what runs.
-CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
-    "recursive_decomposition": (lambda w, lw, n, b: {"t1": w, "t2": lw}, _relative_gate,
-        lambda s, t1, t2: check_recursive_decomposition(s, t1, t2)),
-    "difference_identity": (lambda w, lw, n, b: {"a": w, "b": lw}, _relative_gate,
-        lambda s, a, b: check_difference_identity(s, a, b)),
-    "macd_derivative": (lambda w, lw, n, b: {"a": w}, _relative_gate,
-        lambda s, a: check_macd_derivative(s, a)),
-    "phase_corrected_form": (lambda w, lw, n, b: {"a": w}, _relative_gate,
-        lambda s, a: check_phase_corrected_form(s, a)),
-    "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b}, _relative_gate,
-        lambda s, n, b: check_recursive_expansion(s, ExpansionSpec(n, b))),
-    "lp_bound": (lambda w, lw, n, b: {"a": w}, _norm_gate,
-        lambda s, a: max(check_lp_bound(s, a, p) for p in (1, 2, math.inf))),
-    "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw}, _scan_gate,
-        lambda s, a, b: check_window_monotonicity(s, a, b)),
+# name -> (params, call).  params(window, long window, n, b) gives the keyword
+# arguments of call(signal, tol, **params), which returns the check's record
+# gated at tol: the relative residual at tol, the norm ratio at 2 and the scan
+# at 0.  Calls look their check up in this module when they run, so a name
+# replaced here (a tracing wrapper, say) is what runs.
+CHECKS: dict[str, tuple[Callable, Callable]] = {
+    "recursive_decomposition": (lambda w, lw, n, b: {"t1": w, "t2": lw},
+        lambda s, tol, t1, t2: _gated(check_recursive_decomposition(s, t1, t2), tol)),
+    "difference_identity": (lambda w, lw, n, b: {"a": w, "b": lw},
+        lambda s, tol, a, b: _gated(check_difference_identity(s, a, b), tol)),
+    "macd_derivative": (lambda w, lw, n, b: {"a": w},
+        lambda s, tol, a: _gated(check_macd_derivative(s, a), tol)),
+    "phase_corrected_form": (lambda w, lw, n, b: {"a": w},
+        lambda s, tol, a: _gated(check_phase_corrected_form(s, a), tol)),
+    "recursive_expansion": (lambda w, lw, n, b: {"n": n, "b": b},
+        lambda s, tol, n, b: _gated(check_recursive_expansion(s, ExpansionSpec(n, b)), tol)),
+    "lp_bound": (lambda w, lw, n, b: {"a": w},
+        lambda s, tol, a: ResidualReport("lp_bound", {"a": a}, (r := max(
+            check_lp_bound(s, a, p) for p in (1, 2, math.inf))), r, 2.0, r <= 2.0)),
+    "monotonicity": (lambda w, lw, n, b: {"a": w, "b": w + lw},
+        lambda s, tol, a, b: _scan_record(check_window_monotonicity(s, a, b), a, b)),
 }
 
 
 def run_checks(signal: UniformSignal, names=None, *, window: int = 8, long_window: int = 12,
-               n: int = 4, b: int = 4, tol: float = 1e-12) -> list[CheckRecord]:
+               n: int = 4, b: int = 4, tol: float = 1e-12) -> list[ResidualReport]:
     """Run the :data:`CHECKS` keys in ``names`` (default: all), then return one record each.
 
-    An unknown name (``KeyError``) or a bad parameter (``ValueError``), such
-    as a negative or non-finite ``tol``, raises.
+    Each record is named by its key.  An unknown name (``KeyError``) or a bad
+    parameter (``ValueError``), such as a negative or non-finite ``tol``, raises.
     """
     tol = _tolerance(tol)
     records = []
     entries = [(name, CHECKS[name]) for name in (CHECKS if names is None else names)]
-    for name, (params_of, gate, call) in entries:
+    for name, (params_of, call) in entries:
         params = params_of(window, long_window, n, b)
         try:
-            result = gate(call(signal, **params), tol)
+            record = replace(call(signal, tol, **params), name=name)
         except InsufficientSamplesError as exc:
-            result = (math.nan, math.nan, math.nan, False, exc.required)
-        records.append(CheckRecord(name, params, *result))
+            record = ResidualReport(name, params, math.nan, math.nan, math.nan, False, exc.required)
+        records.append(record)
     return records

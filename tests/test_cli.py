@@ -576,9 +576,9 @@ def test_verify_lines_match_run_checks(random_csv, capsys):
 
 def test_verify_runs_a_check_added_to_the_registry(random_csv, capsys, monkeypatch):
     path, _ = random_csv
-    _, gate, call = identities.CHECKS["macd_derivative"]
+    _, call = identities.CHECKS["macd_derivative"]
     monkeypatch.setitem(identities.CHECKS, "macd_derivative_long",
-                        (lambda w, lw, n, b: {"a": lw}, gate, call))
+                        (lambda w, lw, n, b: {"a": lw}, call))
     assert main(["verify", path, "--checks", "macd_derivative_long"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
     assert len(lines) == 1

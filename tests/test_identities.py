@@ -430,6 +430,23 @@ def test_run_checks_records_every_registry_entry(random_signal):
     assert not run_checks(sig, ["recursive_decomposition"], tol=1e-30)[0].passed
 
 
+def test_each_residual_check_returns_its_run_checks_record():
+    # One record type: a residual check's own record, gated at the default
+    # 1e-12, is the one run_checks returns at its defaults.
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(23).standard_normal(2000).cumsum())
+    own = {
+        "recursive_decomposition": check_recursive_decomposition(sig, 8, 12),
+        "difference_identity": check_difference_identity(sig, 8, 12),
+        "macd_derivative": check_macd_derivative(sig, 8),
+        "phase_corrected_form": check_phase_corrected_form(sig, 8),
+        "recursive_expansion": check_recursive_expansion(sig, ExpansionSpec(4, 4)),
+    }
+    for name, report in own.items():
+        assert run_checks(sig, [name])[0] == report, name
+        assert (report.name, report.gate, report.passed, report.required) \
+            == (name, 1e-12, True, None)
+
+
 def test_run_checks_short_signal_and_bad_arguments():
     records = run_checks(ramp(12), ["recursive_expansion", "macd_derivative"], window=4)
     assert [(r.name, r.passed, r.required) for r in records] == [
@@ -571,9 +588,9 @@ def test_kept_window_sums_are_invisible(random_signal):
         return UniformSignal(sig.t0, sig.dt, sig.values)
 
     _assert_same_outputs(_outputs(sig, MEMO_WINDOWS), _outputs(fresh(), MEMO_WINDOWS))
-    for name, (params_of, _, call) in CHECKS.items():
+    for name, (params_of, call) in CHECKS.items():
         params = params_of(8, 12, 3, 4)
-        assert call(sig, **params) == call(fresh(), **params), name
+        assert call(sig, 1e-12, **params) == call(fresh(), 1e-12, **params), name
     for k, kept in sig._sums.items():
         assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -3,8 +3,12 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import macdkit
-from macdkit import KernelRep, UniformSignal, macd_kernel, transfer_function
+from macdkit import (ExpansionSpec, KernelRep, UniformSignal, check_lp_bound, check_macd_derivative,
+                     check_recursive_expansion, check_window_monotonicity, macd_kernel,
+                     transfer_function)
 
 SUBMODULES = ["signals", "operators", "identities", "kernels", "spectral", "streaming", "cli"]
 
@@ -15,7 +19,7 @@ PACKAGE_NAMES = {
     "sliding_sums",
     "KernelRep", "build_kernel", "apply_kernel", "box_kernel", "macd_kernel",
     "triangular_kernel", "smoothed_derivative_kernel", "expansion_kernel",
-    "CHECKS", "CheckRecord", "run_checks", "ResidualReport", "ExpansionSpec", "TrendLabel",
+    "CHECKS", "run_checks", "ResidualReport", "ExpansionSpec", "TrendLabel",
     "MonotonicityResult", "check_recursive_decomposition", "check_difference_identity",
     "check_macd_derivative", "check_phase_corrected_form", "check_recursive_expansion",
     "check_lp_bound", "check_window_monotonicity", "classify_trend", "expansion_rhs",
@@ -73,6 +77,21 @@ def test_kernel_surface_the_benchmark_reads():
     short = KernelRep(kern.offsets[:-1], kern.weights[:-1], kern.scale_note)
     assert short.offsets == kern.offsets[:-1] and short.weights.size == kern.weights.size - 1
     assert short.scale_note == kern.scale_note
+
+
+def test_identity_surface_the_benchmark_reads():
+    # The benchmark gates each residual check's max_rel_residual and reads
+    # insufficient, compares check_lp_bound's float with 2, reads the
+    # monotonicity scan's verdicts, and builds its specs with ExpansionSpec.of.
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(3).standard_normal(500).cumsum())
+    report = check_macd_derivative(sig, 8)
+    assert type(report.max_rel_residual) is float and report.insufficient is False
+    assert type(check_lp_bound(sig, 8, 2)) is float
+    scan = check_window_monotonicity(sig, 8, 20)
+    assert scan.passed is True and scan.equality_passed is True and scan.first_violation is None
+    spec = ExpansionSpec.of(4, 4, sig.dt)
+    assert spec == ExpansionSpec(4, 4)
+    assert check_recursive_expansion(sig, spec).max_rel_residual <= 1e-12
 
 
 def test_array_holding_types_compare_by_identity():
