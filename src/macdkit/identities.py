@@ -93,6 +93,7 @@ class ResidualReport:
     insufficient: bool = False
 
     def passes(self, rel_tol: float = 1e-12) -> bool:
+        """The residual checks' verdict at ``rel_tol``; ``passed`` holds the norm and scan ones."""
         return not self.insufficient and self.max_rel_residual <= _tolerance(rel_tol)
 
 
