@@ -7,16 +7,20 @@ Writing ``R`` for the sum of the newest ``a`` samples and ``O`` for the sum
 of the ``b`` samples before those, the value is ``(R - n*O) / (n(n+1)b)``.
 MACD is the ``n = 1`` case, ``(R - O) / (2k)``.
 
-So one stream serves both: a ring of the last ``a + b`` samples and two
+``ExpansionStream`` keeps a ring of the last ``a + b`` samples and two
 compensated running sums, updated by add-newest / subtract-oldest, with
 each addition's rounding error recovered exactly by Knuth's branch-free
-TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  Every
-``resum_interval`` pushes the sums are rebuilt exactly from the ring, even
-where a partial sum in ring order would overflow, so outputs track the
-batch operators to well under 1e-9 over unbounded input.
-No output is emitted until both windows are fully covered, matching the
-batch valid-range convention.  A push that is not finite, or that would
-make a window sum overflow, is rejected and leaves the stream unchanged.
+TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  For MACD ``a = b =
+k``, so ``O`` is ``R`` from ``k`` pushes ago, the finite difference of
+delayed sums that batch ``macd`` takes: ``MacdStream`` keeps one running
+sum and reads ``O`` from a ring of its past values, half the arithmetic
+of a push.  Every ``resum_interval`` pushes the running sums are rebuilt
+exactly from the ring, even where a partial sum in ring order would
+overflow, so outputs track the batch operators to well under 1e-9 over
+unbounded input.  No output is emitted until both windows are fully
+covered, matching the batch valid-range convention.  A push that is not
+finite, or that would make a compensated window sum overflow, is rejected
+and leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ class ExpansionStream:
     """Online n-term delayed-derivative expansion.
 
     ``push`` costs O(1) arithmetic whatever ``n`` and the block size, and
-    memory is ``(n+1)*b`` raw samples.  Output starts once ``(n+1)*b``
-    samples have been seen and then matches the batch expansion at the same
-    index.
+    memory is ``(n+1)*b`` raw samples and two running sums.  Output starts
+    once ``(n+1)*b`` samples have been seen and then matches the batch
+    expansion at the same index.
     """
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
@@ -44,7 +48,8 @@ class ExpansionStream:
         self._a = spec.a
         self._n = float(spec.n)
         self._den = float(spec.n * (spec.n + 1) * spec.b)
-        self._ring = [0.0] * (spec.a + spec.b)
+        self._size = spec.a + spec.b  # len(self._ring), read on every push
+        self._ring = [0.0] * self._size
         self._pos = 0
         # R (newest a samples) and O (the b before them), each as a running
         # sum plus its compensation, the sum of its TwoSum rounding errors.
@@ -76,15 +81,15 @@ class ExpansionStream:
         o = t - old
         z = o - t
         oc = c + ((t - (o - z)) + (-old - z))
-        # Not finite (inf - inf and nan - nan are nan): reject before any
-        # state changes.
-        if r - r or o - o:
-            if not math.isfinite(x):
-                raise ValueError(f"non-finite sample rejected: {sample!r}")
-            raise ValueError(WINDOW_SUM_OVERFLOW)
+        v = r + rc
+        w = o + oc
+        # A compensated sum that is not finite (inf - inf and nan - nan are
+        # nan): reject before any state changes.
+        if v - v or w - w:
+            _reject(x, sample)
         ring[pos] = x
         pos += 1
-        self._pos = 0 if pos == len(ring) else pos
+        self._pos = 0 if pos == self._size else pos
         self._r = r
         self._rc = rc
         self._o = o
@@ -93,12 +98,12 @@ class ExpansionStream:
         self.samples_seen = seen
         if seen % self._resum_interval == 0:
             self._resum()
-            r, rc, o, oc = self._r, 0.0, self._o, 0.0
-        if seen < len(ring):
+            v, w = self._r, self._o
+        if seen < self._size:
             return None
-        out = ((r + rc) - self._n * (o + oc)) / self._den
+        out = (v - self._n * w) / self._den
         if out - out:  # the difference of two finite sums overflowed: scale each first
-            out = (r + rc) / self._den - (o + oc) / self._den * self._n
+            out = v / self._den - w / self._den * self._n
         return out
 
     def _exact_sums(self) -> tuple[float, float]:
@@ -113,11 +118,14 @@ class ExpansionStream:
         self._rc = self._oc = 0.0
         self._resums += 1
 
+    def _running_sums(self) -> tuple[float, float]:
+        """The running (R, O), each with its compensation added."""
+        return self._r + self._rc, self._o + self._oc
+
     def sum_drift(self) -> float:
         """Worst relative deviation of the running sums from exact re-summation."""
-        r, o = self._exact_sums()
-        return max(abs(self._r + self._rc - r) / max(abs(r), 1.0),
-                   abs(self._o + self._oc - o) / max(abs(o), 1.0))
+        (r, o), (v, w) = self._exact_sums(), self._running_sums()
+        return max(abs(v - r) / max(abs(r), 1.0), abs(w - o) / max(abs(o), 1.0))
 
     def stats(self) -> dict:
         """Samples seen, re-sums so far, the current ``sum_drift()`` and warm-up state."""
@@ -125,8 +133,15 @@ class ExpansionStream:
             "samples_seen": self.samples_seen,
             "resums": self._resums,
             "sum_drift": self.sum_drift(),
-            "warm": self.samples_seen >= len(self._ring),
+            "warm": self.samples_seen >= self._size,
         }
+
+
+def _reject(x: float, sample) -> None:
+    """Raise the error for a push whose compensated sum is not finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite sample rejected: {sample!r}")
+    raise ValueError(WINDOW_SUM_OVERFLOW)
 
 
 def _exact_sum(values: list[float]) -> float:
@@ -143,7 +158,58 @@ class MacdStream(ExpansionStream):
 
     Starts emitting once ``2k`` samples have been seen; from then on the
     emitted value matches the batch operator at the same index.
+
+    As in batch ``macd``, the older window's sum ``O`` is the newest
+    window's sum ``R`` from ``k`` pushes ago, so a push updates one
+    compensated running sum and reads ``O`` from a ring of past ``R + rc``
+    values, kept by sample slot.  Until the first re-sum the outputs are the
+    two-sum ``ExpansionStream(ExpansionSpec(1, k))``'s bit for bit.  A
+    re-sum rebuilds ``R`` exactly; the next ``k`` values of ``O`` still come
+    from the ring of pre-re-sum ``R`` values.  Memory is ``2k`` raw samples
+    plus ``2k`` past sums.
     """
 
     def __init__(self, window: int, resum_interval: int = RESUM_INTERVAL):
         super().__init__(ExpansionSpec(1, window), resum_interval)
+        self._past = [0.0] * self._size
+
+    def push(self, sample: float) -> float | None:
+        """Feed one sample; return the stream's value once warmed up."""
+        x = float(sample)
+        ring = self._ring
+        pos = self._pos
+        back = pos - self._a  # the slot written k pushes ago (negative index wraps)
+        mid = ring[back]
+        # R += x - mid as two TwoSum additions, as in ExpansionStream.push.
+        s = self._r
+        t = s + x
+        z = t - s
+        c = self._rc + ((s - (t - z)) + (x - z))
+        r = t - mid
+        z = r - t
+        rc = c + ((t - (r - z)) + (-mid - z))
+        v = r + rc
+        if v - v:  # not finite: reject before any state changes
+            _reject(x, sample)
+        o = self._past[back]
+        ring[pos] = x
+        self._past[pos] = v
+        pos += 1
+        self._pos = 0 if pos == self._size else pos
+        self._r = r
+        self._rc = rc
+        seen = self.samples_seen + 1
+        self.samples_seen = seen
+        if seen % self._resum_interval == 0:
+            self._resum()
+            v = self._r
+        if seen < self._size:
+            return None
+        out = (v - o) / self._den
+        if out - out:  # the difference of two finite sums overflowed: scale each first
+            out = v / self._den - o / self._den
+        return out
+
+    def _running_sums(self) -> tuple[float, float]:
+        """R, and O read from the past sum of the slot k before the last push's."""
+        return self._r + self._rc, self._past[self._pos - 1 - self._a]

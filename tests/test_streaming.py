@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import struct
 import time
@@ -99,7 +100,37 @@ def test_resum_is_exact_where_a_partial_sum_overflows():
     assert [macd_stream.push(v) for v in feed] == [None] * 4
     assert macd_stream.stats() == {"samples_seen": 4, "resums": 1, "sum_drift": 0.0,
                                    "warm": False}
-    assert (macd_stream._r, macd_stream._o) == (1e308, -1e308)
+    assert macd_stream._running_sums() == (1e308, -1e308)
+
+
+M = 1.7976931348623157e308  # the largest float
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(MacdStream, id="macd"),
+    pytest.param(lambda k: ExpansionStream(ExpansionSpec(1, k)), id="expansion"),
+])
+@pytest.mark.parametrize("k, feed, bad, after", [
+    # R = M and rc = 0.8 ulp(M): the rounded sum is finite, the window's is not.
+    pytest.param(3, [M, 0.4 * math.ulp(M), 0.4 * math.ulp(M)], 2, [0.0] * 4, id="M-h-h"),
+    # 8e307 - M is finite, but TwoSum's (t - s) overflows and rc becomes NaN.
+    pytest.param(2, [0.0, 0.0, 8e307, -M], 3, [1.0] * 6, id="8e307-M"),
+])
+def test_push_rejects_a_compensated_sum_that_overflows(make, k, feed, bad, after):
+    stream = make(k)
+    for i, x in enumerate(feed):
+        if i == bad:
+            with pytest.raises(ValueError, match="overflow"):
+                stream.push(x)
+        else:
+            stream.push(x)
+    outs = [stream.push(x) for x in after]
+    kept = feed[:bad] + feed[bad + 1:] + after
+    batch = macd(UniformSignal(0.0, 1.0, np.array(kept)), k).values
+    got = [v for v in outs if v is not None]
+    assert len(got) == batch.size and all(math.isfinite(v) for v in got)
+    assert np.max(np.abs(np.array(got) - batch)) <= 1e-15 * np.max(np.abs(batch))
+    assert stream.stats()["samples_seen"] == len(kept)
 
 
 # Signed zeros, subnormals, the float64 extremes and values that cancel exactly.
@@ -114,11 +145,14 @@ def test_rejected_push_leaves_no_trace_at_any_resum_phase():
     def bits(out):
         return out if out is None else struct.pack("<d", out)
 
+    makers = [lambda i, n=n, b=b: ExpansionStream(ExpansionSpec(n, b), i)
+              for n, b in itertools.product(range(1, 4), range(1, 4))]
+    makers += [lambda i, k=k: MacdStream(k, i) for k in range(1, 4)]
     rng = random.Random(1707)
     rejected = 0
-    for n, b, interval, _ in itertools.product(range(1, 4), range(1, 4), range(1, 8), range(12)):
-        stream = ExpansionStream(ExpansionSpec(n, b), interval)
-        twin = ExpansionStream(ExpansionSpec(n, b), interval)
+    for make, interval, _ in itertools.product(makers, range(1, 8), range(12)):
+        stream = make(interval)
+        twin = make(interval)
         for _ in range(rng.randint(1, 24)):
             x = rng.choice(FUZZ_ALPHABET)
             try:
@@ -130,6 +164,47 @@ def test_rejected_push_leaves_no_trace_at_any_resum_phase():
                 assert bits(out) == bits(twin.push(x))
             assert stream.stats() == twin.stats()
     assert rejected > 100
+
+
+def test_macd_stream_agrees_with_the_two_sum_expansion_stream():
+    # MacdStream reads O as R from k pushes ago; ExpansionStream(1, k) keeps O
+    # as its own running sum.  With no re-sum both forms make the same float
+    # operations, so outputs, rejections and stats() agree bit for bit.  After
+    # a re-sum O's own partial sums differ from R's history, and only the
+    # two-sum form can reject through them: MacdStream may accept a push the
+    # expansion stream rejects (the twins then diverge), never the reverse.
+    def bits(out):
+        return out if out is None else struct.pack("<d", out)
+
+    def fed(stream, x):
+        try:
+            return True, stream.push(x)
+        except ValueError:
+            return False, None
+
+    alphabet = FUZZ_ALPHABET + [M, -M, 8e307]
+    rng = random.Random(2718)
+    seen = {"rejected": 0, "only_two_sum_rejects": 0}
+    for interval in (None, 1, 2, 3, 4, 5, 6, 7):
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            kwargs = {} if interval is None else {"resum_interval": interval}
+            stream = MacdStream(k, **kwargs)
+            twin = ExpansionStream(ExpansionSpec(1, k), **kwargs)
+            for _ in range(rng.randint(1, 24)):
+                x = rng.choice(alphabet)
+                ok, out = fed(stream, x)
+                twin_ok, twin_out = fed(twin, x)
+                assert out is None or math.isfinite(out)
+                if interval is None:
+                    assert (ok, bits(out)) == (twin_ok, bits(twin_out))
+                    assert stream.stats() == twin.stats()
+                elif ok != twin_ok:
+                    assert ok and not twin_ok
+                    seen["only_two_sum_rejects"] += 1
+                    break
+                seen["rejected"] += not ok
+    assert seen["rejected"] > 100 and seen["only_two_sum_rejects"] > 0, seen
 
 
 @pytest.mark.parametrize("bad", [0, -1, 0.5, 2.0, True, "4"])
@@ -180,7 +255,7 @@ def test_stream_state_is_bounded():
     stream = MacdStream(64)
     for v in np.sin(np.arange(10_000.0)):
         stream.push(v)
-    assert len(stream._ring) == 2 * 64
+    assert len(stream._ring) == len(stream._past) == 2 * 64
     exp = ExpansionStream(ExpansionSpec.of(5, 8, 1.0))
     for v in np.sin(np.arange(3_000.0)):
         exp.push(v)
