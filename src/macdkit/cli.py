@@ -85,9 +85,11 @@ def ingest_csv(path: str) -> UniformSignal:
     such as U+00A0 or U+3000, is stripped.  A cell holding ``_`` or any other
     non-ASCII character, such as ``1_000``, is rejected as unparseable with
     its line number, and a line holding a byte that is not valid UTF-8 as
-    ``invalid UTF-8 at line N``.  In time,value form the timestamps must be
-    strictly increasing and uniformly spaced within 1e-9 relative; value-only
-    input gets ``dt = 1`` and ``t0 = 0``.
+    ``invalid UTF-8 at line N``.  A UTF-8 byte-order mark (U+FEFF) that
+    opens the file is skipped; anywhere else it is a non-ASCII character
+    like any other.  In time,value form the timestamps must be strictly
+    increasing and uniformly spaced within 1e-9 relative; value-only input
+    gets ``dt = 1`` and ``t0 = 0``.
 
     The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
     lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
@@ -103,7 +105,8 @@ def ingest_csv(path: str) -> UniformSignal:
     try:
         # An undecodable byte reads as a lone surrogate, which no valid text
         # holds; no such byte is a newline, so lines split as in strict decoding.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # "utf-8-sig" drops a byte-order mark at the start of the file only.
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             lines = ((lineno, line) for lineno, line in enumerate(fh, start=1)
                      if not line.isspace())
             first = next(lines, None)

@@ -92,10 +92,6 @@ class ResidualReport:
     valid_range: tuple[int, int] | None = None
     insufficient: bool = False
 
-    def passes(self, rel_tol: float = 1e-12) -> bool:
-        """The residual checks' verdict at ``rel_tol``; ``passed`` holds the norm and scan ones."""
-        return not self.insufficient and self.max_rel_residual <= _tolerance(rel_tol)
-
 
 @dataclass(frozen=True)
 class TrendLabel:
@@ -339,8 +335,8 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
 
 
 def _gated(report: ResidualReport, tol: float) -> ResidualReport:
-    """``report`` with its relative residual gated at ``tol``."""
-    return replace(report, gate=tol, passed=report.passes(tol))
+    """``report`` with its relative residual gated at ``tol``, which ``run_checks`` validated."""
+    return replace(report, gate=tol, passed=report.max_rel_residual <= tol)
 
 
 def _scan_record(r: MonotonicityResult, a: int, b: int) -> ResidualReport:

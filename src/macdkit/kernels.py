@@ -59,7 +59,8 @@ class KernelRep:
     """FIR kernel: dense weights on the consecutive lags from ``first`` on.
 
     ``KernelRep(offsets, weights)`` takes strictly increasing integer lags
-    with one weight each and stores the zero-filled span between them.
+    with one weight each, as 1-D sequences or scalars, and stores the
+    zero-filled span between them.
     Equality is identity, as the weights are an array.
     """
 
@@ -68,8 +69,11 @@ class KernelRep:
     scale_note: str = ""
 
     def __init__(self, offsets, weights, scale_note: str = ""):
-        lags = np.asarray(offsets).reshape(-1)
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        lags = np.array(offsets, ndmin=1)
+        w = np.array(weights, dtype=np.float64, ndmin=1)
+        for name, arr in (("offsets", lags), ("weights", w)):
+            if arr.ndim > 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
         if lags.size == 0:
             raise ValueError("kernel needs at least one tap")
         if lags.dtype.kind not in "iu":

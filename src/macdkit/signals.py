@@ -76,7 +76,8 @@ class UniformSignal:
     """A finite, uniformly sampled real-valued series.
 
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
-    immutable float64 array; a non-finite ``t0``, ``dt``, sample or last
+    immutable 1-D float64 array (a scalar is one sample, and an array of more
+    dimensions is rejected); a non-finite ``t0``, ``dt``, sample or last
     sample time ``t0 + (n - 1) * dt`` is rejected at construction rather than
     propagated.  Derived signals never start after their input's last sample.
 
@@ -91,7 +92,9 @@ class UniformSignal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
+        vals = np.array(self.values, dtype=np.float64, copy=True, ndmin=1)
+        if vals.ndim > 1:
+            raise ValueError(f"values must be one-dimensional, got shape {vals.shape}")
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
         if not 0 < self.dt < np.inf:

@@ -109,7 +109,7 @@ def naive_ingest(path):
     whitespace, parses as Python's ``float`` does, except that one holding
     ``_`` or a non-ASCII character does not.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
         raw = fh.readlines()
 
     rows = ((lineno, fields) for lineno, fields in enumerate(map(_csv_fields, raw), start=1)

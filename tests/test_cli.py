@@ -176,6 +176,23 @@ def test_ingest_invalid_utf8_reports_line_number(tmp_path):
     assert ingest_bytes(b"t,v\n0,1\n1,2\n3,4\n5,\xff\n") == "non-uniform spacing at line 4"
 
 
+def test_ingest_skips_a_utf8_byte_order_mark_at_the_start(tmp_path):
+    # The mark once made row 1 fail float(), so it was taken as a header and
+    # dropped without any error.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n")
+    assert ingest_csv(str(path)).values.tolist() == [1.0, 2.0, 3.0]
+    path.write_bytes(b"\xef\xbb\xbf1.0,5\n2.0,6\n3.0,7\n")
+    sig = ingest_csv(str(path))
+    assert (sig.t0, sig.dt, sig.values.tolist()) == (1.0, 1.0, [5.0, 6.0, 7.0])
+    path.write_bytes(b"\xef\xbb\xbft,v\n0,1\n1,2\n")
+    assert ingest_csv(str(path)).values.tolist() == [1.0, 2.0]
+    # Only the file's first character is a mark; one on a later line is data.
+    path.write_bytes(b"1.0\n\xef\xbb\xbf2.0\n3.0\n")
+    with pytest.raises(IngestError, match="^could not parse line 2$"):
+        ingest_csv(str(path))
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch, block):
     monkeypatch.setattr(cli, "_READ_BLOCK", block)
@@ -311,6 +328,7 @@ def read_ingest(path):
 @example(text="-1e308,1\n1e308,2\n")  # the step overflows to inf
 @example(text="-1e308,1\n1e308,2\n1.7e308,3\n")
 @example(text="1\n\u00a02\n3\u3000\n")  # Unicode whitespace is stripped
+@example(text="\ufeff1\n2\n3\n")  # a leading byte-order mark is skipped
 @example(text="t,v\n0,\u00a01\n1\u3000,2\n\u00a02 ,3\u3000\n")
 @settings(max_examples=400, deadline=None)
 def test_ingest_matches_line_scanner(text, tmp_path_factory):

@@ -348,16 +348,14 @@ def test_default_tolerance_tracks_magnitude():
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     # A negative tolerance labelled every margin above it "increasing", and
-    # NaN labelled every margin "linear" and failed every gate.  A report's
-    # own passes() "failed" a zero residual at such a gate with no error.
+    # NaN labelled every margin "linear" and failed every gate.
     sig = ramp(40)
     want = f"tolerance must be finite and non-negative, got {tol!r}"
     report = check_macd_derivative(constant(40), 4)
     assert report.max_rel_residual == 0.0
     for call in (lambda: classify_trend(sig, 39, 8, 4, tol=tol),
                  lambda: run_checks(sig, ["macd_derivative"], tol=tol),
-                 lambda: run_checks(sig, ["lp_bound"], tol=tol),
-                 lambda: report.passes(tol)):
+                 lambda: run_checks(sig, ["lp_bound"], tol=tol)):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == want
@@ -365,7 +363,6 @@ def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     assert classify_trend(sig, 39, 8, 4, tol=0.0).label == "increasing"
     assert classify_trend(constant(40), 39, 8, 4, tol=0.0).label == "linear"
     assert run_checks(constant(40), ["macd_derivative"], tol=0.0)[0].passed
-    assert report.passes(0.0)
 
 
 def test_identity_battery_with_non_representable_spacing(rng):
@@ -396,7 +393,7 @@ def test_derivative_checks_at_a_tiny_spacing_on_large_values():
     # a rate per unit time; the checks take the rate per sample.
     sig = UniformSignal(0.0, 1e-300, 1e10 * np.random.default_rng(19).standard_normal(500))
     for check in (check_macd_derivative, check_phase_corrected_form):
-        assert check(sig, 8).passes(), check.__name__
+        assert check(sig, 8).passed, check.__name__
 
 
 # --- residual report scale invariance ------------------------------------------------------
@@ -479,7 +476,7 @@ def test_derivative_checks_compare_the_public_macd(monkeypatch):
     # in either fails them.
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(3).standard_normal(500).cumsum())
     for check in (check_macd_derivative, check_phase_corrected_form):
-        assert check(sig, 8).passes()
+        assert check(sig, 8).passed
 
     for name in ("macd", "windowed_derivative"):
         def skewed(signal, k, op=getattr(operators, name)):
@@ -489,7 +486,7 @@ def test_derivative_checks_compare_the_public_macd(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(identities, name, skewed)
             for check in (check_macd_derivative, check_phase_corrected_form):
-                assert not check(sig, 8).passes(), (name, check.__name__)
+                assert not check(sig, 8).passed, (name, check.__name__)
 
 
 @pytest.fixture
@@ -525,7 +522,7 @@ def sliding_sums_calls(monkeypatch):
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, windows):
     result = run(random_signal(500))
     assert sorted(sliding_sums_calls) == sorted(windows)
-    assert all(r.passed for r in result) if isinstance(result, list) else result.passes()
+    assert all(r.passed for r in result) if isinstance(result, list) else result.passed
 
 
 def test_operators_and_checks_on_one_signal_share_its_window_sum(sliding_sums_calls,

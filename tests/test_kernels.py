@@ -45,6 +45,14 @@ def test_kernel_rep_validation():
         KernelRep((0, 1), np.array([1.0]))
     with pytest.raises(ValueError, match="at least one"):
         KernelRep((), np.array([]))
+    # Nested lags or weights were flattened without any error.
+    with pytest.raises(ValueError, match=r"^offsets must be one-dimensional, got shape \(2, 1\)$"):
+        KernelRep([[0], [1]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^weights must be one-dimensional, got shape \(1, 2\)$"):
+        KernelRep((0, 1), [[0.5, 0.5]])
+    # A scalar lag and weight stay a one-tap kernel.
+    one = KernelRep(3, 2.0)
+    assert (one.offsets, one.weights.tolist()) == ((3,), [2.0])
 
 
 def test_box_kernel_example():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def test_signal_validates_inputs():
     for t0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"^t0 must be finite, got {t0}$"):
             UniformSignal(t0, 1.0, [1.0, 2.0])
+
+
+def test_signal_rejects_multi_dimensional_values():
+    # A 2-D array was flattened into one series without any error.
+    for values, shape in [([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"), (np.zeros((3, 1)), "(3, 1)"),
+                          (np.zeros((1, 1, 2)), "(1, 1, 2)")]:
+        want = f"values must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            UniformSignal(0.0, 1.0, values)
+    # A scalar stays a one-sample signal.
+    assert UniformSignal(0.0, 1.0, 2.5).values.tolist() == [2.5]
 
 
 def test_signal_rejects_a_last_sample_time_past_the_float_range():

@@ -166,25 +166,23 @@ def test_rejected_push_leaves_no_trace_at_any_resum_phase():
     assert rejected > 100
 
 
-def test_macd_stream_agrees_with_the_two_sum_expansion_stream():
-    # MacdStream reads O as R from k pushes ago; ExpansionStream(1, k) keeps O
-    # as its own running sum.  With no re-sum both forms make the same float
-    # operations, so outputs, rejections and stats() agree bit for bit.  After
-    # a re-sum O's own partial sums differ from R's history, and only the
-    # two-sum form can reject through them: MacdStream may accept a push the
-    # expansion stream rejects (the twins then diverge), never the reverse.
+def test_macd_stream_agrees_with_the_single_term_expansion_stream():
+    # MacdStream is ExpansionStream(ExpansionSpec(1, k)): both read O as R
+    # from k pushes ago, through one push, so at every re-sum interval they
+    # make the same float operations.  Acceptances, output bits and stats()
+    # agree after every push.
     def bits(out):
         return out if out is None else struct.pack("<d", out)
 
     def fed(stream, x):
         try:
-            return True, stream.push(x)
+            return True, bits(stream.push(x))
         except ValueError:
             return False, None
 
     alphabet = FUZZ_ALPHABET + [M, -M, 8e307]
     rng = random.Random(2718)
-    seen = {"rejected": 0, "only_two_sum_rejects": 0}
+    rejected = 0
     for interval in (None, 1, 2, 3, 4, 5, 6, 7):
         for _ in range(300):
             k = rng.randint(1, 3)
@@ -194,17 +192,22 @@ def test_macd_stream_agrees_with_the_two_sum_expansion_stream():
             for _ in range(rng.randint(1, 24)):
                 x = rng.choice(alphabet)
                 ok, out = fed(stream, x)
-                twin_ok, twin_out = fed(twin, x)
-                assert out is None or math.isfinite(out)
-                if interval is None:
-                    assert (ok, bits(out)) == (twin_ok, bits(twin_out))
-                    assert stream.stats() == twin.stats()
-                elif ok != twin_ok:
-                    assert ok and not twin_ok
-                    seen["only_two_sum_rejects"] += 1
-                    break
-                seen["rejected"] += not ok
-    assert seen["rejected"] > 100 and seen["only_two_sum_rejects"] > 0, seen
+                assert (ok, out) == fed(twin, x)
+                assert stream.stats() == twin.stats()
+                rejected += not ok
+    assert rejected > 100
+
+
+def test_single_term_expansion_accepts_a_push_after_a_resum_as_macd_does():
+    # A second running sum for O met an overflow in a partial sum that R's
+    # history never met, and rejected the sixth push after the re-sum.
+    feed = [-M, -5e-324, 8e307, -M, M, -1e-308]
+    batch = macd(UniformSignal(0.0, 1.0, np.array(feed)), 2).values.tolist()
+    assert batch[-1] == 6.988465674311578e+307
+    for stream in (ExpansionStream(ExpansionSpec(1, 2), resum_interval=5), MacdStream(2, 5)):
+        assert [stream.push(x) for x in feed] == [None] * 3 + batch
+        assert stream.stats() == {"samples_seen": 6, "resums": 1, "sum_drift": 0.0,
+                                  "warm": True}
 
 
 @pytest.mark.parametrize("bad", [0, -1, 0.5, 2.0, True, "4"])
@@ -257,9 +260,12 @@ def test_stream_state_is_bounded():
         stream.push(v)
     assert len(stream._ring) == len(stream._past) == 2 * 64
     exp = ExpansionStream(ExpansionSpec.of(5, 8, 1.0))
+    single = ExpansionStream(ExpansionSpec(1, 8))
     for v in np.sin(np.arange(3_000.0)):
         exp.push(v)
-    assert len(exp._ring) == (5 + 1) * 8
+        single.push(v)
+    assert len(exp._ring) == (5 + 1) * 8 and exp._past is None
+    assert len(single._ring) == len(single._past) == 2 * 8
 
 
 def test_expansion_stream_single_term_matches_macd_stream_bitwise(rng):
