@@ -176,9 +176,11 @@ def test_macd_stream_agrees_with_the_single_term_expansion_stream():
 
     def fed(stream, x):
         try:
-            return True, bits(stream.push(x))
+            out = stream.push(x)
         except ValueError:
             return False, None
+        assert out is None or math.isfinite(out)
+        return True, bits(out)
 
     alphabet = FUZZ_ALPHABET + [M, -M, 8e307]
     rng = random.Random(2718)
