@@ -9,10 +9,11 @@ noise: a few ulps, orders of magnitude below the default 1e-12 gate.
 Every side of a check is built by the public operators it names
 (``macd``, ``centered_avg``, ``delay``, ``smoothed_derivative`` and the
 like), so a broken operator fails its check.  Those operators keep each
-window sum on their input (see :mod:`~macdkit.operators`), so the checks
-and operators run on one signal take each ``S_k`` once; each block-average
+window mean ``A_k = S_k / k`` on their input (see
+:mod:`~macdkit.operators`), so the checks and operators run on one signal
+take each ``A_k`` once, one window sum and one divide; each block-average
 side of the other identities is one ``operators._box_terms`` call, which
-reads the same kept sums.
+reads the same kept means.
 
 The identities are statements about samples, in which the spacing cancels:
 rates are per sample and norms are sums over samples.  So ``dt`` enters

@@ -14,7 +14,7 @@ scaling multiplies them.
 :func:`apply_kernel` reads the kernel's structure from its weights alone.
 A kernel of one or two runs of equal nonzero weights (every named kernel
 but the triangle) is a sum of delayed box averages, evaluated from the
-signal's window sums like the operators; the self-convolved box is the double
+signal's window means like the operators; the self-convolved box is the double
 average; anything else takes one valid-mode :func:`numpy.convolve`.  Every
 path must agree with the direct operator evaluation on any signal.
 
@@ -224,7 +224,7 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
       weights (zero runs between them are free).  A run of ``L`` weights
       ``w`` from lag ``g`` is the box term ``(w*L, L, g)``, and both runs go
       through one ``_box_terms`` call, which reads the signal's kept window
-      sums.  Every named kernel but the triangle takes this path.
+      means.  Every named kernel but the triangle takes this path.
     * *The double average*, when the weights are bit for bit the ``m``-sample
       box convolved with itself, from lag 0: ``double_right_avg(signal, m)``,
       byte-equal to it.

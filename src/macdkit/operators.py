@@ -12,23 +12,22 @@ Window sums take one vectorised path for every window length: binary
 doubling over the digits of ``k``, about ``log2(k)`` whole-array adds in two
 ``n - 1`` buffers, whose pairwise sums err by ``O(log k)`` ulps of the
 window's absolute sum.  Every output takes the same adds, so on a constant
-signal all window sums are the same float, which is what makes e.g.
-``macd(constant) == 0`` hold bit-exactly.
+signal all window sums are the same float, and so are all window means,
+which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
 
-Every window sum an operator reads comes from ``_window_sums``, the one
-place window sums are shared.  It keeps each sum on its signal, so a
-read-only signal's ``S_k`` is computed once per signal and window: MACD,
-the averages and the identity checks, which call these public operators,
-share it on one input, and so do kernels applied by their box runs.  The
-memo holds at most ``_MEMO_WINDOWS`` (8) arrays of at most ``n`` floats per
-live signal and evicts the least recently used window first.  It uses only
-single dict operations, each atomic under the GIL, so threads sharing a
-signal can at worst compute one sum twice, never raise or read a wrong one.
-A miss continues, bit for bit, from the longest binary prefix ``k >> s``
-the signal keeps, and otherwise calls the module's ``sliding_sums`` by
-name, so a wrapper on that name (a tracer, say) sees each sum computed from
-scratch; a continued sum is timed in its caller.  Public ``sliding_sums``
-keeps no memo.
+Every window mean an operator reads comes from ``_window_means``, the one
+place window sums are shared.  It keeps each mean ``A_k = S_k / k`` on its
+signal, divided once, so a read-only signal's ``A_k`` is computed once per
+signal and window: MACD, the averages and the identity checks, which call
+these public operators, share it on one input, and so do kernels applied by
+their box runs.  The memo holds at most ``_MEMO_WINDOWS`` (8) arrays of at
+most ``n`` floats per live signal and evicts the least recently used window
+first.  It uses only single dict operations, each atomic under the GIL, so
+threads sharing a signal can at worst compute one mean twice, never raise or
+read a wrong one.  A kept mean cannot be grown exactly into a longer
+window, so a miss is one call of the module's ``sliding_sums``, looked up by
+name: a wrapper on that name (a tracer, say) sees every window a signal
+sums, each summed from scratch.  Public ``sliding_sums`` keeps no memo.
 
 The averages, MACD, ``_box_terms`` and ``delay`` are finite by
 construction and wrap their fresh (or read-only) arrays with no copy;
@@ -63,67 +62,58 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     with the width-``w`` sums ``w`` samples on, and a set digit adds one more
     sample.  Each output is a sum tree ``bit_length(k) + popcount(k) - 2``
     adds deep, within ``(bit_length(k) + popcount(k)) * eps * sum(|window|)``
-    of exact, and the same float for every window of a constant input.  Up
-    to two ``n - 1`` buffers take turns, ``2n`` floats at most; ``k = 1``
-    returns a copy.  A window sum that overflows float64 raises ``ValueError``,
-    and so does a partial sum (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
+    of exact, and the same float for every window of a constant input.
+    Every add writes into one ``n - 1`` buffer in place: numpy gives a ufunc
+    whose operands overlap the result it would give without the overlap, and
+    as each add reads only sums at or ahead of the one it writes, it needs no
+    copy for that.  The finiteness check takes no mask, and ``k = 1`` returns
+    a copy.  The result is a fresh writable array.  A window sum that
+    overflows float64 raises ``ValueError``, and so does a partial sum
+    (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
     """
     k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
-    _check_length(values.size, k, "window sums")
-    sums = _grow(values, values, 1, k)
+    n = values.size
+    _check_length(n, k, "window sums")
+    buf = np.empty(n - 1) if k > 1 else None
+    sums, w = values, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for digit in bin(k)[3:]:
+            for addend, width in [(sums, w)] + [(values, 1)] * (digit == "1"):
+                m = n - w - width + 1
+                sums = np.add(sums[:m], addend[w : w + m], out=buf[:m])
+                w += width
+    # A non-finite partial sum stays non-finite in every window it enters,
+    # so it shows in the least or the greatest sum.
+    if not (np.isfinite(sums.min()) and np.isfinite(sums.max())):
+        raise ValueError(WINDOW_SUM_OVERFLOW)
     return sums if k > 1 else sums.copy()
 
 
-def _grow(values: np.ndarray, sums: np.ndarray, p: int, k: int) -> np.ndarray:
-    """``sliding_sums(values, k)`` from ``sums``, the sums of width ``p = k >> s``.
-
-    It makes the adds of ``sliding_sums`` past width ``p``, so the bytes are
-    the same, in one ``n - p`` buffer per add, up to two that take turns.
-    """
-    n = values.size
-    digits = bin(k)[len(bin(p)):]
-    bufs = [np.empty(n - p) for _ in range(min(2, len(digits) + digits.count("1")))]
-    w, turn = p, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for digit in digits:
-            for addend, width in [(sums, w)] + [(values, 1)] * (digit == "1"):
-                out = bufs[turn][: n - w - width + 1]
-                sums = np.add(sums[: out.size], addend[w : w + out.size], out=out)
-                w, turn = w + width, 1 - turn
-    # A non-finite partial sum stays non-finite in every window it enters.
-    if not np.isfinite(sums).all():
-        raise ValueError(WINDOW_SUM_OVERFLOW)
-    return sums
-
-
-# Windows a signal keeps: the 6 distinct input sums run_checks can ask for
+# Windows a signal keeps: the 6 distinct input means run_checks can ask for
 # (w, lw, w + lw, b, n*b, (n+1)*b) plus room for the caller's own operators.
 _MEMO_WINDOWS = 8
 
 
-def _window_sums(signal: UniformSignal, k: int) -> np.ndarray:
-    """``sliding_sums(signal.values, k)``, computed once per signal and kept read-only.
+def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
+    """``sliding_sums(signal.values, k) / k``, computed once per signal and kept read-only.
 
     The signal's memo is a dict in recency order.  A hit pops and re-inserts
     its window; once it holds more than ``_MEMO_WINDOWS``, the oldest key of a
-    snapshot is dropped.  A miss continues from the longest binary prefix
-    ``k >> s`` the memo keeps, and calls ``sliding_sums`` only when it keeps
-    none.  Each step is one dict operation, so a concurrent caller can only
-    miss and compute the same sum again.
+    snapshot is dropped.  A miss is one ``sliding_sums`` call, divided by
+    ``k`` in place.  Each step is one dict operation, so a concurrent caller
+    can only miss and compute the same mean again.
     """
-    memo = signal._sums
-    sums = memo.pop(k, None)
-    if sums is None:
-        p = k >> 1
-        while p > 1 and (prefix := memo.get(p)) is None:
-            p >>= 1
-        sums = _grow(signal.values, prefix, p, k) if p > 1 else sliding_sums(signal.values, k)
-        sums.flags.writeable = False
-    memo[k] = sums
+    memo = signal._means
+    means = memo.pop(k, None)
+    if means is None:
+        means = sliding_sums(signal.values, k)
+        means /= k
+        means.flags.writeable = False
+    memo[k] = means
     while len(memo) > _MEMO_WINDOWS:
         memo.pop(next(iter(memo.copy())), None)
-    return sums
+    return means
 
 
 def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
@@ -133,18 +123,17 @@ def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
     Output 0 sits at input index ``span - 1``, with ``span`` the largest
     ``k + lag``, so ``what`` needs ``span`` samples; two calls whose terms
     reach equally far back start at the same sample.  Each distinct ``k``
-    reads one window sum of ``signal``.  Terms with the same ``(k, lag)`` add
-    their coefficients first, so the expansion's ``2n`` telescoping terms take
-    ``n + 1`` passes; the first term is written into the output and the rest
-    through one scratch array.
+    reads one kept mean of ``signal``, with no divide.  Terms with the same
+    ``(k, lag)`` add their coefficients first, so the expansion's ``2n``
+    telescoping terms take ``n + 1`` passes; the first term is written into
+    the output and the rest through one scratch array.
     """
     coefs = Counter()
     for c, k, lag in terms:
         coefs[k, lag] += c
     span = max(k + lag for k, lag in coefs)
     signal.require(span, what)
-    # Shortest first, so a longer window can continue from a kept prefix.
-    means = {k: _window_sums(signal, k) / k for k in sorted({k for k, _ in coefs})}
+    means = {k: _window_means(signal, k) for k in sorted({k for k, _ in coefs})}
     parts = [(c, means[k][span - k - lag : means[k].size - lag]) for (k, lag), c in coefs.items()]
     try:
         with np.errstate(over="raise"):
@@ -163,12 +152,13 @@ def right_avg(signal: UniformSignal, w: int) -> UniformSignal:
     Output sample ``j`` is the mean of ``values[j : j + k]``; it is anchored
     at the time of input sample ``j + k - 1``, so a sample of the output and
     the input sample at the same timestamp share the window's right endpoint.
-    The result is ``k - 1`` samples shorter than the input.
+    The result is ``k - 1`` samples shorter than the input.  Its values are
+    the mean the input keeps, read-only, with no copy and no divide.
     """
     k = window_size(w)
     signal.require(k, f"a {k}-sample average")
     return UniformSignal._wrap(signal.t0 + (k - 1) * signal.dt, signal.dt,
-                               _window_sums(signal, k) / k)
+                               _window_means(signal, k))
 
 
 def centered_avg(signal: UniformSignal, w: int) -> UniformSignal:
@@ -199,21 +189,24 @@ def double_right_avg(signal: UniformSignal, w: int) -> UniformSignal:
 def macd(signal: UniformSignal, a: int) -> UniformSignal:
     """Short-minus-long trend indicator: ``k``-average minus ``2k``-average.
 
-    Evaluated as ``(S(i) - S(i-k)) / (2k)`` with ``S`` the sliding window
-    sum, which is algebraically identical to the difference of the two means
-    and cancels bit-exactly on constant signals.  Where the difference of two
-    finite window sums overflows float64, each sum is halved first, so the
-    value stays finite.  Defined from input index ``2k - 1`` onward.
+    Evaluated as ``0.5 * (A(i) - A(i-k))`` with ``A`` the kept ``k``-sample
+    mean, the paper's difference identity at ``a = b = k``.  It cancels
+    bit-exactly on constant signals, and is byte-equal to
+    ``apply_kernel(macd_kernel(k), signal)`` and, for a power-of-two ``k``,
+    to ``(S(i) - S(i-k)) / (2k)`` from the window sums.  Only a one-sample
+    window's difference can overflow, as a finite mean is at most ``1/k`` of
+    the largest float; there each mean is halved first, so the value stays
+    finite.  Defined from input index ``2k - 1`` onward.
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
-    sums = _window_sums(signal, k)
+    means = _window_means(signal, k)
     try:
         with np.errstate(over="raise"):
-            out = sums[k:] - sums[:-k]
-            out /= 2 * k
+            out = means[k:] - means[:-k]
+            out *= 0.5
     except FloatingPointError:
-        out = sums[k:] / (2 * k) - sums[:-k] / (2 * k)
+        out = 0.5 * means[k:] - 0.5 * means[:-k]
     return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
 
 

@@ -19,14 +19,14 @@ overflow, such as a difference quotient or a convolution, is wrapped
 ``checked``: the constructor names its first non-finite sample.
 
 Because a signal's values never change, each signal also keeps the window
-sums the operators took of it.  That memo is the only way window sums are
-shared: the identity checks call the public operators, so operators and
-checks on one input take each ``(signal, k)`` sum once.
-:func:`~macdkit.operators._window_sums` alone fills and reads it: at most 8
-windows, least recently used evicted first, read-only arrays, and only
-single dict operations, so threads that share a signal can at worst compute
-a sum twice.  A missing sum grows from a kept binary prefix of its window,
-or else comes from ``operators.sliding_sums``, looked up by name.
+means the operators took of it, each window sum divided by ``k`` once.  That
+memo is the only way window sums are shared: the identity checks call the
+public operators, so operators and checks on one input take each
+``(signal, k)`` mean once.  :func:`~macdkit.operators._window_means` alone
+fills and reads it: at most 8 windows, least recently used evicted first,
+read-only arrays, and only single dict operations, so threads that share a
+signal can at worst compute a mean twice.  A missing mean is one call of
+``operators.sliding_sums``, looked up by name, divided in place.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
@@ -82,7 +82,7 @@ class UniformSignal:
     propagated.  Derived signals never start after their input's last sample.
 
     Equality is identity, as the values are an array.  A signal also holds a
-    private memo of its window sums (not a field, so it takes no part in
+    private memo of its window means (not a field, so it takes no part in
     ``repr`` or ``fields()``): at most 8 read-only arrays of at most ``n``
     floats each, ``64 * n`` bytes per live signal.
     """
@@ -109,9 +109,9 @@ class UniformSignal:
         self._set(self.t0, self.dt, vals)
 
     def _set(self, t0: float, dt: float, values: np.ndarray) -> None:
-        """Set every field and an empty window-sum memo; ``values`` turns read-only."""
+        """Set every field and an empty window-mean memo; ``values`` turns read-only."""
         values.flags.writeable = False
-        vars(self).update(t0=float(t0), dt=float(dt), values=values, _sums={})
+        vars(self).update(t0=float(t0), dt=float(dt), values=values, _means={})
 
     @classmethod
     def _wrap(cls, t0: float, dt: float, values: np.ndarray, checked=False) -> "UniformSignal":
@@ -119,7 +119,7 @@ class UniformSignal:
 
         Only for a finite 1-D float64 array that nothing else writes, with
         ``dt`` already positive and finite, as an operator's fresh result is:
-        the window sums the signal keeps are valid only while it is unchanged.
+        the window means the signal keeps are valid only while it is unchanged.
         With ``checked``, a non-finite result goes to the public constructor.
         """
         if checked and not np.isfinite(values).all():

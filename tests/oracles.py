@@ -15,6 +15,19 @@ def naive_window_sums(values, k):
     return [math.fsum(values[i - k + 1 : i + 1]) for i in range(k - 1, len(values))]
 
 
+def doubled_window_sums(values, k):
+    """Window sums by the doubling over the binary digits of ``k``, one fresh list per add.
+
+    The adds ``sliding_sums`` makes, in the same order, so its bytes are these.
+    """
+    sums, w = list(values), 1
+    for digit in bin(k)[3:]:
+        sums, w = [a + b for a, b in zip(sums[: len(sums) - w], sums[w:])], 2 * w
+        if digit == "1":
+            sums, w = [a + b for a, b in zip(sums[:-1], values[w:])], w + 1
+    return sums
+
+
 def naive_right_avg(values, k):
     """Mean of each k-sample window, via exact summation."""
     return [s / k for s in naive_window_sums(values, k)]

@@ -75,7 +75,7 @@ DIGESTS = {
     "compute expansion": ("68bec10ccbff3557d9495cef1a9b60ddfe15c33c70a77085dfa8e85e4ab8354a",
                           "1ab6a55faefa6c365423bd1b2c1ea443f82ddca2958a889328d1041c9eec0591"),
     "compute macd epoch": ("33b0343833fffe31bcd58a9940597be1c706d6b5eda0eea840b4cb897f827020",
-                           "112bac6cd5cde3125deaa8540b0dc316bf52aa377303e27a81eabae8a7db03b5"),
+                           "3f755093e71d9f11bbb58e6308c5cc5f0738107b6c17b8d6cc8b947e3aaf3b97"),
     "compute short": ("cf578ee2b1744e595f13ad0e6e87a9cb483022a074e225c606ea7b0c45b32c40",
                       None),
     "compute missing": ("f4047b2e4964f007ef82ecbc23441a38fc28dc75c28d1f068425aae791bec669",
@@ -84,9 +84,9 @@ DIGESTS = {
                     None),
     "verify all": ("c432868ddfe6e1a8d8e670782854bdd4c119765257b990cebf6a5dbdf9a95378",
                    None),
-    "verify subset": ("d6f00e80d37ee01516841274004a21ea7117ae4c1566d665d01dda4a93a6455e",
+    "verify subset": ("5dbc305b9c84e2a9218e00a132200ee841598caa04420bbcde49cf883c31c72b",
                       None),
-    "verify epoch": ("8b2eaae0ec7b1417463ab892e60ebfd736a2eba6038de8d2825889b302c11a1f",
+    "verify epoch": ("004fffae333706c97e4029d59b6dcef34378007f8e32c72d735983a5ea69f727",
                      None),
     "verify tol 1e-16": ("0c61932f6adbc989db2c464bf2d1cee54fcc4b8c34cc0cb504e6a88915d076b6",
                          None),

@@ -507,17 +507,17 @@ def sliding_sums_calls(monkeypatch):
 
 
 # Windows summed from scratch on a fresh signal: at most one per distinct
-# (signal, window) sum, as each signal keeps the sums taken of it and the
-# checks build every side with the public operators, and none for a window
-# that continues from a kept binary prefix.  Every sum is of the input itself.
-# run_checks at its defaults takes S_8, S_12, S_20 (decomposition; the
-# difference identity, macd_derivative, phase_corrected_form, lp_bound and
-# monotonicity reuse them), then S_4 (expansion), whose S_16 continues from S_8.
+# (signal, window) mean, as each signal keeps the means taken of it and the
+# checks build every side with the public operators.  Every sum is of the
+# input itself.  run_checks at its defaults takes S_8, S_12, S_20
+# (decomposition; the difference identity, macd_derivative,
+# phase_corrected_form, lp_bound and monotonicity reuse them), then S_4 and
+# S_16 (expansion).
 @pytest.mark.parametrize("run, windows", [
-    (lambda s: check_phase_corrected_form(s, 8), [8]),  # macd and centered_avg share S_8
+    (lambda s: check_phase_corrected_form(s, 8), [8]),  # macd and centered_avg share A_8
     (lambda s: check_difference_identity(s, 8, 12), [8, 12, 20]),
     (lambda s: check_macd_derivative(s, 8), [8]),
-    (lambda s: run_checks(s), [8, 12, 20, 4]),
+    (lambda s: run_checks(s), [4, 8, 12, 16, 20]),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, windows):
     result = run(random_signal(500))
@@ -537,16 +537,18 @@ def test_operators_and_checks_on_one_signal_share_its_window_sum(sliding_sums_ca
     assert sliding_sums_calls == [8]
 
 
-def test_checks_over_the_batch_sweep_sum_only_the_first_windows(sliding_sums_calls,
-                                                                 random_signal):
+def test_checks_over_the_batch_sweep_sum_each_kept_window_once(sliding_sums_calls,
+                                                               random_signal):
     # The benchmark's window sweep asks one signal for k/2, k, 3k/2, 2k and
-    # 5k/2 at k = 8, 32, 128.  At k = 32 and 128 every one of them continues
-    # from a binary prefix the signal keeps, k >> 2 at the latest.
+    # 5k/2 at k = 8, 32, 128.  Each window is summed from scratch once while
+    # the signal keeps its mean; 16 and 64 are summed twice, because the
+    # 8-window memo evicts them between two sweep steps.
     sig = random_signal(2000)
     for k in (8, 32, 128):
         assert all(r.passed for r in run_checks(sig, window=k, long_window=3 * k // 2,
                                                 n=4, b=k // 2)), k
-    assert sorted(sliding_sums_calls) == [4, 8, 12, 20]
+    assert sorted(sliding_sums_calls) == [4, 8, 12, 16, 16, 20, 32, 48, 64, 64, 80, 128,
+                                          192, 256, 320]
 
 
 OPERATORS = {
@@ -579,7 +581,7 @@ def test_kept_window_sums_are_invisible(random_signal):
     sig = random_signal(500)
     run_checks(sig)
     _outputs(sig, MEMO_WINDOWS)
-    assert 0 < len(sig._sums) <= 8
+    assert 0 < len(sig._means) <= 8
 
     def fresh():
         return UniformSignal(sig.t0, sig.dt, sig.values)
@@ -588,19 +590,19 @@ def test_kept_window_sums_are_invisible(random_signal):
     for name, (params_of, call) in CHECKS.items():
         params = params_of(8, 12, 3, 4)
         assert call(sig, 1e-12, **params) == call(fresh(), 1e-12, **params), name
-    for k, kept in sig._sums.items():
+    for k, kept in sig._means.items():
         assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0.0
         public = operators.sliding_sums(sig.values, k)
-        assert public.flags.writeable and np.array_equal(public, kept)
-        assert not any(np.shares_memory(public, other) for other in sig._sums.values())
+        assert public.flags.writeable and np.array_equal(public / k, kept)
+        assert not any(np.shares_memory(public, other) for other in sig._means.values())
     # The memo is no field, so repr and fields() see only t0, dt, values.
     assert [f.name for f in dataclasses.fields(UniformSignal)] == ["t0", "dt", "values"]
     assert repr(sig) == repr(fresh())
     one = UniformSignal(2.0, 0.5, [3.0])
     right_avg(one, 1)
-    assert one._sums and repr(one) == repr(UniformSignal(2.0, 0.5, [3.0]))
+    assert one._means and repr(one) == repr(UniformSignal(2.0, 0.5, [3.0]))
 
 
 def test_threads_sharing_a_signal_get_single_thread_results(random_signal):
@@ -611,7 +613,7 @@ def test_threads_sharing_a_signal_get_single_thread_results(random_signal):
     sig = random_signal(300)
     plans = [MEMO_WINDOWS[i % 3:][:4] + [40 + 2 * i] for i in range(8)]
     want = [_outputs(UniformSignal(sig.t0, sig.dt, sig.values), plan) for plan in plans]
-    want_sums = {k: operators.sliding_sums(sig.values, k) for k in range(1, 17)}
+    want_means = {k: operators.sliding_sums(sig.values, k) / k for k in range(1, 17)}
     got, errors = [None] * len(plans), []
 
     def work(i):
@@ -620,7 +622,7 @@ def test_threads_sharing_a_signal_get_single_thread_results(random_signal):
                 got[i] = _outputs(sig, plans[i])
             for j in range(2000):
                 k = 1 + (3 * i + j) % 16
-                assert np.array_equal(operators._window_sums(sig, k), want_sums[k]), k
+                assert np.array_equal(operators._window_means(sig, k), want_means[k]), k
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -638,4 +640,4 @@ def test_threads_sharing_a_signal_get_single_thread_results(random_signal):
     assert errors == []
     for g, w in zip(got, want, strict=True):
         _assert_same_outputs(g, w)
-    assert len(sig._sums) <= 8
+    assert len(sig._means) <= 8

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from macdkit import (
     InsufficientSamplesError,
     UniformSignal,
+    apply_kernel,
     centered_avg,
     delay,
     double_right_avg,
     macd,
+    macd_kernel,
     right_avg,
     sample_offset,
     sliding_sums,
@@ -20,7 +22,7 @@ from macdkit import (
 )
 from macdkit import operators
 
-from .oracles import naive_macd, naive_right_avg, naive_window_sums
+from .oracles import doubled_window_sums, naive_macd, naive_right_avg, naive_window_sums
 
 
 def ramp(n, dt=1.0):
@@ -131,6 +133,14 @@ def test_sliding_sums_window_of_whole_signal(n, rng):
     assert_within_doubling_bound(values, n)
 
 
+def test_sliding_sums_are_the_doubling_adds_bit_for_bit(rng):
+    # Each add writes its buffer in place; the oracle writes a fresh list.
+    values = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
+    for k in range(1, 301):
+        want = np.array(doubled_window_sums(values.tolist(), k))
+        assert sliding_sums(values, k).tobytes() == want.tobytes(), k
+
+
 def test_sliding_sums_of_one_sample_is_a_copy():
     values = np.array([1.0, -2.0, 3.5])
     sums = sliding_sums(values, 1)
@@ -147,8 +157,8 @@ def test_sliding_sums_match_exact_window_sums(k, random_signal):
 
 
 def test_sliding_sums_temporary_memory_is_bounded():
-    # The window sums double in two buffers of n - 1 floats that take
-    # turns, about 2x the input whatever the window.
+    # The window sums double in place in one buffer of n - 1 floats, about
+    # 1x the input whatever the window.
     values = np.random.default_rng(5).standard_normal(1_000_000)
     tracemalloc.start()
     try:
@@ -157,17 +167,6 @@ def test_sliding_sums_temporary_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * values.nbytes
-
-
-def test_continuing_from_a_binary_prefix_gives_the_same_bytes(rng):
-    # A window sum grown from any binary prefix p = k >> s runs the adds that
-    # sliding_sums makes after reaching width p, so every byte agrees.
-    values = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
-    for k in range(1, 131):
-        want = sliding_sums(values, k).tobytes()
-        for p in {k >> s for s in range(k.bit_length())}:
-            got = operators._grow(values, sliding_sums(values, p), p, k)
-            assert got.tobytes() == want, (p, k)
 
 
 @pytest.mark.parametrize("p, k", [(1, 2), (2, 5), (3, 6), (3, 7), (4, 17), (6, 25), (12, 49)])
@@ -179,23 +178,35 @@ def test_average_after_its_prefix_equals_a_fresh_one(p, k, random_signal):
     assert warm.t0 == cold.t0 and np.array_equal(warm.values, cold.values)
 
 
-def test_one_add_continuation_keeps_at_most_one_buffer():
-    # S_16 from a kept S_8 is one add into one n - 8 float buffer; the rest of
-    # the peak is the n-byte finiteness mask.  A sum from scratch takes two.
+def test_a_missing_mean_peaks_at_two_buffers():
+    # A miss is one sliding_sums call, divided by k in place.  Its adds write
+    # one n - 1 float buffer in place, and a numpy that copied an overlapping
+    # operand would take a second; its finiteness check takes no mask.  The
+    # 64 KiB slack covers the array headers.
     n = 1_000_000
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(7).standard_normal(n))
-    operators._window_sums(sig, 8)
     tracemalloc.start()
     try:
-        operators._window_sums(sig, 16)
-        peak = tracemalloc.get_traced_memory()[1]
+        for k in (2, 3, 1000):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            operators._window_means(sig, k)
+            assert tracemalloc.get_traced_memory()[1] - before <= 2 * n * 8 + 64 * 1024, k
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * n + 64 * 1024
+
+
+def test_right_avg_wraps_the_kept_mean(random_signal):
+    sig = random_signal(300)
+    for k in (1, 5, 8):
+        out = right_avg(sig, k)
+        assert out.values is sig._means[k] and not out.values.flags.writeable
+        assert right_avg(sig, k).values is out.values
+        np.testing.assert_array_equal(out.values, sliding_sums(sig.values, k) / k)
 
 
 def test_signal_keeps_at_most_eight_window_sums():
-    # Each kept sum holds one buffer of at most n floats, so 40 windows
+    # Each kept mean holds one buffer of at most n floats, so 40 windows
     # asked of one signal retain at most 8 * n * 8 bytes; the 64 KiB slack
     # covers the dict and the array headers.
     n = 100_000
@@ -208,7 +219,7 @@ def test_signal_keeps_at_most_eight_window_sums():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(sig._sums) <= 8
+    assert len(sig._means) <= 8
     assert retained <= 8 * n * 8 + 64 * 1024
 
 
@@ -283,7 +294,7 @@ def test_double_avg_equals_two_passes(random_signal):
 
 @given(
     c=st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False),
-    k=st.integers(min_value=1, max_value=16),
+    k=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=200, deadline=None)
 def test_macd_annihilates_constants_bit_exactly(c, k):
@@ -331,6 +342,69 @@ def test_macd_valid_range():
     assert len(out) == 10 - 4 + 1
     with pytest.raises(InsufficientSamplesError):
         macd(ramp(3), 2)
+
+
+def _spread_inputs(n, rng):
+    walk = np.cumsum(rng.standard_normal(n))
+    return {"walk": walk, "walk + 1e6": walk + 1e6,
+            "spread over 1e+-30": rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)}
+
+
+def test_macd_is_its_kernel_byte_for_byte(rng):
+    # Both halve the difference of two kept means: macd as 0.5 * (a - b),
+    # the kernel's box runs as 0.5 * a + (-0.5) * b, which rounds the same.
+    for name, values in _spread_inputs(200, rng).items():
+        sig = UniformSignal(3.0, 0.5, values)
+        for k in range(1, 41):
+            got, want = macd(sig, k), apply_kernel(macd_kernel(k), sig)
+            assert got.t0 == want.t0 and got.values.tobytes() == want.values.tobytes(), (name, k)
+
+
+def test_macd_is_half_the_lag_k_difference_of_the_trailing_mean(rng):
+    for values in _spread_inputs(300, rng).values():
+        sig = UniformSignal(0.0, 1.0, values)
+        for k in (1, 3, 12, 26, 100):
+            r = right_avg(sig, k).values
+            assert macd(sig, k).values.tobytes() == (0.5 * (r[k:] - r[:-k])).tobytes(), k
+
+
+def test_macd_keeps_its_bytes_at_power_of_two_windows(rng):
+    # Dividing a window sum by a power of two only scales it, so these
+    # outputs are the window-sum evaluation's bit for bit.
+    for values in _spread_inputs(600, rng).values():
+        sig = UniformSignal(0.0, 1.0, values)
+        for k in (1, 2, 4, 8, 16, 64, 128):
+            s = sliding_sums(values, k)
+            assert macd(sig, k).values.tobytes() == ((s[k:] - s[:-k]) / (2 * k)).tobytes(), k
+
+
+def test_macd_error_against_exact_sums(rng):
+    # Each mean errs by the window sum's O(log k) ulps of its absolute sum;
+    # halving their difference keeps the error within 2e-15 of the mean |x|
+    # over the 2k samples an output reads.
+    for name, values in _spread_inputs(1000, rng).items():
+        sig = UniformSignal(0.0, 1.0, values)
+        x = values.tolist()
+        for k in (3, 12, 26, 100):
+            got = macd(sig, k).values
+            for j, i in enumerate(range(2 * k - 1, len(x))):
+                older, recent = x[i - 2 * k + 1 : i - k + 1], x[i - k + 1 : i + 1]
+                exact = math.fsum(recent + [-v for v in older]) / (2 * k)
+                scale = math.fsum(abs(v) for v in older + recent) / (2 * k)
+                assert abs(got[j] - exact) <= 2e-15 * scale, (name, k, i)
+
+
+def test_macd_stays_finite_near_the_largest_float():
+    big = np.finfo(np.float64).max
+    # Only a one-sample window's difference can overflow: it is halved
+    # before the subtraction instead.
+    out = macd(UniformSignal(0.0, 1.0, [big, -big, big]), 1)
+    assert out.values.tolist() == [-big, big]
+    # At k = 3 a finite window sum's mean is at most a third of the largest
+    # float, so the difference of two means stays finite.
+    values = np.array([0.3 * big] * 3 + [-0.3 * big] * 3)
+    mean = sliding_sums(values, 3)[0] / 3
+    assert macd(UniformSignal(0.0, 1.0, values), 3).values.tolist() == [-mean]
 
 
 # --- delay -------------------------------------------------------------------
