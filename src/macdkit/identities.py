@@ -115,8 +115,8 @@ class MonotonicityResult:
 
 
 def default_tolerance(signal: UniformSignal) -> float:
-    """Classifier tolerance proportional to the data magnitude."""
-    return 1e-9 * _max_abs(signal.values)
+    """Classifier tolerance proportional to the data magnitude, the signal's kept ``max|x|``."""
+    return 1e-9 * signal._peak
 
 
 def _tolerance(tol: float) -> float:
@@ -252,7 +252,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     """
     out, vals = macd(signal, a).values, signal.values
     if p == math.inf:
-        return _ratio(_max_abs(out), _max_abs(vals))
+        return _ratio(_max_abs(out), signal._peak)
     if p not in (1, 2):
         raise ValueError(f"unsupported norm order: {p!r}")
 
@@ -262,7 +262,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
 
     totals = sums(out, vals)
     if not all(np.finfo(float).tiny <= s < math.inf for s in totals):
-        e = -math.frexp(_max_abs(vals))[1]
+        e = -math.frexp(signal._peak)[1]
         totals = sums(np.ldexp(out, e), np.ldexp(vals, e))
     return _ratio(*(totals if p == 1 else map(math.sqrt, totals)))
 

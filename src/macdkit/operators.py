@@ -8,12 +8,14 @@ between the operators exact rather than merely first-order in ``dt``.
 Every window argument is that sample count ``k``, a plain ``int`` checked
 by :func:`~macdkit.signals.window_size`.
 
-Window sums take one vectorised path for every window length: binary
-doubling over the digits of ``k``, about ``log2(k)`` whole-array adds in two
-``n - 1`` buffers, whose pairwise sums err by ``O(log k)`` ulps of the
-window's absolute sum.  Every output takes the same adds, so on a constant
-signal all window sums are the same float, and so are all window means,
-which is what makes e.g. ``macd(constant) == 0`` hold bit-exactly.
+Window sums take one vectorised path for every window length: the dyadic
+tree of ``k``, power-of-two levels by doubling and a window ``2**m + r`` as
+its top level plus the ``r``-window ``2**m`` samples on, about ``log2(k)``
+whole-array adds in at most two buffers of at most ``n - 1`` floats, whose
+pairwise sums err by ``O(log k)`` ulps of the window's absolute sum.  Every output takes the
+same adds, so on a constant signal all window sums are the same float, and
+so are all window means, which is what makes e.g. ``macd(constant) == 0``
+hold bit-exactly.
 
 Every window mean an operator reads comes from ``_window_means``, the one
 place window sums are shared.  It keeps each mean ``A_k = S_k / k`` on its
@@ -24,10 +26,13 @@ their box runs.  The memo holds at most ``_MEMO_WINDOWS`` (8) arrays of at
 most ``n`` floats per live signal and evicts the least recently used window
 first.  It uses only single dict operations, each atomic under the GIL, so
 threads sharing a signal can at worst compute one mean twice, never raise or
-read a wrong one.  A kept mean cannot be grown exactly into a longer
-window, so a miss is one call of the module's ``sliding_sums``, looked up by
-name: a wrapper on that name (a tracer, say) sees every window a signal
-sums, each summed from scratch.  Public ``sliding_sums`` keeps no memo.
+read a wrong one.  A miss grows its mean from the power-of-two means the
+signal keeps, along the same tree, where every power-of-two scaling of its
+partial sums is exact (``_grown_means``), so the result is byte-equal to
+the window sums divided by ``k`` whatever the memo holds.  Otherwise it is
+one call of the module's ``sliding_sums``, looked up by name: a wrapper on
+that name (a tracer, say) sees every window a signal sums from scratch.
+Public ``sliding_sums`` keeps no memo.
 
 The averages, MACD, ``_box_terms`` and ``delay`` are finite by
 construction and wrap their fresh (or read-only) arrays with no copy;
@@ -57,32 +62,27 @@ __all__ = [
 def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     """Sums of every length-``k`` window of ``values`` (length ``n - k + 1``).
 
-    Output ``j`` is the sum of ``values[j : j + k]``, doubled up over the
-    binary digits of ``k`` from the top: each digit doubles the width ``w``
-    with the width-``w`` sums ``w`` samples on, and a set digit adds one more
-    sample.  Each output is a sum tree ``bit_length(k) + popcount(k) - 2``
-    adds deep, within ``(bit_length(k) + popcount(k)) * eps * sum(|window|)``
-    of exact, and the same float for every window of a constant input.
-    Every add writes into one ``n - 1`` buffer in place: numpy gives a ufunc
-    whose operands overlap the result it would give without the overlap, and
-    as each add reads only sums at or ahead of the one it writes, it needs no
-    copy for that.  The finiteness check takes no mask, and ``k = 1`` returns
-    a copy.  The result is a fresh writable array.  A window sum that
-    overflows float64 raises ``ValueError``, and so does a partial sum
+    Output ``j`` is the sum of ``values[j : j + k]``, over the dyadic tree of
+    ``k``: doubling gives the power-of-two levels, each width-``2w`` sum the
+    width-``w`` sum plus the one ``w`` samples on, and a window ``2**m + r``
+    is its top level plus the ``r``-window sum ``2**m`` samples on, that one
+    built the same way from the lower set digits.  Each output is a sum tree
+    at most ``bit_length(k) + popcount(k) - 2`` adds deep, within
+    ``(bit_length(k) + popcount(k)) * eps * sum(|window|)`` of exact, and the
+    same float for every window of a constant input.  The adds write at most
+    two buffers of at most ``n - 1`` floats in place: numpy gives a ufunc whose operands
+    overlap the result it would give without the overlap, and as each add
+    reads only sums at or ahead of the one it writes, it needs no copy for
+    that.  The finiteness check takes no mask, and ``k = 1`` returns a copy.
+    The result is a fresh writable array.  A window sum that overflows
+    float64 raises ``ValueError``, and so does a partial sum
     (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
     """
     k = window_size(k)
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    _check_length(n, k, "window sums")
-    buf = np.empty(n - 1) if k > 1 else None
-    sums, w = values, 1
+    _check_length(values.size, k, "window sums")
     with np.errstate(over="ignore", invalid="ignore"):
-        for digit in bin(k)[3:]:
-            for addend, width in [(sums, w)] + [(values, 1)] * (digit == "1"):
-                m = n - w - width + 1
-                sums = np.add(sums[:m], addend[w : w + m], out=buf[:m])
-                w += width
+        sums, _ = _dyadic_sums(values, 1, k, {}.get)
     # A non-finite partial sum stays non-finite in every window it enters,
     # so it shows in the least or the greatest sum.
     if not (np.isfinite(sums.min()) and np.isfinite(sums.max())):
@@ -90,9 +90,68 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     return sums if k > 1 else sums.copy()
 
 
+def _dyadic_sums(level: np.ndarray, w: int, k: int, kept) -> tuple[np.ndarray, int]:
+    """``(S_k / unit, unit)``: the width-``k`` window sums over ``k``'s dyadic tree.
+
+    ``level`` holds the width-``w`` sums divided by ``w``, a power of two no
+    larger than ``k``'s lowest set digit.  ``kept(v)`` gives the width-``v``
+    sums divided by ``v``, or ``None``: on its way to each set digit the
+    level jumps to the widest kept power-of-two level, then doubles.  Every
+    array holds its sums over a power-of-two ``unit``, the width of the level
+    it grew from, and an add of two units rescales one side first.  With
+    exact scalings the result is ``S_k / unit`` for the same tree, whatever
+    ``kept`` gives.  The adds write at most two buffers, each as long as
+    its first sums; the first set digit's sums take over the level's buffer
+    rather than copy it.
+    """
+    top = 1 << k.bit_length() - 1
+    unit, owned = w, False  # level holds S_w / unit; owned: it lives in level_buf
+    low = level_buf = low_buf = None  # low: the sums over the set digits below w
+    for t in (1 << j for j in range(k.bit_length()) if k >> j & 1):
+        v = t if t < k else t // 2  # a power-of-two k is never its own kept mean
+        while v > w and (got := kept(v)) is None:
+            v //= 2
+        if v > w:
+            level, unit, w, owned = got, v, v, False
+        while w < t:
+            m = level.size - w
+            level_buf = np.empty(m) if level_buf is None else level_buf
+            level, owned = np.add(level[:m], level[w:], out=level_buf[:m]), True
+            w *= 2
+        if t == top:
+            break
+        if low is None:
+            low, low_unit = level, unit
+            if owned:
+                low_buf, level_buf, owned = level_buf, None, False
+        else:
+            low_buf = np.empty(low.size - w) if low_buf is None else low_buf
+            low, low_unit = _scaled_add(level, low[w:], low_unit / unit, low_buf), unit
+    if low is None:
+        return level, unit
+    if low_buf is not None:
+        return _scaled_add(level, low[w:], low_unit / unit, low_buf), unit
+    out = level_buf if level_buf is not None else np.empty(low.size - w)  # may hold level
+    return _scaled_add(low[w:], level, unit / low_unit, out), low_unit
+
+
+def _scaled_add(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``a + scale * b`` over the shorter of the two, into the front of ``out``.
+
+    ``b`` is scaled into ``out`` first, so it may lie in ``out`` at or ahead
+    of the sums it writes; ``a`` lies outside ``out``.
+    """
+    m = min(a.size, b.size)
+    if scale != 1:
+        b = np.multiply(b[:m], scale, out=out[:m])
+    return np.add(a[:m], b[:m], out=out[:m])
+
+
 # Windows a signal keeps: the 6 distinct input means run_checks can ask for
 # (w, lw, w + lw, b, n*b, (n+1)*b) plus room for the caller's own operators.
 _MEMO_WINDOWS = 8
+_TINY = float(np.finfo(float).tiny)
+_HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
@@ -100,20 +159,59 @@ def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
 
     The signal's memo is a dict in recency order.  A hit pops and re-inserts
     its window; once it holds more than ``_MEMO_WINDOWS``, the oldest key of a
-    snapshot is dropped.  A miss is one ``sliding_sums`` call, divided by
-    ``k`` in place.  Each step is one dict operation, so a concurrent caller
-    can only miss and compute the same mean again.
+    snapshot is dropped.  A miss grows the mean from kept power-of-two means
+    where ``_grown_means`` can, and is otherwise one ``sliding_sums`` call,
+    divided by ``k`` in place.  Each step is one dict operation, so a
+    concurrent caller can only miss and compute the same mean again.
     """
     memo = signal._means
     means = memo.pop(k, None)
     if means is None:
-        means = sliding_sums(signal.values, k)
-        means /= k
+        means = _grown_means(signal, k)
+        if means is None:
+            means = _divide(sliding_sums(signal.values, k), k)
         means.flags.writeable = False
     memo[k] = means
     while len(memo) > _MEMO_WINDOWS:
         memo.pop(next(iter(memo.copy())), None)
     return means
+
+
+def _grown_means(signal: UniformSignal, k: int) -> np.ndarray | None:
+    """``A_k`` over ``k``'s dyadic tree from the signal's kept power-of-two means, or ``None``.
+
+    The tree starts from the widest kept power of two at most ``k``'s lowest
+    set digit (and below ``k``), and takes every kept level it passes.  A
+    kept ``A_w`` times ``w`` is then the window sum bit for bit, and the sums
+    over a power-of-two unit divide once by ``k / unit``, so the result is
+    ``sliding_sums(values, k) / k`` byte for byte, provided that every
+    power-of-two scaling of a partial sum is exact and finite.  So it is
+    ``None`` unless every nonzero ``|x|`` is at least ``k`` times the least
+    normal float, so that every partial sum is a multiple of ``2**m`` times
+    the least subnormal for the largest ``2**m <= k``, and unless
+    ``k * max|x|`` is at most half the largest float.
+    """
+    memo = signal._means
+    w = min(k & -k, k // 2)
+    while w and (base := memo.get(w)) is None:
+        w //= 2
+    if not w or k * signal._peak > _HALF_MAX or k * _TINY > signal._floor:
+        return None
+    sums, unit = _dyadic_sums(base, w, k, memo.get)
+    return _divide(sums, k, unit)
+
+
+def _divide(sums: np.ndarray, k: int, unit: int = 1) -> np.ndarray:
+    """``sums`` divided by ``k / unit`` in place: the window means of sums over ``unit``.
+
+    For a power-of-two ``k`` that is a multiply by ``unit / k``, a power of
+    two: it rounds as the divide does, in a quarter of the time.
+    """
+    if k & (k - 1):
+        sums /= k / unit
+    else:
+        sums *= unit / k
+    return sums
 
 
 def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:

@@ -25,8 +25,13 @@ public operators, so operators and checks on one input take each
 ``(signal, k)`` mean once.  :func:`~macdkit.operators._window_means` alone
 fills and reads it: at most 8 windows, least recently used evicted first,
 read-only arrays, and only single dict operations, so threads that share a
-signal can at worst compute a mean twice.  A missing mean is one call of
-``operators.sliding_sums``, looked up by name, divided in place.
+signal can at worst compute a mean twice.  A missing mean grows from the
+kept power-of-two means where that is exact, and is otherwise one call of
+``operators.sliding_sums``, looked up by name, divided in place.  Beside
+the memo a signal keeps ``max|x|`` and its least nonzero ``|x|``, each found
+once.  ``max|x|`` scales the default tolerance of the classifier and the
+monotonicity scan and is the sup-norm bound's denominator; the two together
+say where a mean may grow exactly.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +90,8 @@ class UniformSignal:
     Equality is identity, as the values are an array.  A signal also holds a
     private memo of its window means (not a field, so it takes no part in
     ``repr`` or ``fields()``): at most 8 read-only arrays of at most ``n``
-    floats each, ``64 * n`` bytes per live signal.
+    floats each, ``64 * n`` bytes per live signal, and ``max|x|`` and the
+    least nonzero ``|x|`` once something asks for them.
     """
 
     t0: float
@@ -127,6 +134,18 @@ class UniformSignal:
         sig = object.__new__(cls)
         sig._set(t0, dt, values)
         return sig
+
+    @cached_property
+    def _peak(self) -> float:
+        """``max|values|``, found once per signal: ``max(|max|, |min|)``, with no temporary array."""
+        return float(max(abs(self.values.max()), abs(self.values.min())))
+
+    @cached_property
+    def _floor(self) -> float:
+        """The least nonzero ``|value|``, found once per signal; ``inf`` if every value is zero."""
+        mags = np.abs(self.values)
+        least = mags.min()
+        return float(least if least > 0 else mags.min(where=mags > 0, initial=np.inf))
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -15,17 +15,26 @@ def naive_window_sums(values, k):
     return [math.fsum(values[i - k + 1 : i + 1]) for i in range(k - 1, len(values))]
 
 
-def doubled_window_sums(values, k):
-    """Window sums by the doubling over the binary digits of ``k``, one fresh list per add.
+def dyadic_window_sums(values, k):
+    """Window sums over the dyadic tree of ``k``, one fresh list per add.
 
-    The adds ``sliding_sums`` makes, in the same order, so its bytes are these.
+    Level ``2w`` is level ``w`` plus itself ``w`` samples on, from level 1,
+    the values.  A window ``2**m + r`` is level ``2**m`` plus the ``r``-window
+    sums, built the same way, ``2**m`` samples on.  The adds ``sliding_sums``
+    makes, so its bytes are these.
     """
-    sums, w = list(values), 1
-    for digit in bin(k)[3:]:
-        sums, w = [a + b for a, b in zip(sums[: len(sums) - w], sums[w:])], 2 * w
-        if digit == "1":
-            sums, w = [a + b for a, b in zip(sums[:-1], values[w:])], w + 1
-    return sums
+    levels = [list(values)]
+    while 2 ** len(levels) <= k:
+        w, prev = 2 ** (len(levels) - 1), levels[-1]
+        levels.append([a + b for a, b in zip(prev, prev[w:])])
+
+    def tree(r):
+        m = r.bit_length() - 1
+        if r == 1 << m:
+            return levels[m]
+        return [a + b for a, b in zip(levels[m], tree(r - (1 << m))[1 << m :])]
+
+    return tree(k)
 
 
 def naive_right_avg(values, k):

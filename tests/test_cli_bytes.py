@@ -75,20 +75,20 @@ DIGESTS = {
     "compute expansion": ("68bec10ccbff3557d9495cef1a9b60ddfe15c33c70a77085dfa8e85e4ab8354a",
                           "1ab6a55faefa6c365423bd1b2c1ea443f82ddca2958a889328d1041c9eec0591"),
     "compute macd epoch": ("33b0343833fffe31bcd58a9940597be1c706d6b5eda0eea840b4cb897f827020",
-                           "3f755093e71d9f11bbb58e6308c5cc5f0738107b6c17b8d6cc8b947e3aaf3b97"),
+                           "4ddec2fb2b0abafb097a894bf28e56cbc1674d37cf345272e4bd3e8733f8c065"),
     "compute short": ("cf578ee2b1744e595f13ad0e6e87a9cb483022a074e225c606ea7b0c45b32c40",
                       None),
     "compute missing": ("f4047b2e4964f007ef82ecbc23441a38fc28dc75c28d1f068425aae791bec669",
                         None),
     "compute gap": ("d5dc7b77718f26fa8b4b6ed97c56ecde116c468eb55f681936c0d807b4df6248",
                     None),
-    "verify all": ("c432868ddfe6e1a8d8e670782854bdd4c119765257b990cebf6a5dbdf9a95378",
+    "verify all": ("f9d76e39417ff09cdc87970ad024dea6caac63c143e87b4dc2ada2c59f21ec49",
                    None),
     "verify subset": ("5dbc305b9c84e2a9218e00a132200ee841598caa04420bbcde49cf883c31c72b",
                       None),
     "verify epoch": ("004fffae333706c97e4029d59b6dcef34378007f8e32c72d735983a5ea69f727",
                      None),
-    "verify tol 1e-16": ("0c61932f6adbc989db2c464bf2d1cee54fcc4b8c34cc0cb504e6a88915d076b6",
+    "verify tol 1e-16": ("2ba1f5e360a8d59e98e69260660ae46bb36baf50942a8aabe03cf76e8cd70e13",
                          None),
     "verify tol -1": ("1dbbee9db62739a3b49e455d7f5fcd644155e4a108ee97d7d8a17ab153006603",
                       None),

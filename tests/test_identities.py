@@ -331,6 +331,28 @@ def test_classify_trend_scale_invariance(rng):
         assert big.margin == pytest.approx(alpha * base.margin, rel=1e-12)
 
 
+def test_the_kept_peak_reads_as_a_fresh_one(rng):
+    # The classifier's and the monotonicity scan's tolerance and the
+    # sup-norm ratio read max|x| as the signal keeps it, found once: the same
+    # float as a fresh max|x|, before and after the signal keeps it.  The
+    # p = 1, 2 ratios rescale by its exponent where a norm's sum is not
+    # normal, so they do not move when the walk is scaled by 2**-1000.
+    walk = np.cumsum(rng.standard_normal(3000))
+    for values in (walk, -np.abs(walk), np.zeros(50), np.ldexp(walk, -1000)):
+        peak = float(np.max(np.abs(values)))
+        fresh, sig = (UniformSignal(0.0, 1.0, values) for _ in range(2))
+        assert default_tolerance(sig) == 1e-9 * peak and sig._peak == peak
+        assert check_window_monotonicity(sig, 4, 12) == check_window_monotonicity(fresh, 4, 12)
+        for index in (20, len(values) // 2, len(values) - 1):
+            assert (classify_trend(sig, index, 4, 8)
+                    == classify_trend(fresh, index, 4, 8, tol=1e-9 * peak))
+        out = float(np.max(np.abs(macd(sig, 8).values)))
+        assert check_lp_bound(sig, 8, math.inf) == (out / peak if peak else 0.0)
+    for p in (1, 2, math.inf):
+        assert (check_lp_bound(UniformSignal(0.0, 1.0, np.ldexp(walk, -1000)), 8, p)
+                == check_lp_bound(UniformSignal(0.0, 1.0, walk), 8, p)), p
+
+
 def test_classify_trend_index_bounds():
     sig = ramp(20)
     with pytest.raises(IndexError):
@@ -511,13 +533,15 @@ def sliding_sums_calls(monkeypatch):
 # checks build every side with the public operators.  Every sum is of the
 # input itself.  run_checks at its defaults takes S_8, S_12, S_20
 # (decomposition; the difference identity, macd_derivative,
-# phase_corrected_form, lp_bound and monotonicity reuse them), then S_4 and
-# S_16 (expansion).
+# phase_corrected_form, lp_bound and monotonicity reuse them), then S_4
+# (expansion); A_16, the expansion's other window, grows from the kept A_8.
+# 12 and 20 are not grown, as nothing is kept at or below their lowest
+# digit, 4.
 @pytest.mark.parametrize("run, windows", [
     (lambda s: check_phase_corrected_form(s, 8), [8]),  # macd and centered_avg share A_8
     (lambda s: check_difference_identity(s, 8, 12), [8, 12, 20]),
     (lambda s: check_macd_derivative(s, 8), [8]),
-    (lambda s: run_checks(s), [4, 8, 12, 16, 20]),
+    (lambda s: run_checks(s), [4, 8, 12, 20]),
 ], ids=["phase_corrected_form", "difference_identity", "macd_derivative", "run_checks"])
 def test_checks_take_each_window_sum_once(sliding_sums_calls, random_signal, run, windows):
     result = run(random_signal(500))
@@ -540,15 +564,14 @@ def test_operators_and_checks_on_one_signal_share_its_window_sum(sliding_sums_ca
 def test_checks_over_the_batch_sweep_sum_each_kept_window_once(sliding_sums_calls,
                                                                random_signal):
     # The benchmark's window sweep asks one signal for k/2, k, 3k/2, 2k and
-    # 5k/2 at k = 8, 32, 128.  Each window is summed from scratch once while
-    # the signal keeps its mean; 16 and 64 are summed twice, because the
-    # 8-window memo evicts them between two sweep steps.
+    # 5k/2 at k = 8, 32, 128.  Only the first step sums from scratch: every
+    # later window grows from the power-of-two means the signal keeps, 16
+    # and 64 too where the 8-window memo evicted them between two steps.
     sig = random_signal(2000)
     for k in (8, 32, 128):
         assert all(r.passed for r in run_checks(sig, window=k, long_window=3 * k // 2,
                                                 n=4, b=k // 2)), k
-    assert sorted(sliding_sums_calls) == [4, 8, 12, 16, 16, 20, 32, 48, 64, 64, 80, 128,
-                                          192, 256, 320]
+    assert sorted(sliding_sums_calls) == [4, 8, 12, 20]
 
 
 OPERATORS = {

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from macdkit import (
 )
 from macdkit import operators
 
-from .oracles import doubled_window_sums, naive_macd, naive_right_avg, naive_window_sums
+from .oracles import dyadic_window_sums, naive_macd, naive_right_avg, naive_window_sums
 
 
 def ramp(n, dt=1.0):
@@ -137,7 +138,7 @@ def test_sliding_sums_are_the_doubling_adds_bit_for_bit(rng):
     # Each add writes its buffer in place; the oracle writes a fresh list.
     values = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
     for k in range(1, 301):
-        want = np.array(doubled_window_sums(values.tolist(), k))
+        want = np.array(dyadic_window_sums(values.tolist(), k))
         assert sliding_sums(values, k).tobytes() == want.tobytes(), k
 
 
@@ -178,22 +179,90 @@ def test_average_after_its_prefix_equals_a_fresh_one(p, k, random_signal):
     assert warm.t0 == cold.t0 and np.array_equal(warm.values, cold.values)
 
 
-def test_a_missing_mean_peaks_at_two_buffers():
-    # A miss is one sliding_sums call, divided by k in place.  Its adds write
-    # one n - 1 float buffer in place, and a numpy that copied an overlapping
-    # operand would take a second; its finiteness check takes no mask.  The
-    # 64 KiB slack covers the array headers.
+def test_a_missing_mean_peaks_at_two_buffers(monkeypatch):
+    # A miss grows the mean from kept power-of-two means or is one
+    # sliding_sums call, divided by k in place.  Either way its adds write at
+    # most two n - 1 float buffers in place, the kept result one of them, and
+    # a numpy that copied an overlapping operand would take a third; the
+    # finiteness check takes no mask.  12 (in two buffers), 2 and 3 are
+    # summed; 1000, 1024, 16 and 4 grow from the kept 2, 2048 from the kept
+    # 1024, and 20 adds the kept 16 and 4.  The 64 KiB slack covers the
+    # array headers.
     n = 1_000_000
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(7).standard_normal(n))
+    summed, sums = [], operators.sliding_sums
+    monkeypatch.setattr(operators, "sliding_sums", lambda v, k: summed.append(k) or sums(v, k))
     tracemalloc.start()
     try:
-        for k in (2, 3, 1000):
+        for k in (12, 2, 3, 1000, 1024, 2048, 16, 4, 20):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             operators._window_means(sig, k)
             assert tracemalloc.get_traced_memory()[1] - before <= 2 * n * 8 + 64 * 1024, k
     finally:
         tracemalloc.stop()
+    assert summed == [12, 2, 3]
+
+
+def _salted(walk, rng):
+    """A walk with one sample in eight a subnormal."""
+    out = walk.copy()
+    out[::8] = rng.integers(1, 2**20, out[::8].size) * 5e-324
+    return out
+
+
+# Signals whose power-of-two scalings of window sums are exact (the walks),
+# may be inexact (subnormal samples, or samples a few times the least normal
+# float) or may overflow (near the largest float), so that both grown means
+# and their fallback are read against the window sums.
+HISTORY_SIGNALS = {
+    "walk": lambda walk, rng: walk,
+    "walk x 1e300": lambda walk, rng: walk * 1e300,
+    "walk x 1e-300": lambda walk, rng: walk * 1e-300,
+    "subnormal salt": _salted,
+    "near the least normal": lambda walk, rng: (
+        rng.choice([-1.0, 1.0], walk.size) * (2 + np.abs(walk)) * np.finfo(float).tiny),
+    "near the largest float": lambda walk, rng: np.clip(walk / 8, -1, 1) * 1.79e308,
+}
+
+
+def test_window_means_do_not_depend_on_what_the_signal_keeps():
+    # Windows of one to four binary digits up to 600, asked in any order and
+    # repeated: each kept mean is sliding_sums(values, k) / k byte for byte,
+    # or raises its error, whether it grew from kept means or was summed.
+    paths = Counter()
+
+    @given(kind=st.sampled_from(sorted(HISTORY_SIGNALS)), seed=st.integers(0, 2**32 - 1),
+           windows=st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4)
+                            .map(lambda digits: sum(1 << d for d in digits))
+                            .filter(lambda k: k <= 600), min_size=1, max_size=24))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(kind, seed, windows):
+        rng = np.random.default_rng(seed)
+        values = HISTORY_SIGNALS[kind](np.cumsum(rng.standard_normal(700)), rng)
+        sig = UniformSignal(0.0, 1.0, values)
+        for k in windows:
+            try:
+                want = sums(values, k) / k
+            except ValueError as exc:
+                want = str(exc)
+            hit, before = k in sig._means, len(summed)
+            try:
+                got = operators._window_means(sig, k)
+            except ValueError as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                assert isinstance(got, str) and got == want, (kind, k)
+            else:
+                assert got.tobytes() == want.tobytes(), (kind, k)
+            if not hit:
+                paths["summed" if len(summed) > before else "grown"] += 1
+
+    summed, sums = [], operators.sliding_sums
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "sliding_sums", lambda v, k: summed.append(k) or sums(v, k))
+        check()
+    assert paths["grown"] > 0 and paths["summed"] > 0, paths
 
 
 def test_right_avg_wraps_the_kept_mean(random_signal):
