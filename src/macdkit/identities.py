@@ -11,9 +11,12 @@ Every side of a check is built by the public operators it names
 like), so a broken operator fails its check.  Those operators keep each
 window mean ``A_k = S_k / k`` on their input (see
 :mod:`~macdkit.operators`), so the checks and operators run on one signal
-take each ``A_k`` once, one window sum and one divide; each block-average
-side of the other identities is one ``operators._box_terms`` call, which
-reads the same kept means.
+take each ``A_k`` once, one window sum and one divide, and ``macd`` keeps
+its latest result, so the derivative checks and the three norm orders at
+one window take one MACD.  Each block-average side of the other
+identities is one ``operators._box_terms`` call, which reads the same kept
+means and takes a short-minus-long side as one subtract.  The norm bound's
+denominators are sums the signal keeps, each found once.
 
 The identities are statements about samples, in which the spacing cancels:
 rates are per sample and norms are sums over samples.  So ``dt`` enters
@@ -52,8 +55,8 @@ from .operators import (
     right_avg,
     windowed_derivative,
 )
-from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, aligned_values,
-                      sample_offset, window_size)
+from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _power_sum,
+                      aligned_values, sample_offset, window_size)
 
 __all__ = [
     "CHECKS",
@@ -249,21 +252,20 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     ``dt`` would weight both norms alike, so it cancels.  Where a norm's sum
     is not a normal float, both arrays are summed again times the one power
     of two that brings the signal's peak to [0.5, 1), which keeps the ratio.
+    The denominators ``max|x|``, ``sum|x|`` and ``sum(x**2)`` are kept on the
+    signal, each found once, and so is its latest MACD (see
+    :func:`~macdkit.operators.macd`): the three orders at one window take one
+    MACD, and each call sums only that MACD's norm.
     """
-    out, vals = macd(signal, a).values, signal.values
+    out = macd(signal, a).values
     if p == math.inf:
         return _ratio(_max_abs(out), signal._peak)
     if p not in (1, 2):
         raise ValueError(f"unsupported norm order: {p!r}")
-
-    def sums(*arrays: np.ndarray) -> list[float]:
-        with np.errstate(over="ignore"):
-            return [float(np.sum(np.abs(x)) if p == 1 else np.sum(x * x)) for x in arrays]
-
-    totals = sums(out, vals)
+    totals = [_power_sum(out, p), signal._abs_sum if p == 1 else signal._square_sum]
     if not all(np.finfo(float).tiny <= s < math.inf for s in totals):
         e = -math.frexp(signal._peak)[1]
-        totals = sums(np.ldexp(out, e), np.ldexp(vals, e))
+        totals = [_power_sum(np.ldexp(out, e), p), _power_sum(np.ldexp(signal.values, e), p)]
     return _ratio(*(totals if p == 1 else map(math.sqrt, totals)))
 
 
@@ -287,22 +289,24 @@ def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> Monotoni
     )
     start = b - 1
     hypothesis = short > long_
-    violations = hypothesis & ~(short > displaced)
+    violations = hypothesis & (short <= displaced)
     first = int(np.flatnonzero(violations)[0]) + start if violations.any() else None
 
+    # The displaced pair is compared only where the anchored pair nearly ties.
     eq_tol = default_tolerance(signal)
     amplify = b / (b - a)
-    near_tie = np.abs(short - long_) <= eq_tol
-    eq_ok = np.abs(short - displaced) <= eq_tol * amplify * (1 + 1e-9)
-    eq_passed = bool(np.all(eq_ok[near_tie]))
+    anchored = short - long_
+    near_tie = np.abs(anchored, out=anchored) <= eq_tol
+    gap = np.abs(short[near_tie] - displaced[near_tie])
+    eq_passed = bool(np.all(gap <= eq_tol * amplify * (1 + 1e-9)))
 
     return MonotonicityResult(
         passed=first is None,
         first_violation=first,
-        hypothesis_count=int(hypothesis.sum()),
+        hypothesis_count=int(np.count_nonzero(hypothesis)),
         scanned=int(short.size),
         equality_passed=eq_passed,
-        equality_count=int(near_tie.sum()),
+        equality_count=int(np.count_nonzero(near_tie)),
     )
 
 

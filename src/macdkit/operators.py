@@ -32,7 +32,10 @@ partial sums is exact (``_grown_means``), so the result is byte-equal to
 the window sums divided by ``k`` whatever the memo holds.  Otherwise it is
 one call of the module's ``sliding_sums``, looked up by name: a wrapper on
 that name (a tracer, say) sees every window a signal sums from scratch.
-Public ``sliding_sums`` keeps no memo.
+Public ``sliding_sums`` keeps no memo.  Next to the memo, ``macd`` keeps its
+latest result in one read-only slot on the signal, so the checks that read
+MACD again at the same window, the two derivative forms and the three norm
+orders, take it once; another window replaces it.
 
 The averages, MACD, ``_box_terms`` and ``delay`` are finite by
 construction and wrap their fresh (or read-only) arrays with no copy;
@@ -224,7 +227,9 @@ def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
     reads one kept mean of ``signal``, with no divide.  Terms with the same
     ``(k, lag)`` add their coefficients first, so the expansion's ``2n``
     telescoping terms take ``n + 1`` passes; the first term is written into
-    the output and the rest through one scratch array.
+    the output and the rest through one scratch array.  A ``(1, -1)`` pair
+    is one subtract instead, the same bytes: a product by ``1`` or ``-1``
+    rounds nothing, and ``a + (-b)`` is ``a - b``.
     """
     coefs = Counter()
     for c, k, lag in terms:
@@ -235,10 +240,13 @@ def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
     parts = [(c, means[k][span - k - lag : means[k].size - lag]) for (k, lag), c in coefs.items()]
     try:
         with np.errstate(over="raise"):
-            out = np.multiply(*parts[0])
-            scratch = np.empty_like(out)
-            for c, term in parts[1:]:
-                out += np.multiply(c, term, out=scratch)
+            if [c for c, _ in parts] == [1, -1]:
+                out = np.subtract(parts[0][1], parts[1][1])
+            else:
+                out = np.multiply(*parts[0])
+                scratch = np.empty_like(out)
+                for c, term in parts[1:]:
+                    out += np.multiply(c, term, out=scratch)
     except FloatingPointError:
         raise ValueError(WINDOW_SUM_OVERFLOW) from None
     return UniformSignal._wrap(signal.t0 + (span - 1) * signal.dt, signal.dt, out)
@@ -295,16 +303,25 @@ def macd(signal: UniformSignal, a: int) -> UniformSignal:
     window's difference can overflow, as a finite mean is at most ``1/k`` of
     the largest float; there each mean is halved first, so the value stays
     finite.  Defined from input index ``2k - 1`` onward.
+
+    The signal keeps its latest result, read-only, in one slot: another
+    read at the same ``k`` shares that array and computes nothing, and a
+    read at another ``k`` replaces it.  The slot is one attribute store, so
+    threads sharing a signal can at worst compute one MACD twice.
     """
     k = window_size(a)
     signal.require(2 * k, f"a {k}/{2 * k}-sample average difference")
-    means = _window_means(signal, k)
-    try:
-        with np.errstate(over="raise"):
-            out = means[k:] - means[:-k]
-            out *= 0.5
-    except FloatingPointError:
-        out = 0.5 * means[k:] - 0.5 * means[:-k]
+    kept, out = signal._macd
+    if kept != k:
+        means = _window_means(signal, k)
+        try:
+            with np.errstate(over="raise"):
+                out = means[k:] - means[:-k]
+                out *= 0.5
+        except FloatingPointError:
+            out = 0.5 * means[k:] - 0.5 * means[:-k]
+        out.flags.writeable = False
+        vars(signal)["_macd"] = (k, out)
     return UniformSignal._wrap(signal.t0 + (2 * k - 1) * signal.dt, signal.dt, out)
 
 

@@ -27,11 +27,14 @@ fills and reads it: at most 8 windows, least recently used evicted first,
 read-only arrays, and only single dict operations, so threads that share a
 signal can at worst compute a mean twice.  A missing mean grows from the
 kept power-of-two means where that is exact, and is otherwise one call of
-``operators.sliding_sums``, looked up by name, divided in place.  Beside
-the memo a signal keeps ``max|x|`` and its least nonzero ``|x|``, each found
-once.  ``max|x|`` scales the default tolerance of the classifier and the
-monotonicity scan and is the sup-norm bound's denominator; the two together
-say where a mean may grow exactly.
+``operators.sliding_sums``, looked up by name, divided in place.  Next to
+the memo, :func:`~macdkit.operators.macd` keeps its latest result in one
+read-only slot, so the checks that read the same MACD again share it.  A
+signal also keeps ``max|x|``, its least nonzero ``|x|``, ``sum|x|`` and
+``sum(x**2)``, each found once.  ``max|x|`` scales the default tolerance of
+the classifier and the monotonicity scan; it and the two sums are the norm
+bound's denominators, and ``max|x|`` and the least ``|x|`` together say where
+a mean may grow exactly.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
@@ -88,10 +91,11 @@ class UniformSignal:
     propagated.  Derived signals never start after their input's last sample.
 
     Equality is identity, as the values are an array.  A signal also holds a
-    private memo of its window means (not a field, so it takes no part in
-    ``repr`` or ``fields()``): at most 8 read-only arrays of at most ``n``
-    floats each, ``64 * n`` bytes per live signal, and ``max|x|`` and the
-    least nonzero ``|x|`` once something asks for them.
+    private memo of its window means and a slot for its latest MACD (not
+    fields, so they take no part in ``repr`` or ``fields()``): 8 means plus
+    one MACD, read-only arrays of at most ``n`` floats each, ``72 * n``
+    bytes per live signal, and ``max|x|``, the least nonzero ``|x|``,
+    ``sum|x|`` and ``sum(x**2)`` once something asks for them.
     """
 
     t0: float
@@ -116,9 +120,13 @@ class UniformSignal:
         self._set(self.t0, self.dt, vals)
 
     def _set(self, t0: float, dt: float, values: np.ndarray) -> None:
-        """Set every field and an empty window-mean memo; ``values`` turns read-only."""
+        """Set every field, an empty memo and an empty MACD slot; ``values`` turns read-only.
+
+        The slot ``_macd`` is ``(k, values)`` of the latest ``macd`` taken,
+        and ``(0, None)`` until one is: no window has 0 samples.
+        """
         values.flags.writeable = False
-        vars(self).update(t0=float(t0), dt=float(dt), values=values, _means={})
+        vars(self).update(t0=float(t0), dt=float(dt), values=values, _means={}, _macd=(0, None))
 
     @classmethod
     def _wrap(cls, t0: float, dt: float, values: np.ndarray, checked=False) -> "UniformSignal":
@@ -141,6 +149,16 @@ class UniformSignal:
         return float(max(abs(self.values.max()), abs(self.values.min())))
 
     @cached_property
+    def _abs_sum(self) -> float:
+        """``sum|values|``, found once per signal, as ``_power_sum`` gives it."""
+        return _power_sum(self.values, 1)
+
+    @cached_property
+    def _square_sum(self) -> float:
+        """``sum(values**2)``, found once per signal, as ``_power_sum`` gives it."""
+        return _power_sum(self.values, 2)
+
+    @cached_property
     def _floor(self) -> float:
         """The least nonzero ``|value|``, found once per signal; ``inf`` if every value is zero."""
         mags = np.abs(self.values)
@@ -161,6 +179,12 @@ class UniformSignal:
     def require(self, n: int, what: str) -> None:
         """Raise :class:`InsufficientSamplesError` unless at least ``n`` samples."""
         _check_length(len(self), n, what)
+
+
+def _power_sum(values: np.ndarray, p: int) -> float:
+    """``sum|values|**p`` for ``p`` 1 or 2, one ``np.sum``; ``inf`` where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(values)) if p == 1 else np.sum(values * values))
 
 
 def _count(value, what: str, least: int = 1) -> int:

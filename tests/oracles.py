@@ -2,7 +2,8 @@
 
 Everything here is a plain Python loop, over exact (fsum) window sums or over
 CSV lines, or a closed form, kept deliberately independent of the numpy paths
-in the package.
+in the package, or a copy of an earlier numpy form that the package replaced
+with a faster one of the same bytes.
 """
 
 import math
@@ -50,6 +51,37 @@ def naive_macd(values, k):
         long_ = math.fsum(values[i - 2 * k + 1 : i + 1]) / (2 * k)
         out.append(short - long_)
     return out
+
+
+def multiply_add_side(parts):
+    """``sum(c * term for c, term in parts)``, the multiply-and-add form of a box-terms side.
+
+    The first term is multiplied into the output, and each other term is
+    multiplied into one scratch array and added.  An overflow raises
+    ``FloatingPointError``.
+    """
+    with np.errstate(over="raise"):
+        out = np.multiply(*parts[0])
+        scratch = np.empty_like(out)
+        for c, term in parts[1:]:
+            out += np.multiply(c, term, out=scratch)
+    return out
+
+
+def monotonicity_scan(short, long_, displaced, start, eq_tol, amplify):
+    """The window-monotonicity scan over its three aligned averages, every array in full.
+
+    Returns the fields of ``MonotonicityResult`` in order: passed, the first
+    violation's index, the hypothesis count, the scanned count, the equality
+    verdict and the near-tie count.
+    """
+    hypothesis = short > long_
+    violations = hypothesis & ~(short > displaced)
+    first = int(np.flatnonzero(violations)[0]) + start if violations.any() else None
+    near_tie = np.abs(short - long_) <= eq_tol
+    eq_ok = np.abs(short - displaced) <= eq_tol * amplify * (1 + 1e-9)
+    return (first is None, first, int(hypothesis.sum()), int(short.size),
+            bool(np.all(eq_ok[near_tie])), int(near_tie.sum()))
 
 
 def naive_kernel_apply(offsets, weights, values):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from macdkit import (
 )
 from macdkit import identities, operators
 from macdkit.identities import default_tolerance
+
+from .oracles import monotonicity_scan as oracle_monotonicity_scan
 
 
 def ramp(n, dt=1.0):
@@ -254,6 +257,53 @@ def test_lp_bound_keeps_its_ratio_at_extreme_magnitudes():
         assert abs(record.max_rel_residual - max(want.values())) <= 1e-12 * max(want.values())
 
 
+def test_checks_read_the_kept_macd(monkeypatch, random_signal):
+    # The two derivative checks and the norm bound at p = 1, 2 and inf read
+    # the MACD the signal keeps, and so do run_checks' five reads of it:
+    # every read shares memory with the first.
+    reads = []
+
+    def spy(signal, k):
+        out = operators.macd(signal, k)
+        reads.append(out.values)
+        return out
+
+    monkeypatch.setattr(identities, "macd", spy)
+    sig = random_signal(600)
+    first = macd(sig, 8).values
+    check_macd_derivative(sig, 8)
+    check_phase_corrected_form(sig, 8)
+    for p in (1, 2, math.inf):
+        check_lp_bound(sig, 8, p)
+    assert len(reads) == 5 and all(np.shares_memory(first, r) for r in reads)
+    reads.clear()
+    run_checks(random_signal(600))
+    assert len(reads) == 5 and all(np.shares_memory(reads[0], r) for r in reads)
+
+
+def test_kept_norm_sums_read_as_fresh_ones(rng):
+    # The ratios of a signal that keeps its norm sums and its MACD equal a
+    # fresh signal's, whatever order the windows and orders come in.  Near
+    # 1e-305 the squares underflow and near 1e308 both sums overflow, so the
+    # rescale path runs; there k = 1, as wider window sums would overflow.
+    walk = rng.standard_normal(3000).cumsum()
+    unit = walk / np.abs(walk).max()
+    cases = {"walk": (walk, [8, 3, 8, 12]), "near 1e-305": (unit * 1e-305, [8, 1, 8]),
+             "near 1e308": (unit * 1e308, [1, 1])}
+    for name, (values, windows) in cases.items():
+        sig = UniformSignal(0.0, 1.0, values)
+        for k in windows:
+            for p in (2, math.inf, 1, 2):
+                want = check_lp_bound(UniformSignal(0.0, 1.0, values), k, p)
+                assert check_lp_bound(sig, k, p) == want, (name, k, p)
+        with np.errstate(over="ignore"):
+            assert sig._abs_sum == float(np.sum(np.abs(values)))
+            assert sig._square_sum == float(np.sum(values * values))
+        rescaled = not all(np.finfo(float).tiny <= s < math.inf
+                           for s in (sig._abs_sum, sig._square_sum))
+        assert rescaled == (name != "walk"), name
+
+
 def test_lp_bound_rejects_unknown_order():
     for p in (3, "inf"):  # math.inf is the one infinity norm order
         with pytest.raises(ValueError, match="norm order"):
@@ -285,6 +335,39 @@ def test_monotonicity_random_batch(rng):
         result = check_window_monotonicity(sig, 3, 8)
         assert result.passed
         assert result.equality_passed
+
+
+def _tie_inputs(rng):
+    """Inputs whose averages tie exactly or nearly: constants, integer cycles, ulp noise."""
+    n = 600
+    cycle = np.tile([3.0, -1.0, 2.0, 0.0], n // 4)
+    return {
+        "constant": np.full(n, 0.1),
+        "zeros": np.zeros(n),
+        "cycle of 4": cycle,
+        "cycle plus a step": cycle + (np.arange(n) >= n // 2),
+        "constant plus ulp noise": 0.1 + rng.integers(-3, 4, n) * np.spacing(0.1),
+        "walk within the tie tolerance": 1.0 + rng.standard_normal(n).cumsum() * 1e-12,
+        "walk": rng.standard_normal(n).cumsum(),
+    }
+
+
+def test_monotonicity_scan_is_the_full_array_scan(rng):
+    # The scan forms the violations as hypothesis & (short <= displaced) and
+    # compares the displaced pair only at near ties; its result is the one
+    # the full-array form gives, on exact and near ties alike.
+    seen = Counter()
+    for name, values in _tie_inputs(rng).items():
+        sig = UniformSignal(0.0, 1.0, values)
+        for a, b in [(1, 2), (2, 4), (3, 8), (4, 12), (8, 20)]:
+            sides = aligned_values(right_avg(sig, a), right_avg(sig, b),
+                                   delay(right_avg(sig, b - a), a))
+            want = oracle_monotonicity_scan(*sides, b - 1, default_tolerance(sig), b / (b - a))
+            got = check_window_monotonicity(sig, a, b)
+            assert dataclasses.astuple(got) == want, (name, a, b)
+            seen.update(tie=got.equality_count > 0, hypothesis=got.hypothesis_count > 0,
+                        violation=not got.passed)
+    assert seen["tie"] and seen["hypothesis"] and seen["violation"], seen
 
 
 def test_monotonicity_requires_longer_second_window():

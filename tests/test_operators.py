@@ -476,6 +476,69 @@ def test_macd_stays_finite_near_the_largest_float():
     assert macd(UniformSignal(0.0, 1.0, values), 3).values.tolist() == [-mean]
 
 
+# --- the kept MACD -------------------------------------------------------------
+
+def test_repeated_macd_reads_share_the_kept_result(random_signal):
+    sig = random_signal(500)
+    first = macd(sig, 8)
+    for _ in range(3):
+        again = macd(sig, 8)
+        assert np.shares_memory(again.values, first.values)
+        assert (again.t0, again.dt) == (first.t0, first.dt)
+    assert sig._macd == (8, first.values)
+
+
+def test_another_window_replaces_the_kept_macd(random_signal):
+    sig = random_signal(500)
+    first = macd(sig, 8)
+    other = macd(sig, 4)
+    assert sig._macd[0] == 4 and np.shares_memory(macd(sig, 4).values, other.values)
+    again = macd(sig, 8)
+    assert not np.shares_memory(again.values, first.values)
+    assert again.values.tobytes() == first.values.tobytes()
+    kept = sig._macd[1]
+    assert kept is again.values and not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0.0
+
+
+def test_kept_macd_reads_as_a_fresh_one(rng):
+    # Each read, from the slot or computed again, has the bytes and start of
+    # the same window's MACD of a fresh signal.  Near the largest float at
+    # k = 1 the difference overflows, so the slot holds the halving
+    # fallback's result.
+    big = np.finfo(np.float64).max
+    cases = {
+        "walk": (rng.standard_normal(400).cumsum(), [8, 8, 3, 8, 1, 1, 3, 26, 26, 8]),
+        "near the largest float": (rng.choice([-1.0, 1.0], 400) * big * rng.uniform(0.9, 1, 400),
+                                   [1, 1, 1]),
+    }
+    for name, (values, windows) in cases.items():
+        sig = UniformSignal(5.0, 0.25, values)
+        for k in windows:
+            got, want = macd(sig, k), macd(UniformSignal(5.0, 0.25, values), k)
+            assert got.t0 == want.t0 and got.values.tobytes() == want.values.tobytes(), (name, k)
+            assert np.isfinite(got.values).all()
+
+
+def test_signal_keeps_one_macd():
+    # 8 means plus one MACD: 40 windows of MACD asked of one signal retain
+    # at most 9 arrays of n floats, 72 * n bytes, with the eight-window
+    # test's slack.
+    n = 100_000
+    sig = UniformSignal(0.0, 1.0, np.random.default_rng(6).standard_normal(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 41):
+            macd(sig, k)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sig._means) <= 8 and sig._macd[0] == 40
+    assert retained <= 9 * n * 8 + 64 * 1024
+
+
 # --- delay -------------------------------------------------------------------
 
 def test_delay_zero_is_identity():

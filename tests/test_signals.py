@@ -34,8 +34,10 @@ from macdkit import (
     triangular_kernel,
     windowed_derivative,
 )
-from macdkit.operators import _box_terms
+from macdkit.operators import _box_terms, _window_means
 from macdkit.signals import WINDOW_SUM_OVERFLOW, lag_size, window_size
+
+from .oracles import multiply_add_side
 
 # True is an int to isinstance, but never a count.
 BAD_COUNTS = [0, -1, 2.5, "3", True]
@@ -275,6 +277,42 @@ def test_weighted_sum_of_box_means_that_overflows_raises():
     with pytest.raises(ValueError) as err:
         check_difference_identity(sig, 1, 2)
     assert str(err.value) == WINDOW_SUM_OVERFLOW
+
+
+def _multiply_add(sig, terms):
+    """A box-terms side in the multiply-and-add form, from the same kept means."""
+    span = max(k + lag for _, k, lag in terms)
+    return multiply_add_side([(c, _window_means(sig, k)[span - k - lag : len(sig) - k + 1 - lag])
+                              for c, k, lag in terms])
+
+
+def test_a_short_minus_long_side_is_the_multiply_and_add_side(rng):
+    # A (1, -1) side is one subtract, with the bytes of the multiply-and-add
+    # form, signed zeros included, and the same overflow error where the
+    # difference of two finite means overflows.
+    big = np.finfo(np.float64).max
+    inputs = {
+        "walk": rng.standard_normal(300).cumsum(),
+        "spread over 1e+-30": rng.standard_normal(300) * 10.0 ** rng.uniform(-30, 30, 300),
+        "signed zeros": rng.choice([0.0, -0.0, 1.0, -1.0], 300),
+        "near the largest float": rng.choice([-1.0, 1.0], 300) * big,
+    }
+    raised = 0
+    for name, values in inputs.items():
+        sig = UniformSignal(0.0, 1.0, values)
+        for a, b, lag in [(1, 1, 1), (1, 2, 0), (3, 5, 0), (8, 20, 0), (4, 4, 4), (2, 3, 7)]:
+            terms = [(1.0, a, 0), (-1.0, b, lag)]
+            try:
+                want = _multiply_add(sig, terms)
+            except (FloatingPointError, ValueError):
+                with pytest.raises(ValueError) as err:
+                    _box_terms(sig, "a difference of means", terms)
+                assert str(err.value) == WINDOW_SUM_OVERFLOW, (name, terms)
+                raised += 1
+                continue
+            got = _box_terms(sig, "a difference of means", terms).values
+            assert got.tobytes() == want.tobytes(), (name, terms)
+    assert raised, "no side overflowed"
 
 
 def test_sample_offset():
