@@ -127,7 +127,7 @@ def ingest_csv(path: str) -> UniformSignal:
             block = [line, *itertools.islice(fh, _READ_BLOCK - 1)]
             while block:
                 text = list(itertools.filterfalse(str.isspace, block))
-                linenos = None if len(text) == len(block) else array(
+                linenos = range(start, start + len(block)) if len(text) == len(block) else array(
                     "q", (start + i for i, raw in enumerate(block) if not raw.isspace()))
                 if text:  # np.loadtxt warns on a block of blank lines only
                     try:
@@ -135,8 +135,7 @@ def ingest_csv(path: str) -> UniformSignal:
                     except ValueError:
                         rows = None
                     if rows is None or rows.shape != (len(text), want):
-                        rows, stop = _scan_lines(
-                            zip(linenos or range(start, start + len(text)), text), want)
+                        rows, stop = _scan_lines(zip(linenos, text), want)
                         # Only if loadtxt and the line parse disagree.
                         stop = stop or f"could not parse {path}"
                     parsed.frombytes(rows.tobytes())
@@ -144,7 +143,7 @@ def ingest_csv(path: str) -> UniformSignal:
                     fault = _row_fault(np.concatenate([last, rows]), dt)
                     if fault is not None:  # a row before the parse stop comes first
                         row, message = fault[0] - len(last), fault[1]
-                        stop = message.format(start + row if linenos is None else linenos[row])
+                        stop = message.format(linenos[row])
                     if stop is not None:
                         break
                     last = rows[-1:].copy()

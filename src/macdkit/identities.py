@@ -15,8 +15,8 @@ take each ``A_k`` once, one window sum and one divide, and ``macd`` keeps
 its latest result, so the derivative checks and the three norm orders at
 one window take one MACD.  Each block-average side of the other
 identities is one ``operators._box_terms`` call, which reads the same kept
-means and takes a short-minus-long side as one subtract.  The norm bound's
-denominators are sums the signal keeps, each found once.
+means.  The norm bound's denominators are sums the signal keeps, each found
+once, and ``max|x|`` is ``signals._max_abs`` wherever it is taken.
 
 The identities are statements about samples, in which the spacing cancels:
 rates are per sample and norms are sums over samples.  So ``dt`` enters
@@ -55,8 +55,8 @@ from .operators import (
     right_avg,
     windowed_derivative,
 )
-from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _power_sum,
-                      aligned_values, sample_offset, window_size)
+from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _max_abs,
+                      _power_sum, aligned_values, sample_offset, window_size)
 
 __all__ = [
     "CHECKS",
@@ -127,11 +127,6 @@ def _tolerance(tol: float) -> float:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     return tol
-
-
-def _max_abs(vals: np.ndarray) -> float:
-    """``max|vals|`` as ``max(|max vals|, |min vals|)``: two passes, no temporary array."""
-    return float(max(abs(vals.max()), abs(vals.min())))
 
 
 def _report(name: str, params: dict, lhs: UniformSignal, rhs: UniformSignal,

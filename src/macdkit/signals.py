@@ -145,8 +145,8 @@ class UniformSignal:
 
     @cached_property
     def _peak(self) -> float:
-        """``max|values|``, found once per signal: ``max(|max|, |min|)``, with no temporary array."""
-        return float(max(abs(self.values.max()), abs(self.values.min())))
+        """``max|values|``, found once per signal by ``_max_abs``."""
+        return _max_abs(self.values)
 
     @cached_property
     def _abs_sum(self) -> float:
@@ -162,8 +162,7 @@ class UniformSignal:
     def _floor(self) -> float:
         """The least nonzero ``|value|``, found once per signal; ``inf`` if every value is zero."""
         mags = np.abs(self.values)
-        least = mags.min()
-        return float(least if least > 0 else mags.min(where=mags > 0, initial=np.inf))
+        return float(mags.min(where=mags > 0, initial=np.inf))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -179,6 +178,11 @@ class UniformSignal:
     def require(self, n: int, what: str) -> None:
         """Raise :class:`InsufficientSamplesError` unless at least ``n`` samples."""
         _check_length(len(self), n, what)
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """``max|values|`` as ``max(|max values|, |min values|)``: two passes, no temporary array."""
+    return float(max(abs(values.max()), abs(values.min())))
 
 
 def _power_sum(values: np.ndarray, p: int) -> float:

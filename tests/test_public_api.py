@@ -47,6 +47,12 @@ def test_expansion_spec_is_one_class():
     assert identities.ExpansionSpec is signals.ExpansionSpec is macdkit.ExpansionSpec
 
 
+def test_max_abs_is_one_function():
+    from macdkit import identities, signals
+
+    assert identities._max_abs is signals._max_abs
+
+
 def test_readme_python_examples_run():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)

@@ -92,6 +92,18 @@ def test_signal_values_are_immutable():
         sig.values[0] = 5.0
 
 
+@pytest.mark.parametrize("values, least", [
+    ([3.0, -2.0, 7.0], 2.0),
+    ([0.0, -0.0, 3.0, -2.0, 0.0], 2.0),
+    ([-0.0, 1e-300, -4e-310, 0.0], 4e-310),
+    ([0.0, 1.0, -5e-324, 2.5e-322, -0.0], 5e-324),
+    ([0.0, -0.0, 0.0], math.inf),
+    ([-0.0], math.inf),
+])
+def test_floor_is_the_least_nonzero_magnitude(values, least):
+    assert UniformSignal(0.0, 1.0, values)._floor == least
+
+
 def test_times_and_len():
     sig = UniformSignal(2.0, 0.5, [1.0, 2.0, 3.0])
     assert len(sig) == 3
@@ -287,9 +299,10 @@ def _multiply_add(sig, terms):
 
 
 def test_a_short_minus_long_side_is_the_multiply_and_add_side(rng):
-    # A (1, -1) side is one subtract, with the bytes of the multiply-and-add
-    # form, signed zeros included, and the same overflow error where the
-    # difference of two finite means overflows.
+    # A (1, -1) side takes the multiply and add, which gives the bytes of
+    # a - b, signed zeros included, as a product by 1 or -1 rounds nothing;
+    # and the overflow error where the difference of two finite means
+    # overflows.
     big = np.finfo(np.float64).max
     inputs = {
         "walk": rng.standard_normal(300).cumsum(),
