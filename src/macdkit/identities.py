@@ -220,13 +220,17 @@ def check_phase_corrected_form(signal: UniformSignal, a: int) -> ResidualReport:
 
 
 def expansion_rhs(signal: UniformSignal, spec: ExpansionSpec) -> UniformSignal:
-    """The ``n``-term weighted sum of delayed, smoothed difference quotients."""
-    b = spec.b
-    # Term i is w_i/2 times the b-average (i-1)*b samples back minus the one i*b back.
-    terms = []
-    for i, w in enumerate(spec.weights, start=1):
-        terms += [(w / 2, b, (i - 1) * b), (-w / 2, b, i * b)]
-    return _box_terms(signal, f"the {spec.n}-term expansion", terms)
+    """The ``n``-term weighted sum of delayed, smoothed difference quotients.
+
+    Term ``i`` is ``w_i / 2`` times the ``b``-average ``(i - 1) * b`` samples
+    back minus ``w_i / 2`` times the one ``i * b`` back.  The terms
+    telescope to one ``_box_terms`` side over the ``n + 1`` lags ``m * b``,
+    weighed ``(w[m+1] - w[m]) / 2`` with ``w[0] = w[n+1] = 0``: as halving
+    rounds nothing, each is the sum of the two terms' coefficients at its lag.
+    """
+    w = (0.0, *spec.weights, 0.0)
+    return _box_terms(signal, f"the {spec.n}-term expansion",
+                      [((w[m + 1] - w[m]) / 2, spec.b, m * spec.b) for m in range(spec.n + 1)])
 
 
 def check_recursive_expansion(signal: UniformSignal,

@@ -29,11 +29,14 @@ Descriptions are nested tuples:
     ("sum", d1, ...)      pointwise sum of kernels
     ("diff", d1, d2)      d1 minus d2
 
+A stage with another number of arguments, or a scale factor that is not a
+real number (a bool included), raises "malformed kernel description".
 Averaging compositions have weights summing to 1, difference kernels to 0.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -163,7 +166,7 @@ def _dense(description, dt: float) -> tuple[int, np.ndarray]:
     """(first lag, contiguous weights) of a description."""
     if isinstance(description, KernelRep):
         return description.first, description.weights
-    if not isinstance(description, tuple) or not description:
+    if not isinstance(description, tuple) or not description or not _well_formed(description):
         raise ValueError(f"malformed kernel description: {description!r}")
     head = description[0]
     if head in ("avg", "centered"):
@@ -191,6 +194,19 @@ def _dense(description, dt: float) -> tuple[int, np.ndarray]:
         _, d1, d2 = description
         return _dense(("sum", d1, ("scale", -1.0, d2)), dt)
     raise ValueError(f"unknown kernel stage: {head!r}")
+
+
+def _well_formed(stage: tuple) -> bool:
+    """Whether a stage is as long as its kind takes, name included, and a scale's factor real.
+
+    avg, centered, delay and deriv take one argument, scale and diff two,
+    compose and sum any number; a scale's factor is a real number, not a bool.
+    """
+    head, size = stage[0], len(stage)
+    arity = (2 if head in ("avg", "centered", "delay", "deriv") else
+             3 if head in ("scale", "diff") else size)
+    factor = stage[1] if head == "scale" and size == 3 else 1.0
+    return size == arity and isinstance(factor, numbers.Real) and not isinstance(factor, bool)
 
 
 def _add(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
@@ -253,8 +269,8 @@ def apply_kernel(kernel: KernelRep, signal: UniformSignal) -> UniformSignal:
         # Box lags shift by -ahead >= 0.  The side ends where the kernel's
         # range ends, and starts earlier where its last lags weigh zero or
         # lie in the future.
-        terms = zip(coefs[boxes].tolist(), runs[boxes].tolist(),
-                    (starts[boxes] + first - ahead).tolist())
+        terms = list(zip(coefs[boxes].tolist(), runs[boxes].tolist(),
+                         (starts[boxes] + first - ahead).tolist()))
         try:
             side = _box_terms(signal, what, terms)
             return UniformSignal._wrap(t0, signal.dt, side.values[-length:])

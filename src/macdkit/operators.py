@@ -26,12 +26,13 @@ their box runs.  The memo holds at most ``_MEMO_WINDOWS`` (8) arrays of at
 most ``n`` floats per live signal and evicts the least recently used window
 first.  It uses only single dict operations, each atomic under the GIL, so
 threads sharing a signal can at worst compute one mean twice, never raise or
-read a wrong one.  A miss grows its mean from the power-of-two means the
-signal keeps, along the same tree, where every power-of-two scaling of its
-partial sums is exact (``_grown_means``), so the result is byte-equal to
-the window sums divided by ``k`` whatever the memo holds.  Otherwise it is
-one call of the module's ``sliding_sums``, looked up by name: a wrapper on
-that name (a tracer, say) sees every window a signal sums from scratch.
+read a wrong one.  A miss grows its mean along the same tree from one
+power-of-two mean the signal keeps, by plain adds and one divide, where
+every power-of-two scaling of its partial sums is exact, so the result is
+byte-equal to the window sums divided by ``k`` whatever the memo holds.
+Otherwise it is one call of the module's ``sliding_sums``, looked up by
+name: a wrapper on that name (a tracer, say) sees every window a signal
+sums from scratch.
 Public ``sliding_sums`` keeps no memo.  Next to the memo, ``macd`` keeps its
 latest result in one read-only slot on the signal, so the checks that read
 MACD again at the same window, the two derivative forms and the three norm
@@ -45,11 +46,10 @@ only once it is finite, and sends any other to the checked constructor.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from .signals import WINDOW_SUM_OVERFLOW, UniformSignal, _check_length, lag_size, window_size
+from .signals import (WINDOW_SUM_OVERFLOW, UniformSignal, _check_length, _non_finite,
+                      _one_dimensional, lag_size, window_size)
 
 __all__ = [
     "right_avg",
@@ -79,74 +79,64 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     that.  The finiteness check takes no mask, and ``k = 1`` returns a copy.
     The result is a fresh writable array.  A window sum that overflows
     float64 raises ``ValueError``, and so does a partial sum
-    (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).
+    (``[1e308, 1e308, -1e308, -1e308]`` at ``k = 4``).  ``values`` is
+    checked as :class:`~macdkit.signals.UniformSignal` checks it, with the
+    same text: a scalar is one sample, more than one dimension is rejected,
+    and a NaN or infinite sample, found only once a sum is not finite, is
+    named by its index.
     """
     k = window_size(k)
-    values = np.asarray(values, dtype=np.float64)
+    values = _one_dimensional(np.atleast_1d(np.asarray(values, dtype=np.float64)))
     _check_length(values.size, k, "window sums")
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, _ = _dyadic_sums(values, 1, k, {}.get)
+        sums = _dyadic_sums(values, 1, k)
     # A non-finite partial sum stays non-finite in every window it enters,
-    # so it shows in the least or the greatest sum.
+    # so it shows in the least or the greatest sum: a non-finite sample, or
+    # finite ones whose sums overflow.
     if not (np.isfinite(sums.min()) and np.isfinite(sums.max())):
-        raise ValueError(WINDOW_SUM_OVERFLOW)
+        raise _non_finite(values) or ValueError(WINDOW_SUM_OVERFLOW)
     return sums if k > 1 else sums.copy()
 
 
-def _dyadic_sums(level: np.ndarray, w: int, k: int, kept) -> tuple[np.ndarray, int]:
-    """``(S_k / unit, unit)``: the width-``k`` window sums over ``k``'s dyadic tree.
+def _dyadic_sums(level: np.ndarray, w: int, k: int) -> np.ndarray:
+    """``S_k / w``: the width-``k`` window sums over ``k``'s dyadic tree, from width ``w``.
 
     ``level`` holds the width-``w`` sums divided by ``w``, a power of two no
-    larger than ``k``'s lowest set digit.  ``kept(v)`` gives the width-``v``
-    sums divided by ``v``, or ``None``: on its way to each set digit the
-    level jumps to the widest kept power-of-two level, then doubles.  Every
-    array holds its sums over a power-of-two ``unit``, the width of the level
-    it grew from, and an add of two units rescales one side first.  With
-    exact scalings the result is ``S_k / unit`` for the same tree, whatever
-    ``kept`` gives.  The adds write at most two buffers, each as long as
-    its first sums; the first set digit's sums take over the level's buffer
+    larger than ``k``'s lowest set digit.  Every level doubles from it, so
+    every array holds its sums divided by the same ``w`` and each step is a
+    plain add.  The adds write at most two buffers, each as long as its
+    first sums; the first set digit's sums take over the level's buffer
     rather than copy it.
     """
     top = 1 << k.bit_length() - 1
-    unit, owned = w, False  # level holds S_w / unit; owned: it lives in level_buf
     low = level_buf = low_buf = None  # low: the sums over the set digits below w
     for t in (1 << j for j in range(k.bit_length()) if k >> j & 1):
-        v = t if t < k else t // 2  # a power-of-two k is never its own kept mean
-        while v > w and (got := kept(v)) is None:
-            v //= 2
-        if v > w:
-            level, unit, w, owned = got, v, v, False
         while w < t:
             m = level.size - w
             level_buf = np.empty(m) if level_buf is None else level_buf
-            level, owned = np.add(level[:m], level[w:], out=level_buf[:m]), True
+            level = np.add(level[:m], level[w:], out=level_buf[:m])
             w *= 2
         if t == top:
             break
         if low is None:
-            low, low_unit = level, unit
-            if owned:
-                low_buf, level_buf, owned = level_buf, None, False
+            low, low_buf, level_buf = level, level_buf, None
         else:
             low_buf = np.empty(low.size - w) if low_buf is None else low_buf
-            low, low_unit = _scaled_add(level, low[w:], low_unit / unit, low_buf), unit
+            low = _add(level, low[w:], low_buf)
     if low is None:
-        return level, unit
-    if low_buf is not None:
-        return _scaled_add(level, low[w:], low_unit / unit, low_buf), unit
-    out = level_buf if level_buf is not None else np.empty(low.size - w)  # may hold level
-    return _scaled_add(low[w:], level, unit / low_unit, out), low_unit
+        return level
+    # Without a buffer of its own, low is the base, and level holds its
+    # sums in level_buf at the very places the add writes.
+    return _add(level, low[w:], level_buf if low_buf is None else low_buf)
 
 
-def _scaled_add(a: np.ndarray, b: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """``a + scale * b`` over the shorter of the two, into the front of ``out``.
+def _add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a + b`` over the shorter of the two, into the front of ``out``.
 
-    ``b`` is scaled into ``out`` first, so it may lie in ``out`` at or ahead
-    of the sums it writes; ``a`` lies outside ``out``.
+    ``b`` may lie in ``out`` at or ahead of the sums it writes, and ``a``
+    at the very sums it writes.
     """
     m = min(a.size, b.size)
-    if scale != 1:
-        b = np.multiply(b[:m], scale, out=out[:m])
     return np.add(a[:m], b[:m], out=out[:m])
 
 
@@ -162,16 +152,29 @@ def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
 
     The signal's memo is a dict in recency order.  A hit pops and re-inserts
     its window; once it holds more than ``_MEMO_WINDOWS``, the oldest key of a
-    snapshot is dropped.  A miss grows the mean from kept power-of-two means
-    where ``_grown_means`` can, and is otherwise one ``sliding_sums`` call,
-    divided by ``k`` in place.  Each step is one dict operation, so a
-    concurrent caller can only miss and compute the same mean again.
+    snapshot is dropped.  A miss grows from the widest kept power-of-two
+    mean ``A_w`` at most ``k``'s lowest set digit (and below ``k``) along
+    ``k``'s tree, and divides once by ``k / w``.  ``A_w`` times ``w`` is the
+    window sum bit for bit, so the result is ``sliding_sums(values, k) / k``
+    byte for byte, provided that every power-of-two scaling of a partial
+    sum is exact and finite: every nonzero ``|x|`` is at least ``k`` times
+    the least normal float, so that every partial sum is a multiple of
+    ``2**m`` times the least subnormal for the largest ``2**m <= k``, and
+    ``k * max|x|`` is at most half the largest float.  Otherwise, or with no
+    such mean kept, the miss is one ``sliding_sums`` call, divided by ``k``
+    in place.  Each step is one dict operation, so a concurrent caller can
+    only miss and compute the same mean again.
     """
     memo = signal._means
     means = memo.pop(k, None)
     if means is None:
-        means = _grown_means(signal, k)
-        if means is None:
+        w = min(k & -k, k // 2)
+        while w and (base := memo.get(w)) is None:
+            w //= 2
+        if w and k * signal._peak <= _HALF_MAX and k * _TINY <= signal._floor:
+            means = _dyadic_sums(base, w, k)
+            means /= k / w
+        else:
             means = sliding_sums(signal.values, k)
             means /= k
         means.flags.writeable = False
@@ -181,52 +184,22 @@ def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
     return means
 
 
-def _grown_means(signal: UniformSignal, k: int) -> np.ndarray | None:
-    """``A_k`` over ``k``'s dyadic tree from the signal's kept power-of-two means, or ``None``.
-
-    The tree starts from the widest kept power of two at most ``k``'s lowest
-    set digit (and below ``k``), and takes every kept level it passes.  A
-    kept ``A_w`` times ``w`` is then the window sum bit for bit, and the sums
-    over a power-of-two unit divide once by ``k / unit``, so the result is
-    ``sliding_sums(values, k) / k`` byte for byte, provided that every
-    power-of-two scaling of a partial sum is exact and finite.  So it is
-    ``None`` unless every nonzero ``|x|`` is at least ``k`` times the least
-    normal float, so that every partial sum is a multiple of ``2**m`` times
-    the least subnormal for the largest ``2**m <= k``, and unless
-    ``k * max|x|`` is at most half the largest float.
-    """
-    memo = signal._means
-    w = min(k & -k, k // 2)
-    while w and (base := memo.get(w)) is None:
-        w //= 2
-    if not w or k * signal._peak > _HALF_MAX or k * _TINY > signal._floor:
-        return None
-    sums, unit = _dyadic_sums(base, w, k, memo.get)
-    sums /= k / unit
-    return sums
-
-
-def _box_terms(signal: UniformSignal, what: str, terms) -> UniformSignal:
+def _box_terms(signal: UniformSignal, what: str, terms: list) -> UniformSignal:
     """``sum(c * mean_k(i - lag) for c, k, lag in terms)``, one signal.
 
     ``mean_k(i)`` is the mean of the ``k`` samples ending at sample ``i``.
     Output 0 sits at input index ``span - 1``, with ``span`` the largest
     ``k + lag``, so ``what`` needs ``span`` samples; two calls whose terms
     reach equally far back start at the same sample.  Each distinct ``k``
-    reads one kept mean of ``signal``, with no divide.  Terms with the same
-    ``(k, lag)`` add their coefficients first, so the expansion's ``2n``
-    telescoping terms take ``n + 1`` passes; the first term is written into
-    the output and the rest through one scratch array.  A ``(1, -1)`` pair
-    gives the bytes of ``a - b``, as a product by ``1`` or ``-1`` rounds
-    nothing.
+    reads one kept mean of ``signal``, with no divide.  Each term is one
+    pass, in the order given: the first is written into the output and the
+    rest through one scratch array.  A ``(1, -1)`` pair gives the bytes of
+    ``a - b``, as a product by ``1`` or ``-1`` rounds nothing.
     """
-    coefs = Counter()
-    for c, k, lag in terms:
-        coefs[k, lag] += c
-    span = max(k + lag for k, lag in coefs)
+    span = max(k + lag for _, k, lag in terms)
     signal.require(span, what)
-    means = {k: _window_means(signal, k) for k in sorted({k for k, _ in coefs})}
-    parts = [(c, means[k][span - k - lag : means[k].size - lag]) for (k, lag), c in coefs.items()]
+    means = {k: _window_means(signal, k) for k in sorted({k for _, k, _ in terms})}
+    parts = [(c, means[k][span - k - lag : means[k].size - lag]) for c, k, lag in terms]
     try:
         with np.errstate(over="raise"):
             out = np.multiply(*parts[0])

@@ -25,8 +25,8 @@ public operators, so operators and checks on one input take each
 ``(signal, k)`` mean once.  :func:`~macdkit.operators._window_means` alone
 fills and reads it: at most 8 windows, least recently used evicted first,
 read-only arrays, and only single dict operations, so threads that share a
-signal can at worst compute a mean twice.  A missing mean grows from the
-kept power-of-two means where that is exact, and is otherwise one call of
+signal can at worst compute a mean twice.  A missing mean grows from one
+kept power-of-two mean where that is exact, and is otherwise one call of
 ``operators.sliding_sums``, looked up by name, divided in place.  Next to
 the memo, :func:`~macdkit.operators.macd` keeps its latest result in one
 read-only slot, so the checks that read the same MACD again share it.  A
@@ -103,9 +103,7 @@ class UniformSignal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True, ndmin=1)
-        if vals.ndim > 1:
-            raise ValueError(f"values must be one-dimensional, got shape {vals.shape}")
+        vals = _one_dimensional(np.array(self.values, dtype=np.float64, copy=True, ndmin=1))
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
         if not 0 < self.dt < np.inf:
@@ -115,8 +113,7 @@ class UniformSignal:
         if not abs(self.t0 + (vals.size - 1) * self.dt) < np.inf:
             raise ValueError(f"last sample time {self.t0} + {vals.size - 1}*{self.dt} overflows")
         if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise ValueError(f"non-finite value at sample {bad}")
+            raise _non_finite(vals)
         self._set(self.t0, self.dt, vals)
 
     def _set(self, t0: float, dt: float, values: np.ndarray) -> None:
@@ -178,6 +175,19 @@ class UniformSignal:
     def require(self, n: int, what: str) -> None:
         """Raise :class:`InsufficientSamplesError` unless at least ``n`` samples."""
         _check_length(len(self), n, what)
+
+
+def _one_dimensional(values: np.ndarray) -> np.ndarray:
+    """``values``, an array of at least one dimension, unless it has more than one."""
+    if values.ndim > 1:
+        raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
+    return values
+
+
+def _non_finite(values: np.ndarray) -> ValueError | None:
+    """The error naming the first non-finite sample of ``values``, or ``None`` if all are finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return ValueError(f"non-finite value at sample {bad[0]}") if bad.size else None
 
 
 def _max_abs(values: np.ndarray) -> float:

@@ -7,6 +7,7 @@ with a faster one of the same bytes.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -67,6 +68,26 @@ def multiply_add_side(parts):
             out += np.multiply(c, term, out=scratch)
     return out
 
+
+
+def merged_expansion_side(means, n, b):
+    """The ``n``-term expansion side from the kept ``b``-sample means, as ``2n`` merged box terms.
+
+    Term ``i`` is ``w_i / 2`` times the mean ``(i - 1) * b`` samples back
+    and ``-w_i / 2`` times the one ``i * b`` back, ``w_i = 2i / (n(n + 1))``.
+    Terms at one lag add their coefficients in a ``Counter``, in the order
+    they first appear, and the side is :func:`multiply_add_side` over the
+    ``n + 1`` sums: the form the side took before it was given its telescoped
+    coefficients directly.
+    """
+    coefs = Counter()
+    for i in range(1, n + 1):
+        w = 2.0 * i / (n * (n + 1))
+        coefs[(i - 1) * b] += w / 2
+        coefs[i * b] += -w / 2
+    span = (n + 1) * b
+    return multiply_add_side([(c, means[span - b - lag : means.size - lag])
+                              for lag, c in coefs.items()])
 
 def monotonicity_scan(short, long_, displaced, start, eq_tol, amplify):
     """The window-monotonicity scan over its three aligned averages, every array in full.

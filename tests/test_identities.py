@@ -31,11 +31,13 @@ from macdkit import (
     macd,
     right_avg,
     run_checks,
+    sliding_sums,
     smoothed_derivative,
 )
 from macdkit import identities, operators
 from macdkit.identities import default_tolerance
 
+from .oracles import merged_expansion_side
 from .oracles import monotonicity_scan as oracle_monotonicity_scan
 
 
@@ -217,6 +219,25 @@ def test_expansion_check_runs_at_stream_warmup_length(random_signal):
         assert len(rhs) == 1
         assert abs(rhs.values[0] - first) <= 1e-9
 
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expansion_side_is_the_merged_two_n_term_side(n, rng):
+    # Its n + 1 coefficients (w[m+1] - w[m]) / 2 are the bytes of the 2n
+    # terms' -w[m]/2 + w[m+1]/2, as halving rounds nothing, so the side is
+    # the one the merged terms give.
+    walk = rng.standard_normal(400).cumsum()
+    inputs = {
+        "walk": walk,
+        "walk + 1e8": walk + 1e8,
+        "spread over e+-60": rng.standard_normal(400) * np.exp(rng.uniform(-60, 60, 400)),
+    }
+    for name, values in inputs.items():
+        sig = UniformSignal(0.0, 1.0, values)
+        for b in (1, 3, 8, 12):
+            want = merged_expansion_side(sliding_sums(values, b) / b, n, b)
+            got = expansion_rhs(sig, ExpansionSpec(n, b)).values
+            assert got.tobytes() == want.tobytes(), (name, b)
 
 # --- norm bound ----------------------------------------------------------------------
 

@@ -115,6 +115,38 @@ def test_build_kernel_rejects_bad_descriptions():
         build_kernel([("avg", 2)])
 
 
+
+@pytest.mark.parametrize("description", [
+    ("avg",),
+    ("avg", 3, 4),
+    ("centered", 2, 2),
+    ("delay",),
+    ("delay", 1, 1),
+    ("deriv", 2, 9),
+    ("scale",),
+    ("scale", 2.0),
+    ("scale", 2.0, ("avg", 2), ("avg", 3)),
+    ("scale", "a", ("avg", 2)),
+    ("scale", True, ("avg", 2)),
+    ("scale", 1j, ("avg", 2)),
+    ("diff", ("avg", 2)),
+    ("diff", ("avg", 2), ("avg", 4), ("avg", 8)),
+    ("compose", ("avg", 2), ("avg",)),
+])
+def test_build_kernel_rejects_a_stage_of_the_wrong_arity_or_factor(description):
+    # Not an IndexError, numpy's UFuncTypeError or a tuple-unpacking error,
+    # and no extra argument dropped: the stage that is malformed is named.
+    bad = description[-1] if description[0] == "compose" else description
+    with pytest.raises(ValueError) as err:
+        build_kernel(description)
+    assert str(err.value) == f"malformed kernel description: {bad!r}"
+
+
+@pytest.mark.parametrize("alpha", [2, 0.5, -1.0, np.float64(0.25), np.int64(3)])
+def test_build_kernel_scales_by_any_real_factor(alpha):
+    kern = build_kernel(("scale", alpha, ("avg", 4)))
+    assert kern.weights.tolist() == [alpha / 4] * 4
+
 def test_apply_kernel_matches_naive_convolution(random_signal):
     sig = random_signal(200)
     kernels = [

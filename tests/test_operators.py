@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macdkit import (
+    ExpansionSpec,
     InsufficientSamplesError,
     UniformSignal,
     apply_kernel,
     centered_avg,
     delay,
     double_right_avg,
+    expansion_kernel,
     macd,
     macd_kernel,
     right_avg,
     sample_offset,
     sliding_sums,
+    triangular_kernel,
     windowed_derivative,
 )
-from macdkit import operators
+from macdkit import identities, operators
 
 from .oracles import dyadic_window_sums, naive_macd, naive_right_avg, naive_window_sums
 
@@ -148,6 +151,34 @@ def test_sliding_sums_of_one_sample_is_a_copy():
     assert np.array_equal(sums, values) and not np.shares_memory(sums, values)
 
 
+def _constructor_error(values):
+    with pytest.raises(ValueError) as err:
+        UniformSignal(0.0, 1.0, values)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("values", [
+    np.ones((3, 4)),
+    np.ones((1, 6)),
+    np.ones((6, 1, 1)),
+    [1.0, np.nan, 2.0, 3.0],
+    [1.0, 2.0, 3.0, np.inf],
+    [-np.inf, 1.0, np.nan, 2.0],
+], ids=["3x4", "1x6", "6x1x1", "nan", "inf", "-inf then nan"])
+def test_sliding_sums_rejects_what_the_constructor_rejects(values, k):
+    # The same text as UniformSignal(0, 1, values): the shape, or the first
+    # non-finite sample, not numpy's broadcast error or an overflow.
+    with pytest.raises(ValueError) as err:
+        sliding_sums(values, k)
+    assert str(err.value) == _constructor_error(values)
+
+
+def test_sliding_sums_takes_a_scalar_as_one_sample():
+    assert sliding_sums(2.5, 1).tolist() == [2.5]
+    assert sliding_sums(np.float64(-1.0), 1).tolist() == [-1.0]
+
+
 @pytest.mark.parametrize("k", [8, 300, 512, 2048])
 def test_sliding_sums_match_exact_window_sums(k, random_signal):
     # Up to eleven doublings at k = 2048; 1e-12 is about a hundred ulps of
@@ -180,13 +211,13 @@ def test_average_after_its_prefix_equals_a_fresh_one(p, k, random_signal):
 
 
 def test_a_missing_mean_peaks_at_two_buffers(monkeypatch):
-    # A miss grows the mean from kept power-of-two means or is one
+    # A miss grows the mean from one kept power-of-two mean or is one
     # sliding_sums call, divided by k in place.  Either way its adds write at
     # most two n - 1 float buffers in place, the kept result one of them, and
     # a numpy that copied an overlapping operand would take a third; the
     # finiteness check takes no mask.  12 (in two buffers), 2 and 3 are
     # summed; 1000, 1024, 16 and 4 grow from the kept 2, 2048 from the kept
-    # 1024, and 20 adds the kept 16 and 4.  The 64 KiB slack covers the
+    # 1024, and 20 from the kept 4.  The 64 KiB slack covers the
     # array headers.
     n = 1_000_000
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(7).standard_normal(n))
@@ -229,7 +260,7 @@ HISTORY_SIGNALS = {
 def test_window_means_do_not_depend_on_what_the_signal_keeps():
     # Windows of one to four binary digits up to 600, asked in any order and
     # repeated: each kept mean is sliding_sums(values, k) / k byte for byte,
-    # or raises its error, whether it grew from kept means or was summed.
+    # or raises its error, whether it grew from a kept mean or was summed.
     paths = Counter()
 
     @given(kind=st.sampled_from(sorted(HISTORY_SIGNALS)), seed=st.integers(0, 2**32 - 1),
@@ -264,6 +295,69 @@ def test_window_means_do_not_depend_on_what_the_signal_keeps():
         check()
     assert paths["grown"] > 0 and paths["summed"] > 0, paths
 
+
+
+def _segment_calls(k):
+    """One batch benchmark segment's calls at window ``k``: each a function and its arguments.
+
+    The signal is the function's first argument, left out here.
+    """
+    lw = 3 * k // 2
+    return [
+        (right_avg, k), (centered_avg, k), (double_right_avg, k), (macd, k),
+        (windowed_derivative, k), (delay, k),
+        (identities.check_recursive_decomposition, k, lw),
+        (identities.check_difference_identity, k, lw),
+        (identities.check_macd_derivative, k),
+        (identities.check_phase_corrected_form, k),
+        (identities.check_recursive_expansion, ExpansionSpec(4, k // 2)),
+        *[(identities.check_lp_bound, k, p) for p in (1, 2, math.inf)],
+        (identities.check_window_monotonicity, k, k + lw),
+        (lambda s, k: identities.classify_trend(s, len(s) - 1, k, k // 2), k),
+    ]
+
+
+SEGMENT_KERNELS = [macd_kernel(12), macd_kernel(256), triangular_kernel(256),
+                   expansion_kernel(8, 32)]
+
+
+def test_a_batch_segment_keeps_each_window_sum_over_k(monkeypatch):
+    # One benchmark batch segment on each input of HISTORY_SIGNALS: the
+    # sweep k = 8...2048 with its long windows up to 5k/2 = 5120, then four
+    # kernel applies.  Every mean any signal asks for, grown or summed, is
+    # sliding_sums(values, k) / k byte for byte, or raises its error.
+    sums, means = operators.sliding_sums, operators._window_means
+    summed, misses = [], []
+
+    def checked(signal, k):
+        try:
+            want = sums(signal.values, k) / k
+        except ValueError as exc:
+            want = str(exc)
+        if k not in signal._means:
+            misses.append(k)
+        try:
+            got = means(signal, k)
+        except ValueError as exc:
+            assert str(exc) == want, k
+            raise
+        assert not isinstance(want, str) and got.tobytes() == want.tobytes(), k
+        return got
+
+    monkeypatch.setattr(operators, "_window_means", checked)
+    monkeypatch.setattr(operators, "sliding_sums", lambda v, k: summed.append(k) or sums(v, k))
+    rng = np.random.default_rng(12)
+    raised = 0
+    for kind, make in HISTORY_SIGNALS.items():
+        sig = UniformSignal(0.0, 1.0, make(np.cumsum(rng.standard_normal(12_000)), rng))
+        calls = [call for k in (8, 32, 128, 512, 2048) for call in _segment_calls(k)]
+        calls += [(lambda s, kern: apply_kernel(kern, s), kern) for kern in SEGMENT_KERNELS]
+        for fn, *args in calls:
+            try:
+                fn(sig, *args)
+            except ValueError:
+                raised += 1
+    assert raised and len(misses) > len(summed) > 0, (raised, len(misses), len(summed))
 
 def test_right_avg_wraps_the_kept_mean(random_signal):
     sig = random_signal(300)
