@@ -43,7 +43,7 @@ from functools import reduce
 import numpy as np
 
 from .operators import _box_terms, double_right_avg
-from .signals import ExpansionSpec, UniformSignal, lag_size, window_size
+from .signals import ExpansionSpec, UniformSignal, _step, lag_size, window_size
 
 __all__ = [
     "KernelRep",
@@ -152,9 +152,10 @@ def build_kernel(description, dt: float = 1.0) -> KernelRep:
     """Build the FIR kernel of a composed operator description.
 
     See the module docstring for the description grammar.  ``dt`` only
-    enters through difference-quotient stages.
+    enters through difference-quotient stages, but any ``dt`` is checked as
+    ``UniformSignal`` checks it: positive and finite.
     """
-    return _kernel(description, _describe(description), dt)
+    return _kernel(description, _describe(description), _step(dt))
 
 
 def _kernel(description, note: str, dt: float = 1.0) -> KernelRep:

@@ -106,8 +106,7 @@ class UniformSignal:
         vals = _one_dimensional(np.array(self.values, dtype=np.float64, copy=True, ndmin=1))
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _step(self.dt)
         if not -np.inf < self.t0 < np.inf:
             raise ValueError(f"t0 must be finite, got {self.t0}")
         if not abs(self.t0 + (vals.size - 1) * self.dt) < np.inf:
@@ -199,6 +198,13 @@ def _power_sum(values: np.ndarray, p: int) -> float:
     """``sum|values|**p`` for ``p`` 1 or 2, one ``np.sum``; ``inf`` where it overflows."""
     with np.errstate(over="ignore"):
         return float(np.sum(np.abs(values)) if p == 1 else np.sum(values * values))
+
+
+def _step(dt) -> float:
+    """Every time step's one check: ``dt``, a real number (not a bool), positive and finite."""
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return float(dt)
 
 
 def _count(value, what: str, least: int = 1) -> int:

@@ -10,7 +10,10 @@ MACD is the ``n = 1`` case, ``(R - O) / (2k)``.
 ``ExpansionStream`` keeps a ring of the last ``a + b`` samples and two
 compensated running sums, updated by add-newest / subtract-oldest, with
 each addition's rounding error recovered exactly by Knuth's branch-free
-TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  For ``n = 1`` (MACD
+TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  Each stream's
+``push`` is a closure over its rings and constants, with the running sums,
+ring slot and sample count in its cells, so a push loads and stores no
+attribute and one code object serves both classes.  For ``n = 1`` (MACD
 with ``a = b = k``) ``O`` is ``R`` from ``k`` pushes ago, the finite
 difference of delayed sums that batch ``macd`` takes: every ``n = 1``
 stream keeps one running sum and reads ``O`` from a ring of its past
@@ -41,115 +44,139 @@ class ExpansionStream:
     memory is ``(n+1)*b`` raw samples and two running sums, plus ``2b`` past
     sums of ``R`` for ``n = 1``.  Output starts once ``(n+1)*b`` samples
     have been seen and then matches the batch expansion at the same index.
+
+    The constructor binds ``push`` as a closure that holds the rings and
+    the constants, with the running sums, ring slot and sample count in its
+    cells; ``samples_seen``, ``stats()`` and ``sum_drift()`` read the cells
+    through ``_state()``.  A copy, deep copy or pickle rebuilds the closure
+    from that state and shares none of it with the original.
     """
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
-        resum_interval = _count(resum_interval, "resum interval must be a positive integer")
-        self._a = spec.a
-        self._n = float(spec.n)
-        self._den = float(spec.n * (spec.n + 1) * spec.b)
-        self._size = spec.a + spec.b  # len(self._ring), read on every push
-        self._ring = [0.0] * self._size
-        self._pos = 0
-        # R (newest a samples) and O (the b before them), each as a running
-        # sum plus its compensation, the sum of its TwoSum rounding errors.
-        self._r = self._rc = self._o = self._oc = 0.0
+        self._spec = spec
+        self._interval = _count(resum_interval, "resum interval must be a positive integer")
+        size = spec.a + spec.b
         # For n = 1, O is R from a pushes ago: the past R + rc, by sample slot.
-        self._past = [0.0] * self._size if spec.n == 1 else None
-        self._resum_interval = resum_interval
-        self._resums = 0
-        self.samples_seen = 0
+        self._bind([0.0] * size, [0.0] * size if spec.n == 1 else None, (0.0, 0.0, 0.0, 0.0, 0, 0))
+
+    def _bind(self, ring: list, past: list | None, cells: tuple) -> None:
+        """Bind ``push`` over the rings and the running state ``cells``, as ``_state()`` gives it.
+
+        ``cells`` is ``(r, rc, o, oc, pos, seen)``: ``R`` (newest ``a``
+        samples) and ``O`` (the ``b`` before them), each as a running sum
+        plus its compensation, the sum of its TwoSum rounding errors; the
+        ring slot of the oldest sample; and the samples seen.
+        """
+        a, n, b = self._spec.a, self._spec.n, self._spec.b
+        den, n, size, interval = float(n * (n + 1) * b), float(n), len(ring), self._interval
+        r, rc, o, oc, pos, seen = cells
+        # The count at which a push takes the slow branch: every push of the
+        # warm-up, then each multiple of the interval.  The first push sets it.
+        due = seen + 1
+
+        def push(sample):
+            nonlocal r, rc, o, oc, pos, seen, due
+            x = float(sample)
+            back = pos - a  # the slot written a pushes ago (negative index wraps)
+            mid = ring[back]  # leaves R, enters O
+            # R += x - mid as two TwoSum additions whose exact rounding errors
+            # accumulate in the compensation.
+            t = r + x
+            z = t - r
+            c = rc + ((r - (t - z)) + (x - z))
+            r1 = t - mid
+            z = r1 - t
+            rc1 = c + ((t - (r1 - z)) + (-mid - z))
+            v = r1 + rc1
+            # A compensated sum that is not finite (inf - inf and nan - nan are
+            # nan) is rejected before any state changes.
+            if past is not None:  # n = 1: O is R + rc from a pushes ago
+                if v - v:
+                    _reject(x, sample)
+                w = past[back]
+                past[pos] = v
+            else:  # O += mid - old, the same way
+                old = ring[pos]
+                t = o + mid
+                z = t - o
+                c = oc + ((o - (t - z)) + (mid - z))
+                o1 = t - old
+                z = o1 - t
+                oc1 = c + ((t - (o1 - z)) + (-old - z))
+                w = o1 + oc1
+                if v - v or w - w:
+                    _reject(x, sample)
+                o, oc = o1, oc1
+                w *= n  # n*O; the overflow fallback below scales the unscaled O
+            ring[pos] = x
+            pos = 0 if pos + 1 == size else pos + 1
+            r, rc = r1, rc1
+            seen += 1
+            if seen == due:  # warming up, or at a re-sum
+                if seen % interval == 0:
+                    r, o = _exact_sums(ring, pos, a)
+                    rc = oc = 0.0
+                    v = r
+                    if past is None:
+                        w = n * o
+                if seen < size:
+                    due = seen + 1
+                    return None
+                due = seen - seen % interval + interval
+            out = (v - w) / den
+            if out - out:  # the difference of two finite sums overflowed: scale each first
+                out = v / den - (w if past is not None else o + oc) / den * n
+            return out
+
+        self._ring, self._past, self._push = ring, past, push
+        self._state = lambda: (r, rc, o, oc, pos, seen)
+        if type(self).push is ExpansionStream.push:  # unless a subclass overrides push
+            self.push = push
 
     def push(self, sample: float) -> float | None:
-        """Feed one sample; return the stream's value once warmed up."""
-        x = float(sample)
-        ring = self._ring
-        pos = self._pos
-        back = pos - self._a  # the slot written a pushes ago (negative index wraps)
-        mid = ring[back]      # leaves R, enters O
-        # R += x - mid as two TwoSum additions whose exact rounding errors
-        # accumulate in the compensation.
-        s = self._r
-        t = s + x
-        z = t - s
-        c = self._rc + ((s - (t - z)) + (x - z))
-        r = t - mid
-        z = r - t
-        rc = c + ((t - (r - z)) + (-mid - z))
-        v = r + rc
-        # A compensated sum that is not finite (inf - inf and nan - nan are
-        # nan) is rejected before any state changes.
+        """Feed one sample; return the stream's value once warmed up.
+
+        Each stream's own closure, bound by the constructor, shadows this;
+        a subclass that overrides ``push`` reaches the closure through it.
+        """
+        return self._push(sample)
+
+    @property
+    def samples_seen(self) -> int:
+        """Pushes accepted so far."""
+        return self._state()[5]
+
+    def __getstate__(self):
+        """Spec, interval, copies of the rings and the cells: a closure does not pickle."""
         past = self._past
-        if past is not None:  # n = 1: O is R + rc from a pushes ago
-            if v - v:
-                _reject(x, sample)
-            w = past[back]
-            past[pos] = v
-        else:  # O += mid - old, the same way
-            old = ring[pos]
-            s = self._o
-            t = s + mid
-            z = t - s
-            c = self._oc + ((s - (t - z)) + (mid - z))
-            o = t - old
-            z = o - t
-            oc = c + ((t - (o - z)) + (-old - z))
-            w = o + oc
-            if v - v or w - w:
-                _reject(x, sample)
-            self._o = o
-            self._oc = oc
-            w *= self._n  # n*O; the overflow fallback below scales the unscaled O
-        ring[pos] = x
-        pos += 1
-        self._pos = 0 if pos == self._size else pos
-        self._r = r
-        self._rc = rc
-        seen = self.samples_seen + 1
-        self.samples_seen = seen
-        if seen % self._resum_interval == 0:
-            self._resum()
-            v = self._r
-            if past is None:
-                w = self._n * self._o
-        if seen < self._size:
-            return None
-        out = (v - w) / self._den
-        if out - out:  # the difference of two finite sums overflowed: scale each first
-            o = w if past is not None else self._o + self._oc
-            out = v / self._den - o / self._den * self._n
-        return out
+        return (self._spec, self._interval, self._ring[:], past if past is None else past[:],
+                self._state())
 
-    def _exact_sums(self) -> tuple[float, float]:
-        """Exact (R, O) from the ring, oldest sample at ``_pos``."""
-        pos = self._pos
-        ordered = self._ring[pos:] + self._ring[:pos]
-        b = len(ordered) - self._a
-        return _exact_sum(ordered[b:]), _exact_sum(ordered[:b])
-
-    def _resum(self) -> None:
-        self._r, self._o = self._exact_sums()
-        self._rc = self._oc = 0.0
-        self._resums += 1
+    def __setstate__(self, state) -> None:
+        """Rebuild the push closure from ``__getstate__``'s state."""
+        self._spec, self._interval, ring, past, cells = state
+        self._bind(ring, past, cells)
 
     def _running_sums(self) -> tuple[float, float]:
         """The running (R, O), each with its compensation added; for n = 1, O from ``_past``."""
+        r, rc, o, oc, pos, _ = self._state()
         past = self._past
-        o = self._o + self._oc if past is None else past[self._pos - 1 - self._a]
-        return self._r + self._rc, o
+        return r + rc, o + oc if past is None else past[pos - 1 - self._spec.a]
 
     def sum_drift(self) -> float:
         """Worst relative deviation of the running sums from exact re-summation."""
-        (r, o), (v, w) = self._exact_sums(), self._running_sums()
+        r, o = _exact_sums(self._ring, self._state()[4], self._spec.a)
+        v, w = self._running_sums()
         return max(abs(v - r) / max(abs(r), 1.0), abs(w - o) / max(abs(o), 1.0))
 
     def stats(self) -> dict:
         """Samples seen, re-sums so far, the current ``sum_drift()`` and warm-up state."""
+        seen = self.samples_seen
         return {
-            "samples_seen": self.samples_seen,
-            "resums": self._resums,
+            "samples_seen": seen,
+            "resums": seen // self._interval,
             "sum_drift": self.sum_drift(),
-            "warm": self.samples_seen >= self._size,
+            "warm": seen >= len(self._ring),
         }
 
 
@@ -158,6 +185,13 @@ def _reject(x: float, sample) -> None:
     if not math.isfinite(x):
         raise ValueError(f"non-finite sample rejected: {sample!r}")
     raise ValueError(WINDOW_SUM_OVERFLOW)
+
+
+def _exact_sums(ring: list[float], pos: int, a: int) -> tuple[float, float]:
+    """Exact (R, O) from the ring, oldest sample at ``pos``."""
+    ordered = ring[pos:] + ring[:pos]
+    b = len(ordered) - a
+    return _exact_sum(ordered[b:]), _exact_sum(ordered[:b])
 
 
 def _exact_sum(values: list[float]) -> float:

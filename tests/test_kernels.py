@@ -147,6 +147,26 @@ def test_build_kernel_scales_by_any_real_factor(alpha):
     kern = build_kernel(("scale", alpha, ("avg", 4)))
     assert kern.weights.tolist() == [alpha / 4] * 4
 
+
+# Not a ZeroDivisionError, a sign-flipped or zeroed derivative, or a TypeError
+# from a comparison: a kernel takes the time steps a signal takes.
+@pytest.mark.parametrize("dt", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, "x", None, True])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda dt: build_kernel(("deriv", 2), dt), id="deriv"),
+    pytest.param(lambda dt: build_kernel(("avg", 2), dt), id="avg"),
+    pytest.param(lambda dt: UniformSignal(0.0, dt, [1.0, 2.0]), id="signal"),
+])
+def test_kernel_and_signal_share_one_dt_check(make, dt):
+    with pytest.raises(ValueError) as err:
+        make(dt)
+    assert str(err.value) == f"dt must be positive and finite, got {dt}"
+
+
+@pytest.mark.parametrize("dt", [0.5, 2, np.float64(0.25), np.int64(4), 1e-3])
+def test_build_kernel_takes_any_positive_finite_dt(dt):
+    assert build_kernel(("deriv", 2), dt).weights.tolist() == [1 / (2 * dt), 0.0, -1 / (2 * dt)]
+    assert UniformSignal(0.0, dt, [1.0, 2.0]).dt == float(dt)
+
 def test_apply_kernel_matches_naive_convolution(random_signal):
     sig = random_signal(200)
     kernels = [

@@ -1,11 +1,15 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macdkit import (
     ExpansionSpec,
@@ -16,6 +20,8 @@ from macdkit import (
     macd,
     sample_offset,
 )
+
+from .oracles import AttributeStream
 
 
 def stream_macd(values, k, **kwargs):
@@ -200,6 +206,48 @@ def test_macd_stream_agrees_with_the_single_term_expansion_stream():
     assert rejected > 100
 
 
+def _bits(out):
+    return out if out is None else struct.pack("<d", out)
+
+
+def _fed(push, x):
+    """What one push gives: its output's bits, or the text it was rejected with."""
+    try:
+        out = push(x)
+    except ValueError as err:
+        return "rejected", str(err)
+    assert out is None or type(out) is float
+    return "accepted", _bits(out)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 5]), b=st.sampled_from([1, 3]),
+       interval=st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]), as_macd=st.booleans(),
+       feed=st.lists(st.sampled_from(FUZZ_ALPHABET + [M, -M, 8e307, np.float64(0.1),
+                                                      np.float64("nan"), 3]),
+                     min_size=1, max_size=40))
+# A rejection, then pushes into the same bound push, a re-sum among them.
+@example(n=1, b=1, interval=3, as_macd=True, feed=[1e308, 1e308, 1.0, 2.0, 3.0, 4.0])
+@example(n=2, b=1, interval=2, as_macd=False, feed=[1.0, float("nan"), 2.0, 3.0, 4.0, 5.0])
+# The difference of two finite sums overflows: the scaled fallback.
+@example(n=1, b=1, interval=None, as_macd=False, feed=[-1e308, 1e308, -1e308])
+def test_push_is_bit_for_bit_the_attribute_push(n, b, interval, as_macd, feed):
+    # The push closure against a verbatim copy of the push that kept its
+    # state in attributes: after every push, the same acceptance, output
+    # bits, error text and stats(), through one push bound before any
+    # rejection and re-sum.
+    kwargs = {} if interval is None else {"resum_interval": interval}
+    spec = ExpansionSpec(n, b)
+    stream = MacdStream(b, **kwargs) if as_macd and n == 1 else ExpansionStream(spec, **kwargs)
+    reference = AttributeStream(spec, **kwargs)
+    push = stream.push
+    for x in feed:
+        assert _fed(push, x) == _fed(reference.push, x)
+        assert stream.stats() == reference.stats()
+        assert stream.samples_seen == reference.samples_seen
+        assert stream._running_sums() == reference._running_sums()
+
+
 def test_single_term_expansion_accepts_a_push_after_a_resum_as_macd_does():
     # A second running sum for O met an overflow in a partial sum that R's
     # history never met, and rejected the sixth push after the re-sum.
@@ -352,3 +400,33 @@ def test_expansion_stream_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         stream.push(float("nan"))
     assert stream.samples_seen == 1
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: MacdStream(3), id="macd"),
+    pytest.param(lambda: MacdStream(3, 5), id="macd-resum-5"),
+    pytest.param(lambda: ExpansionStream(ExpansionSpec(2, 3), 5), id="expansion-resum-5"),
+])
+@pytest.mark.parametrize("duplicate", [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(lambda s: pickle.loads(pickle.dumps(s)), id="pickle"),
+])
+@pytest.mark.parametrize("taken", [4, 10])
+def test_a_copied_stream_runs_apart_from_its_original(make, duplicate, taken):
+    # A copy shares no state with its original: pushes into either one, a
+    # rejection among them, leave the other's outputs, stats() and
+    # sum_drift() those of a stream that was never copied.
+    stream, plain, twin = make(), make(), make()
+    for x in range(taken):
+        for s in (stream, plain, twin):
+            s.push(float(x))
+    copied = duplicate(stream)
+    for x in (100.0, -50.0, float("nan"), 7.0, 3.0):
+        assert _fed(copied.push, x) == _fed(twin.push, x)
+    for x in (0.5 * i - 3.0 for i in range(20)):
+        assert _bits(stream.push(x)) == _bits(plain.push(x))
+        assert _bits(copied.push(x)) == _bits(twin.push(x))
+    assert stream.stats() == plain.stats() and copied.stats() == twin.stats()
+    assert stream.sum_drift() == plain.sum_drift() and copied.sum_drift() == twin.sum_drift()
+    assert copied.stats()["samples_seen"] == taken + 24
