@@ -11,9 +11,10 @@ MACD is the ``n = 1`` case, ``(R - O) / (2k)``.
 compensated running sums, updated by add-newest / subtract-oldest, with
 each addition's rounding error recovered exactly by Knuth's branch-free
 TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  Each stream's
-``push`` is a closure over its rings and constants, with the running sums,
-ring slot and sample count in its cells, so a push loads and stores no
-attribute and one code object serves both classes.  For ``n = 1`` (MACD
+``push`` is a closure over its rings and constants, with the running sums
+and the sample count in its cells (the ring slot is the count modulo the
+ring's length), so a push loads and stores no attribute and one code
+object serves both classes.  For ``n = 1`` (MACD
 with ``a = b = k``) ``O`` is ``R`` from ``k`` pushes ago, the finite
 difference of delayed sums that batch ``macd`` takes: every ``n = 1``
 stream keeps one running sum and reads ``O`` from a ring of its past
@@ -46,9 +47,9 @@ class ExpansionStream:
     have been seen and then matches the batch expansion at the same index.
 
     The constructor binds ``push`` as a closure that holds the rings and
-    the constants, with the running sums, ring slot and sample count in its
-    cells; ``samples_seen``, ``stats()`` and ``sum_drift()`` read the cells
-    through ``_state()``.  A copy, deep copy or pickle rebuilds the closure
+    the constants, with the running sums and the sample count in its cells;
+    ``samples_seen``, ``stats()`` and ``sum_drift()`` read the cells through
+    ``_state()``.  A copy, deep copy or pickle rebuilds the closure
     from that state and shares none of it with the original.
     """
 
@@ -57,26 +58,29 @@ class ExpansionStream:
         self._interval = _count(resum_interval, "resum interval must be a positive integer")
         size = spec.a + spec.b
         # For n = 1, O is R from a pushes ago: the past R + rc, by sample slot.
-        self._bind([0.0] * size, [0.0] * size if spec.n == 1 else None, (0.0, 0.0, 0.0, 0.0, 0, 0))
+        self._bind([0.0] * size, [0.0] * size if spec.n == 1 else None, (0.0, 0.0, 0.0, 0.0, 0))
 
     def _bind(self, ring: list, past: list | None, cells: tuple) -> None:
         """Bind ``push`` over the rings and the running state ``cells``, as ``_state()`` gives it.
 
-        ``cells`` is ``(r, rc, o, oc, pos, seen)``: ``R`` (newest ``a``
-        samples) and ``O`` (the ``b`` before them), each as a running sum
-        plus its compensation, the sum of its TwoSum rounding errors; the
-        ring slot of the oldest sample; and the samples seen.
+        ``cells`` is ``(r, rc, o, oc, seen)``: ``R`` (newest ``a`` samples)
+        and ``O`` (the ``b`` before them), each as a running sum plus its
+        compensation, the sum of its TwoSum rounding errors; and the samples
+        seen, whose remainder modulo the ring's length is the oldest
+        sample's slot.
         """
-        a, n, b = self._spec.a, self._spec.n, self._spec.b
-        den, n, size, interval = float(n * (n + 1) * b), float(n), len(ring), self._interval
-        r, rc, o, oc, pos, seen = cells
-        # The count at which a push takes the slow branch: every push of the
-        # warm-up, then each multiple of the interval.  The first push sets it.
+        spec, size, interval = self._spec, len(ring), self._interval
+        a, n, den = spec.a, float(spec.n), float(spec.n * (spec.n + 1) * spec.b)
+        r, rc, o, oc, seen = cells
+        # The count at which a push takes the slow branch: each push of the
+        # warm-up, then each multiple of the interval.  The next push takes
+        # it, whatever the state, and sets the one after.
         due = seen + 1
 
         def push(sample):
-            nonlocal r, rc, o, oc, pos, seen, due
+            nonlocal r, rc, o, oc, seen, due
             x = float(sample)
+            pos = seen % size  # the oldest sample's slot
             back = pos - a  # the slot written a pushes ago (negative index wraps)
             mid = ring[back]  # leaves R, enters O
             # R += x - mid as two TwoSum additions whose exact rounding errors
@@ -109,12 +113,11 @@ class ExpansionStream:
                 o, oc = o1, oc1
                 w *= n  # n*O; the overflow fallback below scales the unscaled O
             ring[pos] = x
-            pos = 0 if pos + 1 == size else pos + 1
             r, rc = r1, rc1
             seen += 1
             if seen == due:  # warming up, or at a re-sum
                 if seen % interval == 0:
-                    r, o = _exact_sums(ring, pos, a)
+                    r, o = _exact_sums(ring, seen % size, a)
                     rc = oc = 0.0
                     v = r
                     if past is None:
@@ -129,7 +132,7 @@ class ExpansionStream:
             return out
 
         self._ring, self._past, self._push = ring, past, push
-        self._state = lambda: (r, rc, o, oc, pos, seen)
+        self._state = lambda: (r, rc, o, oc, seen)
         if type(self).push is ExpansionStream.push:  # unless a subclass overrides push
             self.push = push
 
@@ -144,7 +147,7 @@ class ExpansionStream:
     @property
     def samples_seen(self) -> int:
         """Pushes accepted so far."""
-        return self._state()[5]
+        return self._state()[4]
 
     def __getstate__(self):
         """Spec, interval, copies of the rings and the cells: a closure does not pickle."""
@@ -159,13 +162,14 @@ class ExpansionStream:
 
     def _running_sums(self) -> tuple[float, float]:
         """The running (R, O), each with its compensation added; for n = 1, O from ``_past``."""
-        r, rc, o, oc, pos, _ = self._state()
+        r, rc, o, oc, seen = self._state()
         past = self._past
-        return r + rc, o + oc if past is None else past[pos - 1 - self._spec.a]
+        return r + rc, o + oc if past is None else past[seen % len(past) - 1 - self._spec.a]
 
     def sum_drift(self) -> float:
         """Worst relative deviation of the running sums from exact re-summation."""
-        r, o = _exact_sums(self._ring, self._state()[4], self._spec.a)
+        ring = self._ring
+        r, o = _exact_sums(ring, self.samples_seen % len(ring), self._spec.a)
         v, w = self._running_sums()
         return max(abs(v - r) / max(abs(r), 1.0), abs(w - o) / max(abs(o), 1.0))
 
