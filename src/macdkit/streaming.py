@@ -46,11 +46,9 @@ class ExpansionStream:
     sums of ``R`` for ``n = 1``.  Output starts once ``(n+1)*b`` samples
     have been seen and then matches the batch expansion at the same index.
 
-    The constructor binds ``push`` as a closure that holds the rings and
-    the constants, with the running sums and the sample count in its cells;
-    ``samples_seen``, ``stats()`` and ``sum_drift()`` read the cells through
-    ``_state()``.  A copy, deep copy or pickle rebuilds the closure
-    from that state and shares none of it with the original.
+    ``samples_seen``, ``stats()`` and ``sum_drift()`` read the push
+    closure's cells through ``_state()``; a copy, deep copy or pickle
+    rebuilds the closure from them and shares no state with the original.
     """
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
@@ -78,6 +76,7 @@ class ExpansionStream:
         due = seen + 1
 
         def push(sample):
+            """Feed one sample; return the stream's value once warmed up."""
             nonlocal r, rc, o, oc, seen, due
             x = float(sample)
             pos = seen % size  # the oldest sample's slot
@@ -139,8 +138,9 @@ class ExpansionStream:
     def push(self, sample: float) -> float | None:
         """Feed one sample; return the stream's value once warmed up.
 
-        Each stream's own closure, bound by the constructor, shadows this;
-        a subclass that overrides ``push`` reaches the closure through it.
+        The closure the constructor binds as the stream's ``push`` shadows
+        this method, unless a subclass overrides ``push``: then this is how
+        the override reaches the closure.
         """
         return self._push(sample)
 
