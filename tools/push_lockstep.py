@@ -60,22 +60,23 @@ def walk(n: int, seed: int) -> list[float]:
 def lockstep(parent: list, change: list, feed: list[float], chunk: int):
     """Per stream, the change/parent time ratio of each chunk after the first; and
     whether every output matched."""
+    trees = (parent, change)
     ratios = [[] for _ in STREAMS]
     same = True
     pc = time.perf_counter
     for i, start in enumerate(range(0, len(feed), chunk)):
         part = feed[start : start + chunk]
-        sides = (parent, change) if i % 2 == 0 else (change, parent)
-        took, outs = {}, {}
-        for side in sides:
-            for j, push in enumerate(side):
-                t = pc()
-                outs[id(side), j] = [push(x) for x in part]
-                took[id(side), j] = pc() - t
+        took = [[0.0] * len(STREAMS) for _ in trees]
+        outs = [[None] * len(STREAMS) for _ in trees]
+        for t in ((0, 1) if i % 2 == 0 else (1, 0)):
+            for j, push in enumerate(trees[t]):
+                tick = pc()
+                outs[t][j] = [push(x) for x in part]
+                took[t][j] = pc() - tick
         for j in range(len(STREAMS)):
-            same &= outs[id(parent), j] == outs[id(change), j]
+            same &= outs[0][j] == outs[1][j]
             if i:
-                ratios[j].append(took[id(change), j] / took[id(parent), j])
+                ratios[j].append(took[1][j] / took[0][j])
     return ratios, same
 
 
@@ -87,13 +88,13 @@ def main(argv=None) -> int:
     parser.add_argument("--chunk", type=int, default=8192)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.samples < 2 * args.chunk:
-        parser.error("--samples must hold at least two chunks")
+    if args.samples < 3 * args.chunk:
+        parser.error("--samples must hold at least three chunks")
     parent = streams(load(args.parent_src, "lockstep_parent"))
     change = streams(load(args.change_src, "lockstep_change"))
     ratios, same = lockstep(parent, change, walk(args.samples, args.seed), args.chunk)
     for name, r in zip(STREAMS, ratios):
-        q1, median, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else r * 3
+        q1, median, q3 = statistics.quantiles(r, n=4)
         print(f"{name}: change/parent {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(r)} chunks")
     print(f"outputs identical: {same}")
     return 0
