@@ -15,8 +15,9 @@ take each ``A_k`` once, one window sum and one divide, and ``macd`` keeps
 its latest result, so the derivative checks and the three norm orders at
 one window take one MACD.  Each block-average side of the other
 identities is one ``operators._box_terms`` call, which reads the same kept
-means.  The norm bound's denominators are sums the signal keeps, each found
-once, and ``max|x|`` is ``signals._max_abs`` wherever it is taken.
+means.  The norm bound takes each order's sum of the input as it takes the
+MACD's, with ``_power_sum``, and ``max|x|`` is ``signals._max_abs`` wherever
+it is taken.
 
 The identities are statements about samples, in which the spacing cancels:
 rates are per sample and norms are sums over samples.  So ``dt`` enters
@@ -56,7 +57,7 @@ from .operators import (
     windowed_derivative,
 )
 from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _max_abs,
-                      _power_sum, aligned_values, sample_offset, window_size)
+                      aligned_values, sample_offset, window_size)
 
 __all__ = [
     "CHECKS",
@@ -251,21 +252,26 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     ``dt`` would weight both norms alike, so it cancels.  Where a norm's sum
     is not a normal float, both arrays are summed again times the one power
     of two that brings the signal's peak to [0.5, 1), which keeps the ratio.
-    The denominators ``max|x|``, ``sum|x|`` and ``sum(x**2)`` are kept on the
-    signal, each found once, and so is its latest MACD (see
-    :func:`~macdkit.operators.macd`): the three orders at one window take one
-    MACD, and each call sums only that MACD's norm.
+    The signal keeps ``max|x|`` and its latest MACD (see
+    :func:`~macdkit.operators.macd`), so the three orders at one window take
+    one MACD; the p = 1 and 2 orders each sum the MACD and the signal.
     """
     out = macd(signal, a).values
     if p == math.inf:
         return _ratio(_max_abs(out), signal._peak)
     if p not in (1, 2):
         raise ValueError(f"unsupported norm order: {p!r}")
-    totals = [_power_sum(out, p), signal._abs_sum if p == 1 else signal._square_sum]
+    totals = [_power_sum(out, p), _power_sum(signal.values, p)]
     if not all(np.finfo(float).tiny <= s < math.inf for s in totals):
         e = -math.frexp(signal._peak)[1]
         totals = [_power_sum(np.ldexp(out, e), p), _power_sum(np.ldexp(signal.values, e), p)]
     return _ratio(*(totals if p == 1 else map(math.sqrt, totals)))
+
+
+def _power_sum(values: np.ndarray, p: int) -> float:
+    """``sum|values|**p`` for ``p`` 1 or 2, one ``np.sum``; ``inf`` where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(values)) if p == 1 else np.sum(values * values))
 
 
 def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> MonotonicityResult:

@@ -32,7 +32,7 @@ every power-of-two scaling of its partial sums is exact, so the result is
 byte-equal to the window sums divided by ``k`` whatever the memo holds.
 Otherwise it is one call of the module's ``sliding_sums``, looked up by
 name: a wrapper on that name (a tracer, say) sees every window a signal
-sums from scratch.
+sums afresh.
 Public ``sliding_sums`` keeps no memo.  Next to the memo, ``macd`` keeps its
 latest result in one read-only slot on the signal, so the checks that read
 MACD again at the same window, the two derivative forms and the three norm
@@ -192,8 +192,8 @@ def _box_terms(signal: UniformSignal, what: str, terms: list) -> UniformSignal:
     ``k + lag``, so ``what`` needs ``span`` samples; two calls whose terms
     reach equally far back start at the same sample.  Each distinct ``k``
     reads one kept mean of ``signal``, with no divide.  Each term is one
-    pass, in the order given: the first is written into the output and the
-    rest through one scratch array.  A ``(1, -1)`` pair gives the bytes of
+    product, added in the order given: the first is written into the output
+    and each later one added to it.  A ``(1, -1)`` pair gives the bytes of
     ``a - b``, as a product by ``1`` or ``-1`` rounds nothing.
     """
     span = max(k + lag for _, k, lag in terms)
@@ -203,9 +203,8 @@ def _box_terms(signal: UniformSignal, what: str, terms: list) -> UniformSignal:
     try:
         with np.errstate(over="raise"):
             out = np.multiply(*parts[0])
-            scratch = np.empty_like(out)
             for c, term in parts[1:]:
-                out += np.multiply(c, term, out=scratch)
+                out += c * term
     except FloatingPointError:
         raise ValueError(WINDOW_SUM_OVERFLOW) from None
     return UniformSignal._wrap(signal.t0 + (span - 1) * signal.dt, signal.dt, out)

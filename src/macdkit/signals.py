@@ -30,11 +30,10 @@ kept power-of-two mean where that is exact, and is otherwise one call of
 ``operators.sliding_sums``, looked up by name, divided in place.  Next to
 the memo, :func:`~macdkit.operators.macd` keeps its latest result in one
 read-only slot, so the checks that read the same MACD again share it.  A
-signal also keeps ``max|x|``, its least nonzero ``|x|``, ``sum|x|`` and
-``sum(x**2)``, each found once.  ``max|x|`` scales the default tolerance of
-the classifier and the monotonicity scan; it and the two sums are the norm
-bound's denominators, and ``max|x|`` and the least ``|x|`` together say where
-a mean may grow exactly.
+signal also keeps ``max|x|`` and its least nonzero ``|x|``, each found once.
+``max|x|`` scales the default tolerance of the classifier and the
+monotonicity scan, and is the infinity-norm bound's denominator; it and the
+least ``|x|`` together say where a mean may grow exactly.
 
 A window is a plain ``int``, its sample count ``k``; its length ``k * dt``
 is worked out from the signal's own ``dt`` wherever a formula needs it.
@@ -94,8 +93,8 @@ class UniformSignal:
     private memo of its window means and a slot for its latest MACD (not
     fields, so they take no part in ``repr`` or ``fields()``): 8 means plus
     one MACD, read-only arrays of at most ``n`` floats each, ``72 * n``
-    bytes per live signal, and ``max|x|``, the least nonzero ``|x|``,
-    ``sum|x|`` and ``sum(x**2)`` once something asks for them.
+    bytes per live signal, and ``max|x|`` and the least nonzero ``|x|``
+    once something asks for them.
     """
 
     t0: float
@@ -145,16 +144,6 @@ class UniformSignal:
         return _max_abs(self.values)
 
     @cached_property
-    def _abs_sum(self) -> float:
-        """``sum|values|``, found once per signal, as ``_power_sum`` gives it."""
-        return _power_sum(self.values, 1)
-
-    @cached_property
-    def _square_sum(self) -> float:
-        """``sum(values**2)``, found once per signal, as ``_power_sum`` gives it."""
-        return _power_sum(self.values, 2)
-
-    @cached_property
     def _floor(self) -> float:
         """The least nonzero ``|value|``, found once per signal; ``inf`` if every value is zero."""
         mags = np.abs(self.values)
@@ -192,12 +181,6 @@ def _non_finite(values: np.ndarray) -> ValueError | None:
 def _max_abs(values: np.ndarray) -> float:
     """``max|values|`` as ``max(|max values|, |min values|)``: two passes, no temporary array."""
     return float(max(abs(values.max()), abs(values.min())))
-
-
-def _power_sum(values: np.ndarray, p: int) -> float:
-    """``sum|values|**p`` for ``p`` 1 or 2, one ``np.sum``; ``inf`` where it overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(values)) if p == 1 else np.sum(values * values))
 
 
 def _step(dt) -> float:

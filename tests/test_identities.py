@@ -302,11 +302,11 @@ def test_checks_read_the_kept_macd(monkeypatch, random_signal):
     assert len(reads) == 5 and all(np.shares_memory(reads[0], r) for r in reads)
 
 
-def test_kept_norm_sums_read_as_fresh_ones(rng):
-    # The ratios of a signal that keeps its norm sums and its MACD equal a
-    # fresh signal's, whatever order the windows and orders come in.  Near
-    # 1e-305 the squares underflow and near 1e308 both sums overflow, so the
-    # rescale path runs; there k = 1, as wider window sums would overflow.
+def test_norm_ratios_do_not_depend_on_what_the_signal_keeps(rng):
+    # The ratios of a signal that keeps its peak and its MACD equal a fresh
+    # signal's, whatever order the windows and orders come in.  Near 1e-305
+    # the squares underflow and near 1e308 both sums overflow, so the rescale
+    # path runs; there k = 1, as wider window sums would overflow.
     walk = rng.standard_normal(3000).cumsum()
     unit = walk / np.abs(walk).max()
     cases = {"walk": (walk, [8, 3, 8, 12]), "near 1e-305": (unit * 1e-305, [8, 1, 8]),
@@ -317,11 +317,8 @@ def test_kept_norm_sums_read_as_fresh_ones(rng):
             for p in (2, math.inf, 1, 2):
                 want = check_lp_bound(UniformSignal(0.0, 1.0, values), k, p)
                 assert check_lp_bound(sig, k, p) == want, (name, k, p)
-        with np.errstate(over="ignore"):
-            assert sig._abs_sum == float(np.sum(np.abs(values)))
-            assert sig._square_sum == float(np.sum(values * values))
-        rescaled = not all(np.finfo(float).tiny <= s < math.inf
-                           for s in (sig._abs_sum, sig._square_sum))
+        rescaled = not all(np.finfo(float).tiny <= identities._power_sum(values, p) < math.inf
+                           for p in (1, 2))
         assert rescaled == (name != "walk"), name
 
 
