@@ -128,7 +128,10 @@ def smoothed_derivative_kernel(k: int) -> KernelRep:
     lag-``k`` difference quotient of the inner average, so the kernel is the
     difference-quotient kernel convolved with a single box, scaled by
     ``k/2`` (any spacing cancels: ``k*dt/2`` times the quotient's ``1/(k*dt)``).
-    It reproduces :func:`macd_kernel` exactly.
+    In exact arithmetic it is :func:`macd_kernel`.  Its float taps are a
+    product of two roundings scaled by ``k/2``, so at some ``k`` (5, 10, 19,
+    ...; 261 of k = 1...1100) a tap sits one ulp from ``macd_kernel``'s
+    ``+-1/(2k)``, which is rounded once.
     """
     k = window_size(k)
     return _kernel(("scale", k / 2.0, ("compose", ("deriv", k), ("avg", k))),

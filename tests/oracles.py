@@ -8,6 +8,7 @@ with a faster one of the same bytes.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,6 +126,65 @@ def naive_box_self_convolution(k):
         for j, b in enumerate(box):
             out[i + j] += a * b
     return out
+
+
+def exact_kernel(description):
+    """``(first lag, numerators, denominator)`` of a kernel description at ``dt = 1``, exactly.
+
+    Tap ``j`` is ``Fraction(numerators[j], denominator)``: the numerators are
+    Python ints in an object array, over one common denominator, so every
+    stage is integer arithmetic and nothing rounds.  The grammar is
+    ``build_kernel``'s, from the definitions: a ``k``-box is ``k`` taps of
+    ``1/k`` (from lag ``-k/2`` if centered), a delay one tap of 1 at its lag,
+    a difference quotient ``1/k`` at lag 0 and ``-1/k`` at lag ``k``; a
+    scale factor enters as its exact ``Fraction``, a composition is the
+    product of polynomials in the lag, a sum adds taps on equal lags, and
+    ``("diff", d1, d2)`` is ``d1`` plus ``-1`` times ``d2``.
+    """
+    head, args = description[0], description[1:]
+    if head in ("avg", "centered"):
+        k = args[0]
+        return (-(k // 2) if head == "centered" else 0), np.ones(k, dtype=object), k
+    if head == "delay":
+        return args[0], np.ones(1, dtype=object), 1
+    if head == "deriv":
+        k = args[0]
+        taps = np.zeros(k + 1, dtype=object)
+        taps[0], taps[-1] = 1, -1
+        return 0, taps, k
+    if head == "scale":
+        first, taps, den = exact_kernel(args[1])
+        num, q = Fraction(args[0]).as_integer_ratio()
+        return first, taps * num, den * q
+    if head == "diff":
+        return exact_kernel(("sum", args[0], ("scale", -1, args[1])))
+    parts = [exact_kernel(part) for part in args]
+    if head == "sum":
+        first = min(lo for lo, _, _ in parts)
+        den = math.lcm(*(d for _, _, d in parts))
+        out = np.zeros(max(lo + t.size for lo, t, _ in parts) - first, dtype=object)
+        for lo, taps, d in parts:
+            out[lo - first : lo - first + taps.size] += taps * (den // d)
+        return first, out, den
+    assert head == "compose", head
+    first, out, den = parts[0]
+    for lo, taps, d in parts[1:]:
+        if np.count_nonzero(taps) > np.count_nonzero(out):  # loop over the sparser factor
+            out, taps = taps, out
+        prod = np.zeros(out.size + taps.size - 1, dtype=object)
+        for j in np.flatnonzero(taps):
+            prod[j : j + out.size] += taps[j] * out
+        first, out, den = first + lo, prod, den * d
+    return first, out, den
+
+
+def rounded_once(kernel):
+    """The taps of an :func:`exact_kernel` as float64, each its rational correctly rounded.
+
+    Python's ``int / int`` rounds the exact quotient once, whatever the ints' size.
+    """
+    _, taps, den = kernel
+    return (taps / den).astype(np.float64)
 
 
 def naive_transfer_magnitude(offsets, weights, omega):
