@@ -5,11 +5,20 @@ has a finite impulse response: one weight per integer sample lag (0 = current
 sample, positive = past, negative = future).  A :class:`KernelRep` is its first
 lag and one dense, read-only float64 array over every lag it spans, zeros
 included: 8 bytes per spanned lag.  Every kernel comes from one recursion on
-``(first lag, weights)`` pairs, whose base cases write the four shapes once:
+``(first lag, weights)`` pairs, whose base cases write the three shapes once:
 a ``1/k`` box (at lag 0, or ``-k/2`` centered), a delay's single 1 and a
 difference quotient's ``+q, 0, ..., 0, -q``.  Composition is
 :func:`numpy.convolve`, a sum adds the weights aligned on their lags and
-scaling multiplies them.
+scaling multiplies them.  Lags are int64: a kernel whose lags do not fit
+raises "kernel lags must fit int64".
+
+A composed kernel's taps, and :func:`apply_kernel`'s direct path, are sums
+that numpy takes through BLAS ``ddot``, whose summation order follows the
+kernel OpenBLAS picks for the CPU, so their last bits can depend on the CPU.
+Every named kernel but the triangle has at most one nonzero product per
+tap, so its bytes do not.  ``tests/test_cli_bytes.py`` reads one convolved
+kernel, ``spectrum triangle -k 5``, the same on OpenBLAS's Haswell, Zen,
+SkylakeX, Sandybridge and Prescott kernels.
 
 :func:`apply_kernel` reads the kernel's structure from its weights alone.
 A kernel of one or two runs of equal nonzero weights (every named kernel
@@ -30,7 +39,10 @@ Descriptions are nested tuples:
     ("diff", d1, d2)      d1 minus d2
 
 A stage with another number of arguments, or a scale factor that is not a
-real number (a bool included), raises "malformed kernel description".
+real number (a bool included), raises "malformed kernel description", as
+does anything but a tuple or a ``KernelRep``.  A tuple whose head names no
+stage raises "unknown kernel stage", and a composition or sum of nothing
+"empty composition".
 Averaging compositions have weights summing to 1, difference kernels to 0.
 """
 
@@ -43,7 +55,8 @@ from functools import reduce
 import numpy as np
 
 from .operators import _box_terms, double_right_avg
-from .signals import ExpansionSpec, UniformSignal, _step, lag_size, window_size
+from .signals import (ExpansionSpec, UniformSignal, _one_dimensional, _step, lag_size,
+                      window_size)
 
 __all__ = [
     "KernelRep",
@@ -62,8 +75,8 @@ class KernelRep:
     """FIR kernel: dense weights on the consecutive lags from ``first`` on.
 
     ``KernelRep(offsets, weights)`` takes strictly increasing integer lags
-    with one weight each, as 1-D sequences or scalars, and stores the
-    zero-filled span between them.
+    that fit int64, with one weight each, as 1-D sequences or scalars, and
+    stores the zero-filled span between them.
     Equality is identity, as the weights are an array.
     """
 
@@ -72,17 +85,16 @@ class KernelRep:
     scale_note: str = ""
 
     def __init__(self, offsets, weights, scale_note: str = ""):
-        lags = np.array(offsets, ndmin=1)
-        w = np.array(weights, dtype=np.float64, ndmin=1)
-        for name, arr in (("offsets", lags), ("weights", w)):
-            if arr.ndim > 1:
-                raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        lags = _one_dimensional(np.array(offsets, ndmin=1), "offsets")
+        w = _one_dimensional(np.array(weights, dtype=np.float64, ndmin=1), "weights")
         if lags.size == 0:
             raise ValueError("kernel needs at least one tap")
         if lags.dtype.kind not in "iu":
             raise ValueError(f"offsets must be integer lags, got {lags.dtype.name}")
         if lags.size != w.size:
             raise ValueError("offsets and weights must have the same length")
+        if lags.dtype == np.uint64 and lags.max() >= 2**63:
+            raise ValueError(f"offsets must fit int64, got {lags.max()}")
         lags = lags.astype(np.int64)
         if np.any(np.diff(lags) <= 0):
             raise ValueError("offsets must be strictly increasing")
@@ -163,54 +175,40 @@ def build_kernel(description, dt: float = 1.0) -> KernelRep:
 
 def _kernel(description, note: str, dt: float = 1.0) -> KernelRep:
     lo, w = _dense(description, dt)
-    return KernelRep(np.arange(lo, lo + w.size), w, note)
+    if not -2**63 <= lo <= 2**63 - w.size:
+        raise ValueError(f"kernel lags must fit int64, got {lo}..{lo + w.size - 1}")
+    return KernelRep(lo + np.arange(w.size), w, note)
 
 
 def _dense(description, dt: float) -> tuple[int, np.ndarray]:
     """(first lag, contiguous weights) of a description."""
-    if isinstance(description, KernelRep):
-        return description.first, description.weights
-    if not isinstance(description, tuple) or not description or not _well_formed(description):
-        raise ValueError(f"malformed kernel description: {description!r}")
-    head = description[0]
-    if head in ("avg", "centered"):
-        k = window_size(description[1], even=head == "centered")
-        return -(k // 2) if head == "centered" else 0, np.full(k, 1.0 / k)
-    if head == "delay":
-        return lag_size(description[1]), np.ones(1)
-    if head == "deriv":
-        k = window_size(description[1])
-        w = np.zeros(k + 1)
-        w[0] = 1.0 / (k * dt)
-        w[-1] = -w[0]
-        return 0, w
-    if head == "scale":
-        _, alpha, inner = description
-        lo, w = _dense(inner, dt)
-        return lo, alpha * w
-    if head in ("compose", "sum"):
-        parts = [_dense(part, dt) for part in description[1:]]
-        if not parts:
-            raise ValueError("empty composition")
-        return reduce(_add if head == "sum" else
-                      lambda a, b: (a[0] + b[0], np.convolve(a[1], b[1])), parts)
-    if head == "diff":
-        _, d1, d2 = description
-        return _dense(("sum", d1, ("scale", -1.0, d2)), dt)
-    raise ValueError(f"unknown kernel stage: {head!r}")
-
-
-def _well_formed(stage: tuple) -> bool:
-    """Whether a stage is as long as its kind takes, name included, and a scale's factor real.
-
-    avg, centered, delay and deriv take one argument, scale and diff two,
-    compose and sum any number; a scale's factor is a real number, not a bool.
-    """
-    head, size = stage[0], len(stage)
-    arity = (2 if head in ("avg", "centered", "delay", "deriv") else
-             3 if head in ("scale", "diff") else size)
-    factor = stage[1] if head == "scale" and size == 3 else 1.0
-    return size == arity and isinstance(factor, numbers.Real) and not isinstance(factor, bool)
+    match description:
+        case KernelRep():
+            return description.first, description.weights
+        case tuple([("avg" | "centered") as head, k]):
+            k = window_size(k, even=head == "centered")
+            return -(k // 2) if head == "centered" else 0, np.full(k, 1.0 / k)
+        case tuple(["delay", lag]):
+            return lag_size(lag), np.ones(1)
+        case tuple(["deriv", k]):
+            k = window_size(k)
+            w = np.zeros(k + 1)
+            w[[0, -1]] = 1.0 / (k * dt), -1.0 / (k * dt)
+            return 0, w
+        case tuple(["scale", numbers.Real() as alpha, inner]) if not isinstance(alpha, bool):
+            lo, w = _dense(inner, dt)
+            return lo, alpha * w
+        case tuple([("compose" | "sum") as head, *parts]):
+            if not parts:
+                raise ValueError("empty composition")
+            step = _add if head == "sum" else lambda a, b: (a[0] + b[0], np.convolve(a[1], b[1]))
+            return reduce(step, [_dense(part, dt) for part in parts])
+        case tuple(["diff", d1, d2]):
+            return _dense(("sum", d1, ("scale", -1.0, d2)), dt)
+        case tuple([head, *_]) if head not in ("avg", "centered", "delay", "deriv", "scale",
+                                                "diff"):
+            raise ValueError(f"unknown kernel stage: {head!r}")
+    raise ValueError(f"malformed kernel description: {description!r}")
 
 
 def _add(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
@@ -226,8 +224,7 @@ def _describe(description) -> str:
     if isinstance(description, KernelRep):
         return description.scale_note
     if isinstance(description, tuple):
-        return "(" + " ".join(_describe(p) if isinstance(p, (tuple, KernelRep)) else str(p)
-                              for p in description) + ")"
+        return "(" + " ".join(map(_describe, description)) + ")"
     return str(description)
 
 

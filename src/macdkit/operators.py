@@ -86,7 +86,7 @@ def sliding_sums(values: np.ndarray, k: int) -> np.ndarray:
     named by its index.
     """
     k = window_size(k)
-    values = _one_dimensional(np.atleast_1d(np.asarray(values, dtype=np.float64)))
+    values = _one_dimensional(np.atleast_1d(np.asarray(values, dtype=np.float64)), "values")
     _check_length(values.size, k, "window sums")
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _dyadic_sums(values, 1, k)

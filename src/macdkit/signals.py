@@ -102,7 +102,7 @@ class UniformSignal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = _one_dimensional(np.array(self.values, dtype=np.float64, copy=True, ndmin=1))
+        vals = _one_dimensional(np.array(self.values, dtype=np.float64, ndmin=1), "values")
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
         _step(self.dt)
@@ -165,10 +165,13 @@ class UniformSignal:
         _check_length(len(self), n, what)
 
 
-def _one_dimensional(values: np.ndarray) -> np.ndarray:
-    """``values``, an array of at least one dimension, unless it has more than one."""
+def _one_dimensional(values: np.ndarray, name: str) -> np.ndarray:
+    """``values``, an array of at least one dimension, unless it has more than one.
+
+    ``name`` is what the error calls the array.
+    """
     if values.ndim > 1:
-        raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     return values
 
 

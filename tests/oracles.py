@@ -7,11 +7,13 @@ with a faster one of the same bytes.
 """
 
 import math
+import numbers
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from macdkit.kernels import KernelRep
 from macdkit.signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count
 
 
@@ -139,8 +141,14 @@ def exact_kernel(description):
     a difference quotient ``1/k`` at lag 0 and ``-1/k`` at lag ``k``; a
     scale factor enters as its exact ``Fraction``, a composition is the
     product of polynomials in the lag, a sum adds taps on equal lags, and
-    ``("diff", d1, d2)`` is ``d1`` plus ``-1`` times ``d2``.
+    ``("diff", d1, d2)`` is ``d1`` plus ``-1`` times ``d2``.  A ``KernelRep``
+    leaf is its float weights, each exactly the rational it is.
     """
+    if isinstance(description, KernelRep):
+        taps = [Fraction(w) for w in description.weights.tolist()]
+        den = math.lcm(*(t.denominator for t in taps))
+        return description.first, np.array([t.numerator * (den // t.denominator) for t in taps],
+                                           dtype=object), den
     head, args = description[0], description[1:]
     if head in ("avg", "centered"):
         k = args[0]
@@ -176,6 +184,40 @@ def exact_kernel(description):
             prod[j : j + out.size] += taps[j] * out
         first, out, den = first + lo, prod, den * d
     return first, out, den
+
+
+# Each stage of the kernel grammar with its argument count; compose and sum
+# take any positive count.
+STAGE_ARGS = {"avg": 1, "centered": 1, "delay": 1, "deriv": 1, "scale": 2, "diff": 2}
+
+
+def kernel_description_error(description):
+    """The error ``build_kernel`` raises on a description, by the grammar alone, or ``None``.
+
+    The grammar is the ``kernels`` module docstring's: a ``KernelRep`` or a
+    tuple whose first item names a stage.  A stage's arguments are taken as
+    valid windows and lags, so only the description's shape can be wrong.
+    The stages are read in order, depth first, and the first error is the
+    one raised.  A tuple stage of another argument count, or a scale factor
+    that is not a real number or is a bool, is malformed; a head that names
+    no stage is unknown; a composition or sum of nothing is empty.
+    """
+    if isinstance(description, KernelRep):
+        return None
+    if not isinstance(description, tuple) or not description:
+        return f"malformed kernel description: {description!r}"
+    head, args = description[0], description[1:]
+    if head in ("compose", "sum"):
+        errors = [kernel_description_error(part) for part in args]
+        return next((e for e in errors if e), None if args else "empty composition")
+    if head not in tuple(STAGE_ARGS):  # a tuple, not the dict: an unhashable head is no stage
+        return f"unknown kernel stage: {head!r}"
+    factor = args[0] if head == "scale" and args else 1.0
+    if len(args) != STAGE_ARGS[head] or isinstance(factor, bool) or not isinstance(
+            factor, numbers.Real):
+        return f"malformed kernel description: {description!r}"
+    inner = {"scale": args[1:], "diff": args}.get(head, ())
+    return next((e for e in map(kernel_description_error, inner) if e), None)
 
 
 def rounded_once(kernel):

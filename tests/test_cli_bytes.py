@@ -11,6 +11,14 @@ so their digests are compared on numpy 2 or later only; each ``spectrum``
 command's exit code, stdout and stderr are compared on every numpy.  The
 difference kernels there have dyadic weights (the expansion at ``n = 1``), so
 the printed ``dc`` and ``nyquist`` are exactly 0 in any summation order.
+
+Bytes of a convolved kernel can depend on the CPU: numpy sums each tap
+through BLAS ``ddot``, whose order follows the kernel OpenBLAS picks.  Every
+named kernel but the triangle has at most one nonzero product per tap, so
+its bytes do not.  The one digest that reads a convolved kernel,
+``spectrum triangle -k 5``, is the same under ``OPENBLAS_CORETYPE`` Haswell,
+Zen, SkylakeX, Sandybridge and Prescott; CI runs this file under Prescott
+as well.
 """
 
 import hashlib

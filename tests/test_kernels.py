@@ -1,7 +1,10 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macdkit import (
     ExpansionSpec,
@@ -27,7 +30,8 @@ from macdkit import (
 from macdkit import kernels, operators
 from macdkit.signals import WINDOW_SUM_OVERFLOW
 
-from .oracles import naive_box_self_convolution, naive_kernel_apply, naive_transfer_magnitude
+from .oracles import (STAGE_ARGS, exact_kernel, kernel_description_error,
+                      naive_box_self_convolution, naive_kernel_apply, naive_transfer_magnitude)
 
 
 def test_kernel_rep_validation():
@@ -53,6 +57,24 @@ def test_kernel_rep_validation():
     # A scalar lag and weight stay a one-tap kernel.
     one = KernelRep(3, 2.0)
     assert (one.offsets, one.weights.tolist()) == ((3,), [2.0])
+
+
+def test_lags_past_int64_are_rejected_not_wrapped():
+    # 2**63 as int64 is -2**63: a delay read as an advance, or lags that
+    # look out of order.
+    with pytest.raises(ValueError, match=r"^offsets must fit int64, got 9223372036854775808$"):
+        KernelRep((2**63,), [1.0])
+    with pytest.raises(ValueError, match=r"^offsets must fit int64, got 9223372036854775813$"):
+        KernelRep(np.array([5, 2**63 + 5], np.uint64), [1.0, 2.0])
+    # A span that ends at int64's maximum fits, and a sum of lags past it
+    # is named, not an OverflowError.
+    last = build_kernel(("delay", 2**63 - 1))
+    assert (last.first, last.weights.tolist()) == (2**63 - 1, [1.0])
+    past = str(2**63)
+    with pytest.raises(ValueError, match=rf"^kernel lags must fit int64, got {past}\.\.{past}$"):
+        build_kernel(("compose", ("delay", 2**62), ("delay", 2**62)))
+    with pytest.raises(ValueError, match=r"^kernel lags must fit int64, got "):
+        build_kernel(("compose", ("delay", 2**63 - 1), ("avg", 2)))
 
 
 def test_box_kernel_example():
@@ -148,6 +170,58 @@ def test_build_kernel_scales_by_any_real_factor(alpha):
     assert kern.weights.tolist() == [alpha / 4] * 4
 
 
+# Scale factors of every type a caller might pass: the real ones and a bool,
+# a str and a complex, which are not.
+FACTORS = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -1.0, 0.1, 1 / 3, 0.0]),
+                    st.sampled_from([0.25, -2.5]).map(np.float64),
+                    st.integers(-3, 3).map(np.int64), st.booleans(),
+                    st.sampled_from(["2", "a"]), st.sampled_from([1j, 0.5 + 0j]))
+# Leaves that are not stages: a list, an empty tuple, kernels and an unknown head.
+LEAVES = st.sampled_from([["avg", 2], (), KernelRep((-1, 2), [0.5, -0.25]), KernelRep(3, 1.5),
+                          ("boxcar", 2)])
+# A valid argument for each one-argument stage: a centered window is even.
+STAGE_ARG = {"avg": st.integers(1, 4), "centered": st.sampled_from([2, 4]),
+             "delay": st.integers(0, 3), "deriv": st.integers(1, 4)}
+
+
+@st.composite
+def descriptions(draw, depth=3):
+    """A kernel description nested up to ``depth`` stages deep, in the grammar or one item off.
+
+    Each stage takes its argument count, or at odds of one in four one more
+    or fewer; a composition or sum takes 0 to 3 parts.
+    """
+    if draw(st.integers(0, 4)) == 0:
+        return draw(LEAVES)
+    heads = [*STAGE_ARGS, "compose", "sum"] if depth > 1 else list(STAGE_ARG)
+    head = draw(st.sampled_from(heads))
+    off = draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+    if head in STAGE_ARG:
+        return (head, *(draw(STAGE_ARG[head]) for _ in range(1 + off)))
+    count = draw(st.integers(0, 3)) if head in ("compose", "sum") else 2 + off
+    args = [draw(descriptions(depth - 1)) for _ in range(count)]
+    if head == "scale" and args:
+        args[0] = draw(FACTORS)
+    return (head, *args)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(description=descriptions())
+def test_build_kernel_follows_its_grammar(description):
+    error = kernel_description_error(description)
+    if error is not None:
+        with pytest.raises(ValueError) as err:
+            build_kernel(description)
+        assert str(err.value) == error
+        return
+    kern = build_kernel(description)
+    first, nums, den = exact_kernel(description)
+    assert (kern.first, kern.weights.size) == (first, nums.size)
+    exact = [Fraction(n, den) for n in nums]
+    bound = Fraction(1, 10**12) * max(map(abs, exact))
+    assert all(abs(Fraction(float(w)) - t) <= bound for w, t in zip(kern.weights, exact))
+
+
 # Not a ZeroDivisionError, a sign-flipped or zeroed derivative, or a TypeError
 # from a comparison: a kernel takes the time steps a signal takes.
 @pytest.mark.parametrize("dt", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, "x", None, True])
@@ -166,6 +240,13 @@ def test_kernel_and_signal_share_one_dt_check(make, dt):
 def test_build_kernel_takes_any_positive_finite_dt(dt):
     assert build_kernel(("deriv", 2), dt).weights.tolist() == [1 / (2 * dt), 0.0, -1 / (2 * dt)]
     assert UniformSignal(0.0, dt, [1.0, 2.0]).dt == float(dt)
+
+
+def test_a_difference_quotient_past_the_float_range_is_refused_without_a_warning():
+    # 1/(k*dt) is inf at a subnormal dt.  The end taps are written as they
+    # are, with no inf * 0 product on the zeros between them to warn.
+    with pytest.raises(ValueError, match="^kernel weights must be finite$"):
+        build_kernel(("deriv", 3), 5e-324)
 
 def test_apply_kernel_matches_naive_convolution(random_signal):
     sig = random_signal(200)
