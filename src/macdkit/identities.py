@@ -56,7 +56,7 @@ from .operators import (
     right_avg,
     windowed_derivative,
 )
-from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _max_abs,
+from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _count, _max_abs,
                       aligned_values, sample_offset, window_size)
 
 __all__ = [
@@ -108,14 +108,15 @@ class TrendLabel:
 
 @dataclass(frozen=True)
 class MonotonicityResult:
-    """Outcome of the window-monotonicity scan."""
+    """Verdicts of the window-monotonicity scan.
+
+    ``passed`` and ``first_violation`` (an index into the signal) answer the
+    implication, and ``equality_passed`` its tolerance-form equality case.
+    """
 
     passed: bool
     first_violation: int | None
-    hypothesis_count: int
-    scanned: int
     equality_passed: bool
-    equality_count: int
 
 
 def default_tolerance(signal: UniformSignal) -> float:
@@ -292,10 +293,8 @@ def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> Monotoni
         right_avg(signal, b),
         delay(right_avg(signal, b - a), a),
     )
-    start = b - 1
-    hypothesis = short > long_
-    violations = hypothesis & (short <= displaced)
-    first = int(np.flatnonzero(violations)[0]) + start if violations.any() else None
+    violations = (short > long_) & (short <= displaced)
+    first = int(np.flatnonzero(violations)[0]) + b - 1 if violations.any() else None
 
     # The displaced pair is compared only where the anchored pair nearly ties.
     eq_tol = default_tolerance(signal)
@@ -305,14 +304,7 @@ def check_window_monotonicity(signal: UniformSignal, a: int, b: int) -> Monotoni
     gap = np.abs(short[near_tie] - displaced[near_tie])
     eq_passed = bool(np.all(gap <= eq_tol * amplify * (1 + 1e-9)))
 
-    return MonotonicityResult(
-        passed=first is None,
-        first_violation=first,
-        hypothesis_count=int(np.count_nonzero(hypothesis)),
-        scanned=int(short.size),
-        equality_passed=eq_passed,
-        equality_count=int(np.count_nonzero(near_tie)),
-    )
+    return MonotonicityResult(first is None, first, eq_passed)
 
 
 def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
@@ -328,6 +320,8 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
     a = window_size(a)
     b = window_size(b)
     tol = default_tolerance(signal) if tol is None else _tolerance(tol)
+    # Any integer but a bool; the range check below names one out of range.
+    index = _count(index, "index needs an integer sample index", -math.inf)
     total = a + b
     n = len(signal)
     if index < total - 1 or index >= n:

@@ -89,14 +89,19 @@ class KernelRep:
         w = _one_dimensional(np.array(weights, dtype=np.float64, ndmin=1), "weights")
         if lags.size == 0:
             raise ValueError("kernel needs at least one tap")
-        if lags.dtype.kind not in "iu":
-            raise ValueError(f"offsets must be integer lags, got {lags.dtype.name}")
+        if lags.dtype.kind not in "iu" or lags.dtype == np.uint64:
+            # numpy holds Python ints past int64 as uint64, object or float64:
+            # name each such lag, neither wrapped nor called non-integer.
+            exact = np.array(offsets, dtype=object, ndmin=1)
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in exact):
+                raise ValueError(f"offsets must be integer lags, got {lags.dtype.name}")
+            if wide := [v for v in exact if not -2**63 <= v < 2**63]:
+                raise ValueError(f"offsets must fit int64, got {wide[0]}")
+            lags = exact.astype(np.int64)
         if lags.size != w.size:
             raise ValueError("offsets and weights must have the same length")
-        if lags.dtype == np.uint64 and lags.max() >= 2**63:
-            raise ValueError(f"offsets must fit int64, got {lags.max()}")
         lags = lags.astype(np.int64)
-        if np.any(np.diff(lags) <= 0):
+        if np.any(lags[1:] <= lags[:-1]):
             raise ValueError("offsets must be strictly increasing")
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")

@@ -97,9 +97,10 @@ def merged_expansion_side(means, n, b):
 def monotonicity_scan(short, long_, displaced, start, eq_tol, amplify):
     """The window-monotonicity scan over its three aligned averages, every array in full.
 
-    Returns the fields of ``MonotonicityResult`` in order: passed, the first
-    violation's index, the hypothesis count, the scanned count, the equality
-    verdict and the near-tie count.
+    Returns passed, the first violation's index, the hypothesis count, the
+    scanned count, the equality verdict and the near-tie count.  The first
+    two and the equality verdict are ``MonotonicityResult``'s three fields;
+    the counts are the oracle's own, for tests that check what a scan covered.
     """
     hypothesis = short > long_
     violations = hypothesis & ~(short > displaced)

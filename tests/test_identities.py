@@ -330,21 +330,34 @@ def test_lp_bound_rejects_unknown_order():
 
 # --- monotonicity ---------------------------------------------------------------------
 
+def _oracle_scan(sig, a, b):
+    """The oracle's scan of ``sig``: the three verdicts, then its counts by name."""
+    sides = aligned_values(right_avg(sig, a), right_avg(sig, b), delay(right_avg(sig, b - a), a))
+    passed, first, hypothesis, scanned, eq_passed, ties = oracle_monotonicity_scan(
+        *sides, b - 1, default_tolerance(sig), b / (b - a))
+    return (passed, first, eq_passed), {"hypothesis": hypothesis, "scanned": scanned,
+                                        "ties": ties}
+
+
 def test_monotonicity_on_strict_ramp():
     result = check_window_monotonicity(ramp(100), 3, 8)
     assert result.passed
     assert result.first_violation is None
-    assert result.hypothesis_count == result.scanned  # increasing: always fires
     assert result.equality_passed
-    assert result.equality_count == 0  # the two averages stay (b - a) / 2 apart
+    verdicts, counts = _oracle_scan(ramp(100), 3, 8)
+    assert dataclasses.astuple(result) == verdicts
+    assert counts["hypothesis"] == counts["scanned"] == 93  # increasing: always fires
+    assert counts["ties"] == 0  # the two averages stay (b - a) / 2 apart
 
 
 def test_monotonicity_vacuous_on_constant():
     result = check_window_monotonicity(constant(100), 3, 8)
     assert result.passed
-    assert result.hypothesis_count == 0
-    assert result.equality_count == result.scanned  # every index is a tie
     assert result.equality_passed
+    verdicts, counts = _oracle_scan(constant(100), 3, 8)
+    assert dataclasses.astuple(result) == verdicts
+    assert counts["hypothesis"] == 0
+    assert counts["ties"] == counts["scanned"] == 93  # every index is a tie
 
 
 def test_monotonicity_random_batch(rng):
@@ -378,12 +391,10 @@ def test_monotonicity_scan_is_the_full_array_scan(rng):
     for name, values in _tie_inputs(rng).items():
         sig = UniformSignal(0.0, 1.0, values)
         for a, b in [(1, 2), (2, 4), (3, 8), (4, 12), (8, 20)]:
-            sides = aligned_values(right_avg(sig, a), right_avg(sig, b),
-                                   delay(right_avg(sig, b - a), a))
-            want = oracle_monotonicity_scan(*sides, b - 1, default_tolerance(sig), b / (b - a))
+            want, counts = _oracle_scan(sig, a, b)
             got = check_window_monotonicity(sig, a, b)
             assert dataclasses.astuple(got) == want, (name, a, b)
-            seen.update(tie=got.equality_count > 0, hypothesis=got.hypothesis_count > 0,
+            seen.update(tie=counts["ties"] > 0, hypothesis=counts["hypothesis"] > 0,
                         violation=not got.passed)
     assert seen["tie"] and seen["hypothesis"] and seen["violation"], seen
 
@@ -461,6 +472,19 @@ def test_classify_trend_index_bounds():
     with pytest.raises(IndexError):
         classify_trend(sig, 20, 2, 2)
     classify_trend(sig, 3, 2, 2)  # boundary index is valid
+    with pytest.raises(IndexError, match=r"^index -1 outside the valid range \[3, 19\] "):
+        classify_trend(sig, -1, 2, 2)
+
+
+@pytest.mark.parametrize("index", [True, np.True_, 5.0, 5.5, np.float64(5.0), "5"],
+                         ids=["True", "np.True_", "5.0", "5.5", "np.float64", "str"])
+def test_classify_trend_checks_index_as_counts_are_checked(index):
+    # True labelled index 1, and 5.0 raised a bare TypeError from slicing.
+    want = f"index needs an integer sample index, got {index!r}"
+    with pytest.raises(ValueError) as err:
+        classify_trend(ramp(20), index, 1, 1)
+    assert str(err.value) == want
+    assert classify_trend(ramp(20), np.int64(5), 1, 1) == classify_trend(ramp(20), 5, 1, 1)
 
 
 def test_default_tolerance_tracks_magnitude():

@@ -40,9 +40,12 @@ def test_kernel_rep_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         KernelRep(np.array([3, 1], dtype=np.uint8), [0.5, 0.5])
     # A lag is a whole sample count: no float, string or bool lag is rounded.
-    for offsets in [(0.5, 1.7), (0.0, 1.0), ("0", "1"), (True, False), np.array([0.0, 2.0])]:
+    for offsets in [(0.5, 1.7), (0.0, 1.0), (1.0, 2.0), ("0", "1"), (True, False),
+                    np.array([0.0, 2.0]), (np.True_, np.False_), (-1, 2**63, 1.5)]:
         with pytest.raises(ValueError, match="^offsets must be integer lags, got "):
-            KernelRep(offsets, [1.0, 1.0])
+            KernelRep(offsets, [1.0] * len(offsets))
+    with pytest.raises(ValueError, match="^offsets must be integer lags, got float64$"):
+        KernelRep((1.5,), [1.0])
     with pytest.raises(ValueError, match="finite"):
         KernelRep((0, 1), np.array([0.5, np.inf]))
     with pytest.raises(ValueError, match="same length"):
@@ -75,6 +78,37 @@ def test_lags_past_int64_are_rejected_not_wrapped():
         build_kernel(("compose", ("delay", 2**62), ("delay", 2**62)))
     with pytest.raises(ValueError, match=r"^kernel lags must fit int64, got "):
         build_kernel(("compose", ("delay", 2**63 - 1), ("avg", 2)))
+
+
+@pytest.mark.parametrize("offsets, wide", [
+    ((2**64,), 2**64),
+    ((-2**63 - 1,), -2**63 - 1),
+    ((-1, 2**63), 2**63),
+    ((2**63 - 1, 2**70, -2**65), 2**70),
+], ids=["2**64", "-2**63-1", "-1,2**63", "first-of-two"])
+def test_python_ints_outside_int64_are_named_as_such(offsets, wide):
+    # numpy holds these Python ints as an object or a float64 array, so they
+    # were called non-integer lags; they are integers too wide for int64.
+    with pytest.raises(ValueError, match=rf"^offsets must fit int64, got {wide}$"):
+        KernelRep(offsets, [1.0] * len(offsets))
+
+
+def test_integer_lags_that_fit_int64_are_taken_from_any_array():
+    # An int64 and a uint64 scalar promote to a float64 array, which was
+    # called non-integer; each lag fits int64, so the kernel is built.
+    mixed = KernelRep((np.int64(-1), np.uint64(1)), [1.0, 2.0])
+    assert (mixed.first, mixed.weights.tolist()) == (-1, [1.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("offsets", [np.array([-2**63, 2**63 - 1]), (-2**62, 2**62)],
+                         ids=["int64-extremes", "+-2**62"])
+def test_a_span_of_2_63_lags_is_in_order(offsets):
+    # np.diff of these int64 lags wraps negative, which called them out of
+    # order; they are in order, and too wide for any array.
+    with pytest.raises(ValueError, match="^Maximum allowed dimension exceeded$"):
+        KernelRep(offsets, [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        KernelRep(offsets[::-1], [1.0, 1.0])
 
 
 def test_box_kernel_example():

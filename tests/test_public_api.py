@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import numpy as np
 
 import macdkit
-from macdkit import (ExpansionSpec, KernelRep, UniformSignal, check_lp_bound, check_macd_derivative,
-                     check_recursive_expansion, check_window_monotonicity, macd_kernel,
-                     transfer_function)
+from macdkit import (ExpansionSpec, KernelRep, MonotonicityResult, UniformSignal, check_lp_bound,
+                     check_macd_derivative, check_recursive_expansion, check_window_monotonicity,
+                     macd_kernel, transfer_function)
 
 SUBMODULES = ["signals", "operators", "identities", "kernels", "spectral", "streaming", "cli"]
 
@@ -89,12 +90,15 @@ def test_identity_surface_the_benchmark_reads():
     # The benchmark gates each residual check's max_rel_residual and reads
     # insufficient, compares check_lp_bound's float with 2, reads the
     # monotonicity scan's verdicts, and builds its specs with ExpansionSpec.of.
+    # The scan's result holds those three verdicts and nothing else.
     sig = UniformSignal(0.0, 1.0, np.random.default_rng(3).standard_normal(500).cumsum())
     report = check_macd_derivative(sig, 8)
     assert type(report.max_rel_residual) is float and report.insufficient is False
     assert type(check_lp_bound(sig, 8, 2)) is float
     scan = check_window_monotonicity(sig, 8, 20)
     assert scan.passed is True and scan.equality_passed is True and scan.first_violation is None
+    fields = [f.name for f in dataclasses.fields(MonotonicityResult)]
+    assert fields == ["passed", "first_violation", "equality_passed"]
     spec = ExpansionSpec.of(4, 4, sig.dt)
     assert spec == ExpansionSpec(4, 4)
     assert check_recursive_expansion(sig, spec).max_rel_residual <= 1e-12

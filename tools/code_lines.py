@@ -21,17 +21,17 @@ import tokenize
 
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENDMARKER}
+# The nodes whose body can open with a docstring, as ast.get_docstring reads
+# it; a leading string in an if, for, while, with or try body is code.
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def code_lines(text: str) -> int:
     """The number of lines of ``text`` that are not blank, comment or docstring."""
     docs = set()
     for node in ast.walk(ast.parse(text)):
-        body = getattr(node, "body", None)
-        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     code = {line for tok in tokenize.generate_tokens(io.StringIO(text).readline)
             if tok.type not in LAYOUT
             for line in range(tok.start[0], tok.end[0] + 1)} - docs
