@@ -7,7 +7,8 @@ verify    run identity checks and print one record line per check
 classify  label the local trend at one index
 spectrum  write a kernel transfer function as omega,magnitude,phase CSV
 
-Exit codes: 0 success, 1 verification failure, 2 input or usage error.
+Exit codes: 0 success, 1 verification failure, 2 input or usage error, or a
+result too large to allocate (``MemoryError``).
 
 Input CSV is value-only or time,value, as its first data row has 1 or 2 columns.
 ``ingest_csv`` gives the grammar, and reads the file once, ``_READ_BLOCK`` lines at a time.
@@ -544,7 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"command: macdkit {' '.join(echoed)}")
     try:
         code = args.fn(args)
-    except (ValueError, OSError) as exc:  # IngestError and every rejected parameter
+    # IngestError, every rejected parameter, and a size too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(f"wall_time_s: {time.perf_counter() - started:.3f}")

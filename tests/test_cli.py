@@ -1,4 +1,5 @@
 import argparse
+import gc
 import math
 import os
 import struct
@@ -720,6 +721,32 @@ def test_spectrum_grid_above_bound_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel, builder, want", [
+    (["avg", "-k", str(10**11)], "box_kernel", (10**11,)),
+    (["expansion", "--n", "2", "--b", str(10**11)], "expansion_kernel", (2, 10**11)),
+])
+def test_spectrum_kernel_too_large_to_allocate_is_input_error(tmp_path, capsys, monkeypatch,
+                                                              kernel, builder, want):
+    # A kernel too long to allocate exits 2 with one error line, as an
+    # over-large grid does, not 1 with a traceback.  A stand-in builder raises
+    # numpy's MemoryError text: a real 745 GiB request would be filled on a
+    # host that overcommits memory.
+    message = ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+               "and data type float64")
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, builder, refuse)
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", *kernel, "--grid", "5", "-o", str(out)]) == 2
+    assert calls == [want]
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_spectrum_invalid_kernel_spec(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["spectrum", "macd", "-k", "0", "-o", out]) == 2
@@ -782,29 +809,85 @@ def test_every_subcommand_option_is_pinned():
         assert required == set(positionals) | ({"output"} & set(options)), name
 
 
-def test_python_dash_m_runs_the_cli(tmp_path, write, capsys):
-    # The package's module entry point, in a fresh interpreter, writes the
-    # bytes the in-process main writes and prints the same lines.
-    path = write("epoch.csv", "time,value\n" + "".join(
-        f"{1.7e9 + i!r},{math.sin(i / 5)!r}\n" for i in range(64)))
+def _spawn(*args):
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
     src = str(Path(macdkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, write, capsys):
+    # The package's module entry point, in a fresh interpreter, writes the
+    # bytes the in-process main writes, prints the same lines and exits
+    # with the same code: 0, 1 on a failed gate and 2 on bad input.
+    path = write("epoch.csv", "time,value\n" + "".join(
+        f"{1.7e9 + i!r},{math.sin(i / 5)!r}\n" for i in range(64)))
 
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "macdkit", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        return _spawn("-m", "macdkit", *argv)
 
     def lines(out):
         return [line for line in out.splitlines() if not line.startswith("wall_time_s:")]
 
     inline, spawned = str(tmp_path / "inline.csv"), str(tmp_path / "spawned.csv")
-    argv = ["compute", "macd", path, "-k", "4", "-o"]
-    done = run(*argv, spawned)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert main([*argv, inline]) == 0
-    assert lines(capsys.readouterr().out) == lines(done.stdout.replace(spawned, inline))
-    assert Path(spawned).read_bytes() == Path(inline).read_bytes()
+    for argv in (["compute", "macd", path, "-k", "4", "-o"],
+                 ["spectrum", "macd", "-k", "8", "--grid", "257", "-o"]):
+        done = run(*argv, spawned)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main([*argv, inline]) == 0
+        assert lines(capsys.readouterr().out) == lines(done.stdout.replace(spawned, inline))
+        assert Path(spawned).read_bytes() == Path(inline).read_bytes()
+    argv = ["verify", path, "--tol", "1e-300"]
+    done = run(*argv)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert main(argv) == 1
+    assert lines(capsys.readouterr().out) == lines(done.stdout)
+    assert "overall: fail" in done.stdout
+    missing = str(tmp_path / "missing.csv")
+    done = run("verify", missing)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: cannot read {missing}")
+    assert done.stderr.count("\n") == 1
     done = run("verify", path, "--schema", "auto")
     assert done.returncode == 2
     assert "unrecognized arguments: --schema auto" in done.stderr
+
+
+# Each way a fresh process reaches the program: python -m macdkit, and the
+# console script's wrapper.  An atexit hook, registered first so it runs
+# last, reports how many objects the collector had frozen.
+_LAUNCHERS = {
+    "python -m macdkit": "runpy.run_module('macdkit', run_name='__main__', alter_sys=True)",
+    "console script": "from macdkit.__main__ import run; sys.exit(run())",
+}
+
+
+@pytest.mark.parametrize("launch", _LAUNCHERS)
+def test_the_program_entry_freezes_the_import_built_heap(tmp_path, launch):
+    out = tmp_path / "s.csv"
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            + _LAUNCHERS[launch])
+    done = _spawn("-c", code, "spectrum", "avg", "-k", "4", "--grid", "5", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    (report,) = done.stderr.splitlines()
+    assert report.startswith("frozen ") and int(report.split()[1]) > 0, report
+    assert f"wrote 5-point spectrum of avg k=4 to {out}" in done.stdout
+    assert out.exists()
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    # Only the program entry freezes; tests and the benchmark's traced mode
+    # call main in place and keep their heap as it was.
+    before = gc.get_freeze_count()
+    assert main(["spectrum", "avg", "-k", "4", "--grid", "5", "-o", str(tmp_path / "s.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"macdkit": "macdkit.__main__:run"}
