@@ -95,14 +95,13 @@ def ingest_csv(path: str) -> UniformSignal:
     The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
     lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
     to its first line with invalid UTF-8, a wrong column count or an
-    unparseable cell, and the read stops there.  ``_row_fault`` checks each
-    block's rows, with the row before them, against the file's first time
-    step, so a row that breaks a row rule also stops the read; before a
-    parse stop in the same block, it comes first in file order.  Ingest
-    holds 8 bytes per cell plus one block of text.
+    unparseable cell.  ``_row_fault`` checks each block's rows, with the last
+    row read before them, against the file's first time step.  The read stops
+    at the block's first fault in file order, a broken row rule or a bad line,
+    and raises ``IngestError`` with that line's number.  Ingest holds 8 bytes
+    per cell plus one block of text.
     """
     parsed = array("d")
-    stop = None
     try:
         # An undecodable byte reads as a lone surrogate, which no valid text
         # holds; no such byte is a newline, so lines split as in strict decoding.
@@ -123,43 +122,34 @@ def ingest_csv(path: str) -> UniformSignal:
             want = len(_fields(line))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
-            last = np.empty((0, want))  # the row before this block, whose steps it checks
             # ``lines`` has read no further than ``first``, so blocks go on from ``fh``.
             block = [line, *itertools.islice(fh, _READ_BLOCK - 1)]
             while block:
                 text = list(itertools.filterfalse(str.isspace, block))
-                linenos = range(start, start + len(block)) if len(text) == len(block) else array(
-                    "q", (start + i for i, raw in enumerate(block) if not raw.isspace()))
                 if text:  # np.loadtxt warns on a block of blank lines only
                     try:
-                        rows = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+                        rows, bad = np.loadtxt(text, delimiter=",", comments=None, ndmin=2), None
                     except ValueError:
                         rows = None
                     if rows is None or rows.shape != (len(text), want):
-                        rows, stop = _scan_lines(zip(linenos, text), want)
-                        # Only if loadtxt and the line parse disagree.
-                        stop = stop or f"could not parse {path}"
+                        rows, bad = _scan_lines(text, want)
+                    before = np.reshape(parsed[-want:], (-1, want))  # the row this block follows
                     parsed.frombytes(rows.tobytes())
                     dt = parsed[2] - parsed[0] if want == 2 and len(parsed) >= 4 else 1.0
-                    fault = _row_fault(np.concatenate([last, rows]), dt)
-                    if fault is not None:  # a row before the parse stop comes first
-                        row, message = fault[0] - len(last), fault[1]
-                        stop = message.format(linenos[row])
-                    if stop is not None:
-                        break
-                    last = rows[-1:].copy()
+                    fault = _row_fault(np.concatenate([before, rows]), dt)
+                    if fault is not None:  # a row before the bad line comes first
+                        bad = fault[0] - len(before), fault[1]
+                    if bad is not None:  # a block with no blank line skips the numbering pass
+                        linenos = range(start, start + len(block)) if len(text) == len(block) else [
+                            start + i for i, raw in enumerate(block) if not raw.isspace()]
+                        raise IngestError(bad[1].format(linenos[bad[0]]))
                 start += len(block)
                 block = text = rows = None  # free this block's text before reading the next
                 block = list(itertools.islice(fh, _READ_BLOCK))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    if stop is not None:
-        raise IngestError(stop)
-    rows = np.frombuffer(parsed, dtype=np.float64).reshape(-1, want)
-    if want == 1:
-        return UniformSignal(0.0, 1.0, rows[:, 0])
-    t = rows[:, 0]
-    return UniformSignal(t[0], t[1] - t[0] if t.size > 1 else 1.0, rows[:, 1])
+    return UniformSignal(parsed[0] if want == 2 else 0.0, dt,
+                         np.frombuffer(parsed, dtype=np.float64)[want - 1::want])
 
 
 def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
@@ -184,24 +174,26 @@ def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
     return min(faults, key=lambda f: f[0], default=None)  # ties go to the earlier rule
 
 
-def _scan_lines(block, want: int) -> tuple[np.ndarray, str | None]:
-    """The rows of ``(lineno, line)`` pairs before the first bad line, and its error or None."""
+def _scan_lines(lines: list[str], want: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The rows of ``lines`` before the first bad one, and its ``(index, message)`` or None.
+
+    ``message`` takes the bad line's number via ``str.format``, as ``_row_fault``'s does.
+    """
     parsed = array("d")
-    stop = None
-    for lineno, line in block:
+    for i, line in enumerate(lines):
         fields = _fields(line)
         text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
         if not _is_utf8(line):
-            stop = f"invalid UTF-8 at line {lineno}"
+            message = "invalid UTF-8 at line {}"
         elif len(fields) != want:
-            stop = f"expected {want} column(s) at line {lineno}, found {len(fields)}"
+            message = f"expected {want} column(s) at line {{}}, found {len(fields)}"
         elif not text.isascii() or "_" in text or (cells := _floats(fields)) is None:
-            stop = f"could not parse line {lineno}"
+            message = "could not parse line {}"
         else:
             parsed.extend(cells)
             continue
-        break
-    return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), stop
+        return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), (i, message)
+    return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), None
 
 
 def _is_utf8(line: str) -> bool:

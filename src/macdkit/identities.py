@@ -57,7 +57,7 @@ from .operators import (
     windowed_derivative,
 )
 from .signals import (ExpansionSpec, InsufficientSamplesError, UniformSignal, _count, _max_abs,
-                      aligned_values, sample_offset, window_size)
+                      _real, aligned_values, sample_offset, window_size)
 
 __all__ = [
     "CHECKS",
@@ -125,8 +125,9 @@ def default_tolerance(signal: UniformSignal) -> float:
 
 
 def _tolerance(tol: float) -> float:
-    """``tol`` if it is finite and non-negative; a negative or NaN one would mislabel silently."""
-    if not 0.0 <= tol < math.inf:
+    """``tol`` if it is a real number (not a bool), finite and non-negative; a negative or NaN
+    one would mislabel silently."""
+    if not _real(tol) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     return tol
 
@@ -260,7 +261,7 @@ def check_lp_bound(signal: UniformSignal, a: int, p) -> float:
     out = macd(signal, a).values
     if p == math.inf:
         return _ratio(_max_abs(out), signal._peak)
-    if p not in (1, 2):
+    if not _real(p) or p not in (1, 2):  # True would pass for 1
         raise ValueError(f"unsupported norm order: {p!r}")
     totals = [_power_sum(out, p), _power_sum(signal.values, p)]
     if not all(np.finfo(float).tiny <= s < math.inf for s in totals):
@@ -313,9 +314,10 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
 
     The margin is the ``a``-average minus the ``(a+b)``-average, both from
     the ``a + b`` samples that end at ``index``.  A positive margin beyond
-    ``tol`` (finite, non-negative) means the recent block sits above the older
-    history (locally increasing); negative means decreasing; within tolerance
-    the signal is locally linear (a symmetric profile also lands here).
+    ``tol`` (a finite, non-negative real) means the recent block sits above
+    the older history (locally increasing); negative means decreasing; within
+    tolerance the signal is locally linear (a symmetric profile also lands
+    here).
     """
     a = window_size(a)
     b = window_size(b)
@@ -378,7 +380,7 @@ def run_checks(signal: UniformSignal, names=None, *, window: int = 8, long_windo
     """Run the :data:`CHECKS` keys in ``names`` (default: all), then return one record each.
 
     Each record is named by its key.  An unknown name (``KeyError``) or a bad
-    parameter (``ValueError``), such as a negative or non-finite ``tol``, raises.
+    parameter (``ValueError``), such as a negative, non-finite or non-real ``tol``, raises.
     """
     tol = _tolerance(tol)
     records = []

@@ -85,8 +85,9 @@ class UniformSignal:
 
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
     immutable 1-D float64 array (a scalar is one sample, and an array of more
-    dimensions is rejected); a non-finite ``t0``, ``dt``, sample or last
-    sample time ``t0 + (n - 1) * dt`` is rejected at construction rather than
+    dimensions is rejected); a ``t0`` or ``dt`` that is not a finite real
+    number (a bool is not one), and a non-finite sample or last sample time
+    ``t0 + (n - 1) * dt``, is rejected at construction rather than
     propagated.  Derived signals never start after their input's last sample.
 
     Equality is identity, as the values are an array.  A signal also holds a
@@ -106,7 +107,7 @@ class UniformSignal:
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
         _step(self.dt)
-        if not -np.inf < self.t0 < np.inf:
+        if not _real(self.t0) or not -np.inf < self.t0 < np.inf:
             raise ValueError(f"t0 must be finite, got {self.t0}")
         if not abs(self.t0 + (vals.size - 1) * self.dt) < np.inf:
             raise ValueError(f"last sample time {self.t0} + {vals.size - 1}*{self.dt} overflows")
@@ -186,9 +187,15 @@ def _max_abs(values: np.ndarray) -> float:
     return float(max(abs(values.max()), abs(values.min())))
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, as ``t0``, ``dt``, a tolerance and a
+    norm order must be; a bool would pass for 0 or 1, and a string fail to compare."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _step(dt) -> float:
     """Every time step's one check: ``dt``, a real number (not a bool), positive and finite."""
-    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+    if not _real(dt) or not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     return float(dt)
 

@@ -266,13 +266,34 @@ def test_ingest_stops_at_the_block_holding_a_row_fault(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ingest_decides_a_block_that_loadtxt_rejects_by_the_line_scan(tmp_path, monkeypatch):
+    # No real input makes np.loadtxt reject a block that the line scan accepts;
+    # if one did, the scan's rows stand, and the read goes on to the next block.
+    path = tmp_path / "valid.csv"
+    path.write_text("t,v\n" + "".join(f"{1.7e9 + i},{math.sin(i)!r}\n" for i in range(20)))
+    blocks = []
+
+    def loadtxt(text, *args, loadtxt=np.loadtxt, **kwargs):
+        blocks.append(len(text))
+        if len(blocks) == 2:
+            raise ValueError("rejected")
+        return loadtxt(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 7)
+    assert outcome(lambda: read_ingest(str(path))) == outcome(
+        lambda: oracles.naive_ingest(str(path)))
+    assert blocks == [7, 7, 6]
+
+
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         ingest_csv(str(tmp_path / "nope.csv"))
 
 
 # Cells that parse differently from a plain decimal, or not at all.
-ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "\u0661", "", "x", "0x10", "+7", "-0"]
+ODD_CELLS = ["nan", "inf", "-inf", "1e400", "#", "1_000", "\u0661", "", "x", "0x10", "+7", "-0",
+             "infinity", "NaN", "+nan", "1e-400", "4.9e-324", ".5", "5.", "1E5", "0001"]
 
 
 @st.composite
@@ -298,7 +319,7 @@ def csv_cases(draw):
         cells = [repr(t), draw(values), draw(values)][:ncols] if ncols > 1 else [draw(values)]
         if draw(st.integers(min_value=0, max_value=9)) == 0:
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
-        pad = st.sampled_from(["", "", " ", "\t"])
+        pad = st.sampled_from(["", "", " ", "\t", "\x0b", "\x85", "\u2028"])
         line = ",".join(draw(pad) + c + draw(pad) for c in cells)
         if draw(st.integers(min_value=0, max_value=19)) == 0:
             line += ","

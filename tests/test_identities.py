@@ -323,7 +323,7 @@ def test_norm_ratios_do_not_depend_on_what_the_signal_keeps(rng):
 
 
 def test_lp_bound_rejects_unknown_order():
-    for p in (3, "inf"):  # math.inf is the one infinity norm order
+    for p in (3, "inf", True, np.True_):  # math.inf is the one infinity norm order
         with pytest.raises(ValueError, match="norm order"):
             check_lp_bound(constant(40), 4, p)
 
@@ -492,7 +492,8 @@ def test_default_tolerance_tracks_magnitude():
     assert default_tolerance(sig) == pytest.approx(4e-9)
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True,
+                                 np.True_, "1e-12"])
 def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     # A negative tolerance labelled every margin above it "increasing", and
     # NaN labelled every margin "linear" and failed every gate.
@@ -510,6 +511,12 @@ def test_bad_tolerance_same_error_in_classify_and_run_checks(tol):
     assert classify_trend(sig, 39, 8, 4, tol=0.0).label == "increasing"
     assert classify_trend(constant(40), 39, 8, 4, tol=0.0).label == "linear"
     assert run_checks(constant(40), ["macd_derivative"], tol=0.0)[0].passed
+
+
+def test_run_checks_rejects_a_tolerance_of_none():
+    # Only classify_trend reads None as its default; run_checks raised TypeError on it.
+    with pytest.raises(ValueError, match="^tolerance must be finite and non-negative, got None$"):
+        run_checks(ramp(40), ["macd_derivative"], tol=None)
 
 
 def test_identity_battery_with_non_representable_spacing(rng):

@@ -1,16 +1,19 @@
 """Lockstep CLI launches: two source trees' ``python -m macdkit`` on one input.
 
 Writes one seeded AR(1) walk as an epoch-second ``time,value`` CSV, in
-``repr`` text, into a temporary directory.  Each round runs three commands
-on it as fresh processes from each tree: ``compute macd -k 12 -o OUT``,
-``verify`` and ``spectrum macd -k 256 --grid 65536 -o OUT``.  Which tree
-goes first alternates, so both meet the same host speed.  For each command
-and tree it prints the median and minimum wall time, the median
-``wall_time_s`` the CLI prints (the command body) and the median of the
-rest (launch, import and exit), then the median change/parent ratio of the
-wall times, with its quartiles: below 1 the change runs faster.  Last, it
-names each command whose exit code, stdout (less its ``wall_time_s`` line),
-stderr or output bytes differ between the trees.
+``repr`` text, into a temporary directory, and a copy of it whose last value
+is ``x``.  Each round runs four commands as fresh processes from each tree:
+``compute macd -k 12 -o OUT``, ``verify`` and ``spectrum macd -k 256 --grid
+65536 -o OUT`` on the walk, and ``verify`` on the copy, which ingest rejects
+at its last line.  Which tree goes first alternates, so both meet the same
+host speed.  For each command and tree it prints the median and minimum
+wall time, the median ``wall_time_s`` the CLI prints (the command body) and
+the median of the rest (launch, import and exit), then the median
+change/parent ratio of the wall times, with its quartiles: below 1 the
+change runs faster.  The rejected ``verify`` prints no ``wall_time_s``, so
+it gets wall times only.  Last, it names each command whose exit code,
+stdout (less its ``wall_time_s`` line), stderr or output bytes differ
+between the trees.
 
     python3 tools/cli_lockstep.py PARENT_SRC CHANGE_SRC [--rows N] [--rounds R] [--seed S]
 
@@ -18,8 +21,10 @@ stderr or output bytes differ between the trees.
 such as two checkouts' ``src``.  A tree run against itself reads near 1.
 Each child runs in the temporary directory with this process's environment
 and its tree first on ``PYTHONPATH``, and is killed if it outlives
-``TIMEOUT_S``.  The exit code is 1 if a command failed or printed no
-``wall_time_s``, else 0.
+``TIMEOUT_S``.  The exit code is 1 if a command on the walk failed or printed
+no ``wall_time_s``, or if the rejected ``verify`` did not exit 2 with the one
+stderr line ``error: could not parse line N`` for the copy's last line N;
+else 0.
 """
 
 from __future__ import annotations
@@ -38,11 +43,13 @@ from pathlib import Path
 from push_lockstep import walk
 
 TREES = ("parent", "change")
+# Each command's name, argv and, for one that must exit 2, its stderr (None: exit 0).
 COMMANDS = (
-    ("compute macd -k 12", ["compute", "macd", "{input}", "-k", "12", "-o", "{output}"]),
-    ("verify", ["verify", "{input}"]),
+    ("compute macd -k 12", ["compute", "macd", "{input}", "-k", "12", "-o", "{output}"], None),
+    ("verify", ["verify", "{input}"], None),
     ("spectrum macd -k 256 --grid 65536",
-     ["spectrum", "macd", "-k", "256", "--grid", "65536", "-o", "{output}"]),
+     ["spectrum", "macd", "-k", "256", "--grid", "65536", "-o", "{output}"], None),
+    ("verify, last value x", ["verify", "{rejected}"], "error: could not parse line {last}\n"),
 )
 TIMEOUT_S = 120
 WALL_TIME = re.compile(r"^wall_time_s: ([0-9.]+)$", re.MULTILINE)
@@ -98,31 +105,39 @@ def main(argv=None) -> int:
     differ, failed = set(), set()
     with tempfile.TemporaryDirectory(prefix="cli_lockstep_") as tmp:
         work = Path(tmp)
-        data, output = work / "input.csv", work / "output.csv"
+        data, rejected, output = work / "input.csv", work / "rejected.csv", work / "output.csv"
         write_input(data, args.rows, args.seed)
+        text = data.read_text(encoding="utf-8")
+        rejected.write_text(text[:text.rindex(",") + 1] + "x\n", encoding="utf-8")
         for r in range(args.rounds):
-            for c, (name, template) in enumerate(COMMANDS):
-                cmd = [a.format(input=data, output=output) for a in template]
+            for c, (name, template, error) in enumerate(COMMANDS):
+                cmd = [a.format(input=data, rejected=rejected, output=output) for a in template]
+                error = error and error.format(last=args.rows + 1)  # the header is line 1
                 left = [None, None]
                 for t in ((0, 1) if (r + c) % 2 == 0 else (1, 0)):
                     wall, body, left[t] = launch(srcs[t], cmd, work, output)
-                    if left[t][0] != 0 or body is None:
-                        failed.add(f"{name} ({TREES[t]}): exit {left[t][0]}, "
-                                   f"{left[t][2].strip()[-200:]!r}")
+                    code, stderr = left[t][0], left[t][2]
+                    if not ((code, stderr) == (2, error) if error
+                            else code == 0 and body is not None):
+                        failed.add(f"{name} ({TREES[t]}): exit {code}, {stderr.strip()[-200:]!r}")
                         continue
                     walls[c][t].append(wall)
-                    bodies[c][t].append(body)
+                    if body is not None:
+                        bodies[c][t].append(body)
                 if left[0] != left[1]:
                     differ.add(name)
-    for c, (name, _) in enumerate(COMMANDS):
+    for c, (name, _, _) in enumerate(COMMANDS):
         print(f"{name}:")
         for t, tree in enumerate(TREES):
             if walls[c][t]:
-                rest = [w - b for w, b in zip(walls[c][t], bodies[c][t])]
-                print(f"  {tree}: wall median {statistics.median(walls[c][t]) * 1e3:.1f} ms, "
-                      f"min {min(walls[c][t]) * 1e3:.1f} ms; body (wall_time_s) median "
-                      f"{statistics.median(bodies[c][t]) * 1e3:.1f} ms; launch, import and "
-                      f"exit median {statistics.median(rest) * 1e3:.1f} ms")
+                line = (f"  {tree}: wall median {statistics.median(walls[c][t]) * 1e3:.1f} ms, "
+                        f"min {min(walls[c][t]) * 1e3:.1f} ms")
+                if bodies[c][t]:
+                    rest = [w - b for w, b in zip(walls[c][t], bodies[c][t])]
+                    line += (f"; body (wall_time_s) median "
+                             f"{statistics.median(bodies[c][t]) * 1e3:.1f} ms; launch, import "
+                             f"and exit median {statistics.median(rest) * 1e3:.1f} ms")
+                print(line)
         if len(walls[c][0]) == len(walls[c][1]) == args.rounds:
             ratios = [b / a for a, b in zip(*walls[c])]
             print(f"  change/parent wall {quartiles(ratios)} over {args.rounds} rounds")
