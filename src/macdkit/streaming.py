@@ -14,7 +14,9 @@ TwoSum.  A push costs O(1) whatever ``n`` and ``b``.  Each stream's
 ``push`` is a closure over its rings and constants, with the running sums
 and the sample count in its cells (the ring slot is the count modulo the
 ring's length), so a push loads and stores no attribute and one code
-object serves both classes.  For ``n = 1`` (MACD
+object serves both classes.  The closure is the one owner of that state:
+the stream holds no other handle on it, and reads it, for its statistics,
+copies and pickles, only through ``_state()``.  For ``n = 1`` (MACD
 with ``a = b = k``) ``O`` is ``R`` from ``k`` pushes ago, the finite
 difference of delayed sums that batch ``macd`` takes: every ``n = 1``
 stream keeps one running sum and reads ``O`` from a ring of its past
@@ -46,9 +48,11 @@ class ExpansionStream:
     sums of ``R`` for ``n = 1``.  Output starts once ``(n+1)*b`` samples
     have been seen and then matches the batch expansion at the same index.
 
-    ``samples_seen``, ``stats()`` and ``sum_drift()`` read the push
-    closure's cells through ``_state()``; a copy, deep copy or pickle
-    rebuilds the closure from them and shares no state with the original.
+    The push closure owns the stream's state: its rings and, in its cells,
+    the running sums and the sample count.  ``samples_seen``, ``stats()``
+    and ``sum_drift()`` read that state through ``_state()``; a copy, deep
+    copy or pickle rebuilds the closure from it and shares no state with the
+    original.
     """
 
     def __init__(self, spec: ExpansionSpec, resum_interval: int = RESUM_INTERVAL):
@@ -56,20 +60,21 @@ class ExpansionStream:
         self._interval = _count(resum_interval, "resum interval must be a positive integer")
         size = spec.a + spec.b
         # For n = 1, O is R from a pushes ago: the past R + rc, by sample slot.
-        self._bind([0.0] * size, [0.0] * size if spec.n == 1 else None, (0.0, 0.0, 0.0, 0.0, 0))
+        self._bind([0.0] * size, [0.0] * size if spec.n == 1 else None, 0.0, 0.0, 0.0, 0.0, 0)
 
-    def _bind(self, ring: list, past: list | None, cells: tuple) -> None:
-        """Bind ``push`` over the rings and the running state ``cells``, as ``_state()`` gives it.
+    def _bind(self, ring: list, past: list | None, r: float, rc: float, o: float, oc: float,
+              seen: int) -> None:
+        """Bind ``push`` over the stream's state, in the order ``_state()`` gives it.
 
-        ``cells`` is ``(r, rc, o, oc, seen)``: ``R`` (newest ``a`` samples)
-        and ``O`` (the ``b`` before them), each as a running sum plus its
-        compensation, the sum of its TwoSum rounding errors; and the samples
-        seen, whose remainder modulo the ring's length is the oldest
-        sample's slot.
+        The closure owns the state: the rings, and in its cells ``R``
+        (newest ``a`` samples) and ``O`` (the ``b`` before them), each as a
+        running sum plus its compensation, the sum of its TwoSum rounding
+        errors, and the samples seen, whose remainder modulo the ring's
+        length is the oldest sample's slot.  The stream keeps only the
+        closure and ``_state()``, which reads them.
         """
         spec, size, interval = self._spec, len(ring), self._interval
         a, n, den = spec.a, float(spec.n), float(spec.n * (spec.n + 1) * spec.b)
-        r, rc, o, oc, seen = cells
         # The count at which a push takes the slow branch: each push of the
         # warm-up, then each multiple of the interval.  The next push takes
         # it, whatever the state, and sets the one after.
@@ -130,8 +135,8 @@ class ExpansionStream:
                 out = v / den - (w if past is not None else o + oc) / den * n
             return out
 
-        self._ring, self._past, self._push = ring, past, push
-        self._state = lambda: (r, rc, o, oc, seen)
+        self._push = push
+        self._state = lambda: (ring, past, r, rc, o, oc, seen)
         if type(self).push is ExpansionStream.push:  # unless a subclass overrides push
             self.push = push
 
@@ -147,40 +152,38 @@ class ExpansionStream:
     @property
     def samples_seen(self) -> int:
         """Pushes accepted so far."""
-        return self._state()[4]
+        return self._state()[6]
 
     def __getstate__(self):
-        """Spec, interval, copies of the rings and the cells: a closure does not pickle."""
-        past = self._past
-        return (self._spec, self._interval, self._ring[:], past if past is None else past[:],
-                self._state())
+        """Spec, interval and ``_state()`` with copies of the rings: a closure does not pickle."""
+        ring, past, *cells = self._state()
+        return (self._spec, self._interval, ring[:], past if past is None else past[:], *cells)
 
     def __setstate__(self, state) -> None:
         """Rebuild the push closure from ``__getstate__``'s state."""
-        self._spec, self._interval, ring, past, cells = state
-        self._bind(ring, past, cells)
-
-    def _running_sums(self) -> tuple[float, float]:
-        """The running (R, O), each with its compensation added; for n = 1, O from ``_past``."""
-        r, rc, o, oc, seen = self._state()
-        past = self._past
-        return r + rc, o + oc if past is None else past[seen % len(past) - 1 - self._spec.a]
+        self._spec, self._interval, *cells = state
+        self._bind(*cells)
 
     def sum_drift(self) -> float:
-        """Worst relative deviation of the running sums from exact re-summation."""
-        ring = self._ring
-        r, o = _exact_sums(ring, self.samples_seen % len(ring), self._spec.a)
-        v, w = self._running_sums()
+        """Worst relative deviation of the running sums from exact re-summation.
+
+        Each running sum has its compensation added; for n = 1 the running
+        ``O`` is the past ``R + rc`` that the latest push read.
+        """
+        ring, past, r, rc, o, oc, seen = self._state()
+        pos, a = seen % len(ring), self._spec.a
+        v, w = r + rc, o + oc if past is None else past[pos - 1 - a]
+        r, o = _exact_sums(ring, pos, a)
         return max(abs(v - r) / max(abs(r), 1.0), abs(w - o) / max(abs(o), 1.0))
 
     def stats(self) -> dict:
         """Samples seen, re-sums so far, the current ``sum_drift()`` and warm-up state."""
-        seen = self.samples_seen
+        ring, *_, seen = self._state()
         return {
             "samples_seen": seen,
             "resums": seen // self._interval,
             "sum_drift": self.sum_drift(),
-            "warm": seen >= len(self._ring),
+            "warm": seen >= len(ring),
         }
 
 

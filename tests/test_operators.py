@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -687,6 +688,38 @@ def test_windowed_derivative_examples():
     step = UniformSignal(0.0, 1.0, [0, 0, 1, 1])
     out = windowed_derivative(step, 2)
     assert value_at(out, step, 2) == 0.5
+
+
+# Zeros of both signs, subnormals, and magnitudes near 1e308 whose
+# differences and quotients overflow at some steps and not at others.
+QUOTIENT_INPUTS = [
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308, -1e-300] * 3,
+    [1.7e308, 0.0, 1.6e308, -0.0, 1.75e308, 8.9e307, 1e308, 1.2e308] * 3,
+    [0.0, 1.7e308, -0.0, 5e-324, 1.0, -3.5, 1e-310, 0.1, -1.7e308, -5e-324, 8.9e307, 0.0] * 2,
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("dt", [2.0**-1074, 2.0**-1023, 2.0**-10, 1e-3, 0.5, 1.0, 3.0,
+                                2.0**600])
+def test_windowed_derivative_has_the_bytes_of_the_quotient(k, dt):
+    # A power-of-two step k * dt takes the quotient as a product by its
+    # reciprocal.  Below 2**-1023 that reciprocal is infinite, and a zero
+    # difference times it would be NaN, not the quotient's zero.
+    for t0, x in itertools.product((0.0, 1.7e9), map(np.array, QUOTIENT_INPUTS)):
+        signal = UniformSignal(t0, dt, x)
+        with np.errstate(all="ignore"):
+            want = (x[k:] - x[:-k]) / (k * dt)
+        if np.isfinite(want).all():
+            got = windowed_derivative(signal, k)
+            assert got.values.tobytes() == want.tobytes()
+            assert (got.t0, got.dt) == (t0 + k * dt, dt)
+            continue
+        with pytest.raises(ValueError) as err:
+            windowed_derivative(signal, k)
+        with pytest.raises(ValueError) as same:
+            UniformSignal(t0 + k * dt, dt, want)
+        assert str(err.value) == str(same.value)
 
 
 def test_windowed_derivative_insufficient():

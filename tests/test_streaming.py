@@ -106,7 +106,7 @@ def test_resum_is_exact_where_a_partial_sum_overflows():
     assert [macd_stream.push(v) for v in feed] == [None] * 4
     assert macd_stream.stats() == {"samples_seen": 4, "resums": 1, "sum_drift": 0.0,
                                    "warm": False}
-    assert macd_stream._running_sums() == (1e308, -1e308)
+    assert _running_sums(macd_stream) == (1e308, -1e308)
 
 
 M = 1.7976931348623157e308  # the largest float
@@ -146,6 +146,13 @@ FUZZ_ALPHABET = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1.0, -1.0, 0.1, 3.
 
 def _bits(out):
     return out if out is None else struct.pack("<d", out)
+
+
+def _running_sums(stream):
+    """The running (R, O) in ``stream._state()``, each with its compensation
+    added; for n = 1, O is the past R + rc that the latest push read."""
+    ring, past, r, rc, o, oc, seen = stream._state()
+    return r + rc, o + oc if past is None else past[seen % len(past) - 1 - stream._spec.a]
 
 
 def _fed(push, x):
@@ -231,7 +238,8 @@ def test_push_is_bit_for_bit_the_attribute_push(n, b, interval, as_macd, feed):
         assert _fed(push, x) == _fed(reference.push, x)
         assert stream.stats() == reference.stats()
         assert stream.samples_seen == reference.samples_seen
-        assert stream._running_sums() == reference._running_sums()
+        assert (tuple(map(_bits, _running_sums(stream)))
+                == tuple(map(_bits, reference._running_sums())))
 
 
 def test_single_term_expansion_accepts_a_push_after_a_resum_as_macd_does():
@@ -294,14 +302,17 @@ def test_stream_state_is_bounded():
     stream = MacdStream(64)
     for v in np.sin(np.arange(10_000.0)):
         stream.push(v)
-    assert len(stream._ring) == len(stream._past) == 2 * 64
+    ring, past, *_ = stream._state()
+    assert len(ring) == len(past) == 2 * 64
     exp = ExpansionStream(ExpansionSpec.of(5, 8, 1.0))
     single = ExpansionStream(ExpansionSpec(1, 8))
     for v in np.sin(np.arange(3_000.0)):
         exp.push(v)
         single.push(v)
-    assert len(exp._ring) == (5 + 1) * 8 and exp._past is None
-    assert len(single._ring) == len(single._past) == 2 * 8
+    ring, past, *_ = exp._state()
+    assert len(ring) == (5 + 1) * 8 and past is None
+    ring, past, *_ = single._state()
+    assert len(ring) == len(past) == 2 * 8
 
 
 def test_expansion_stream_single_term_matches_macd_stream_bitwise(rng):
