@@ -30,8 +30,6 @@ read a wrong one.  A miss grows its mean along the same tree from one
 power-of-two mean the signal keeps, by plain adds and one divide, where
 every power-of-two scaling of its partial sums is exact, so the result is
 byte-equal to the window sums divided by ``k`` whatever the memo holds.
-That divide, and ``windowed_derivative``'s, is a multiply by the exact
-reciprocal where the divisor is a power of two, with the same bytes.
 Otherwise it is one call of the module's ``sliding_sums``, looked up by
 name: a wrapper on that name (a tracer, say) sees every window a signal
 sums afresh.
@@ -47,8 +45,6 @@ only once it is finite, and sends any other to the checked constructor.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -176,28 +172,16 @@ def _window_means(signal: UniformSignal, k: int) -> np.ndarray:
         while w and (base := memo.get(w)) is None:
             w //= 2
         if w and k * signal._peak <= _HALF_MAX and k * _TINY <= signal._floor:
-            means = _divide(_dyadic_sums(base, w, k), k // w)
+            means = _dyadic_sums(base, w, k)
+            means /= k / w
         else:
-            means = _divide(sliding_sums(signal.values, k), k)
+            means = sliding_sums(signal.values, k)
+            means /= k
         means.flags.writeable = False
     memo[k] = means
     while len(memo) > _MEMO_WINDOWS:
         memo.pop(next(iter(memo.copy())), None)
     return means
-
-
-def _divide(values: np.ndarray, d: float) -> np.ndarray:
-    """``values / d``, written into ``values``.
-
-    Where ``d`` is a power of two whose reciprocal is finite, ``1 / d`` is
-    exact, so ``values * (1 / d)`` rounds the same real number once, as the
-    quotient does, and gives the same bytes; a multiply takes about half the
-    time of a divide.  Below ``2**-1023`` the reciprocal is infinite, and a
-    zero times it would be NaN, so such a ``d`` divides.
-    """
-    if math.frexp(d)[0] == 0.5 and d >= _TINY / 2:
-        return np.multiply(values, 1 / d, out=values)
-    return np.divide(values, d, out=values)
 
 
 def _box_terms(signal: UniformSignal, what: str, terms: list) -> UniformSignal:
@@ -326,5 +310,5 @@ def windowed_derivative(signal: UniformSignal, w: int) -> UniformSignal:
     k = window_size(w)
     signal.require(k + 1, f"a lag-{k} difference quotient")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _divide(signal.values[k:] - signal.values[:-k], k * signal.dt)
+        out = (signal.values[k:] - signal.values[:-k]) / (k * signal.dt)
     return UniformSignal._wrap(signal.t0 + k * signal.dt, signal.dt, out, checked=True)

@@ -703,9 +703,10 @@ QUOTIENT_INPUTS = [
 @pytest.mark.parametrize("dt", [2.0**-1074, 2.0**-1023, 2.0**-10, 1e-3, 0.5, 1.0, 3.0,
                                 2.0**600])
 def test_windowed_derivative_has_the_bytes_of_the_quotient(k, dt):
-    # A power-of-two step k * dt takes the quotient as a product by its
-    # reciprocal.  Below 2**-1023 that reciprocal is infinite, and a zero
-    # difference times it would be NaN, not the quotient's zero.
+    # The quotient's bytes, or its overflow error, for steps k * dt down to
+    # subnormals.  A rewrite that multiplies by a power-of-two step's
+    # reciprocal must keep them: below 2**-1023 that reciprocal is infinite,
+    # and a zero difference times it would be NaN, not the quotient's zero.
     for t0, x in itertools.product((0.0, 1.7e9), map(np.array, QUOTIENT_INPUTS)):
         signal = UniformSignal(t0, dt, x)
         with np.errstate(all="ignore"):

@@ -106,7 +106,10 @@ def test_resum_is_exact_where_a_partial_sum_overflows():
     assert [macd_stream.push(v) for v in feed] == [None] * 4
     assert macd_stream.stats() == {"samples_seen": 4, "resums": 1, "sum_drift": 0.0,
                                    "warm": False}
-    assert _running_sums(macd_stream) == (1e308, -1e308)
+    # The re-sum leaves R and O exact and their compensations zero; O, the R
+    # of a pushes ago that the latest push read, is the past ring's slot 0.
+    ring, past, *cells = macd_stream._state()
+    assert (*cells, past[0]) == (1e308, 0.0, -1e308, 0.0, 4, -1e308)
 
 
 M = 1.7976931348623157e308  # the largest float
@@ -148,11 +151,10 @@ def _bits(out):
     return out if out is None else struct.pack("<d", out)
 
 
-def _running_sums(stream):
-    """The running (R, O) in ``stream._state()``, each with its compensation
-    added; for n = 1, O is the past R + rc that the latest push read."""
-    ring, past, r, rc, o, oc, seen = stream._state()
-    return r + rc, o + oc if past is None else past[seen % len(past) - 1 - stream._spec.a]
+def _state_bits(ring, past, r, rc, o, oc, seen):
+    """A stream's state in ``_state()``'s order, each float as its bits."""
+    floats = [*ring, *(past or ()), r, rc, o, oc]
+    return struct.pack(f"<{len(floats)}d", *floats), past is None, seen
 
 
 def _fed(push, x):
@@ -227,8 +229,8 @@ def test_macd_stream_agrees_with_the_single_term_expansion_stream():
 def test_push_is_bit_for_bit_the_attribute_push(n, b, interval, as_macd, feed):
     # The push closure against a verbatim copy of the push that kept its
     # state in attributes: after every push, the same acceptance, output
-    # bits, error text and stats(), through one push bound before any
-    # rejection and re-sum.
+    # bits, error text, stats() and state, bit for bit, through one push
+    # bound before any rejection and re-sum.
     kwargs = {} if interval is None else {"resum_interval": interval}
     spec = ExpansionSpec(n, b)
     stream = MacdStream(b, **kwargs) if as_macd and n == 1 else ExpansionStream(spec, **kwargs)
@@ -238,8 +240,9 @@ def test_push_is_bit_for_bit_the_attribute_push(n, b, interval, as_macd, feed):
         assert _fed(push, x) == _fed(reference.push, x)
         assert stream.stats() == reference.stats()
         assert stream.samples_seen == reference.samples_seen
-        assert (tuple(map(_bits, _running_sums(stream)))
-                == tuple(map(_bits, reference._running_sums())))
+        assert _state_bits(*stream._state()) == _state_bits(
+            reference._ring, reference._past, reference._r, reference._rc, reference._o,
+            reference._oc, reference.samples_seen)
 
 
 def test_single_term_expansion_accepts_a_push_after_a_resum_as_macd_does():

@@ -1,12 +1,12 @@
 """Record the benchmark's result lines as ``BENCH_<N>.json``, one point of the trajectory.
 
-    python3 tools/bench_record.py --pr N [--seeds S [S ...]] [--small]
+    python3 tools/bench_record.py --pr N [--small]
 
 Runs ``perfbench/run.py`` from this checkout for each workload that
-``BENCHMARK.json`` declares, on each seed, at ``--trace 0`` (the end-to-end
-metrics) and at ``--trace 1`` (the per-layer metrics), each run a fresh
-process of the benchmark's own ``run_seconds``.  Then it runs each workload
-at ``--trace 0`` once more, on the first seed, with glibc's
+``BENCHMARK.json`` declares, on each of ``SEEDS``, at ``--trace 0`` (the
+end-to-end metrics) and at ``--trace 1`` (the per-layer metrics), each run a
+fresh process of the benchmark's own ``run_seconds``.  Then it runs each
+workload at ``--trace 0`` once more, on seed 1, with glibc's
 ``MALLOC_MMAP_THRESHOLD_`` fixed at ``MMAP_THRESHOLD``, and keeps only that
 run's ``peak_rss_mb``.  By default the threshold adapts to the allocations a
 process has made, so ``peak_rss_mb`` moves with the checkout path, the
@@ -41,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SEEDS = (1, 2, 3)
+# One fixed list, so that every point of the trajectory runs the same plan.
+SEEDS = (1, 2, 3)
 MMAP_THRESHOLD = 131072
 TIMEOUT_S = 1800
 
@@ -95,14 +96,13 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
     parser.add_argument("--small", action="store_true")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     plan = [(w["name"], seed, trace, None) for w in bench["workloads"]
-            for seed in args.seeds for trace in (0, 1)]
-    plan += [(w["name"], args.seeds[0], 0, MMAP_THRESHOLD) for w in bench["workloads"]]
+            for seed in SEEDS for trace in (0, 1)]
+    plan += [(w["name"], SEEDS[0], 0, MMAP_THRESHOLD) for w in bench["workloads"]]
     runs = []
     for workload, seed, trace, threshold in plan:
         entry = run(workload, seed, seconds, trace, args.small, threshold)
