@@ -39,7 +39,7 @@ and ``macdkit verify`` prints them, so a new check takes one entry and no CLI ed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -78,45 +78,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """One check's worst residuals, gate and verdict.
+class ResidualReport(namedtuple("ResidualReport", "name params max_abs_residual max_rel_residual "
+                                 "gate passed required valid_range insufficient",
+                                 defaults=(None, None, False))):
+    """One check's worst residuals, gate and verdict, a named tuple.
 
-    ``required`` is set (and the record fails) on a too-short signal.  A
-    residual check gates its relative residual at 1e-12 and gives the index
-    range where both sides are defined.
+    ``name`` (str) and ``params`` (dict) name the check; ``max_abs_residual``,
+    ``max_rel_residual`` and ``gate`` are floats and ``passed`` a bool.
+    ``required`` (an int, else None) is set (and the record fails) on a
+    too-short signal.  A residual check gates its relative residual at 1e-12
+    and gives ``valid_range``, the ``(first, last)`` indices where both sides
+    are defined, else None.  ``insufficient`` is a bool, False by default.
     """
 
-    name: str
-    params: dict
-    max_abs_residual: float
-    max_rel_residual: float
-    gate: float
-    passed: bool
-    required: int | None = None
-    valid_range: tuple[int, int] | None = None
-    insufficient: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrendLabel:
+class TrendLabel(namedtuple("TrendLabel", "label margin")):
     """Local trend call: 'increasing', 'decreasing' or 'linear', with margin."""
 
-    label: str
-    margin: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonotonicityResult:
+class MonotonicityResult(namedtuple("MonotonicityResult",
+                                    "passed first_violation equality_passed")):
     """Verdicts of the window-monotonicity scan.
 
     ``passed`` and ``first_violation`` (an index into the signal) answer the
     implication, and ``equality_passed`` its tolerance-form equality case.
     """
 
-    passed: bool
-    first_violation: int | None
-    equality_passed: bool
+    __slots__ = ()
 
 
 def default_tolerance(signal: UniformSignal) -> float:
@@ -342,7 +334,7 @@ def classify_trend(signal: UniformSignal, index: int, a: int, b: int,
 
 def _gated(report: ResidualReport, tol: float) -> ResidualReport:
     """``report`` with its relative residual gated at ``tol``, which ``run_checks`` validated."""
-    return replace(report, gate=tol, passed=report.max_rel_residual <= tol)
+    return report._replace(gate=tol, passed=report.max_rel_residual <= tol)
 
 
 def _scan_record(r: MonotonicityResult, a: int, b: int) -> ResidualReport:
@@ -388,7 +380,7 @@ def run_checks(signal: UniformSignal, names=None, *, window: int = 8, long_windo
     for name, (params_of, call) in entries:
         params = params_of(window, long_window, n, b)
         try:
-            record = replace(call(signal, tol, **params), name=name)
+            record = call(signal, tol, **params)._replace(name=name)
         except InsufficientSamplesError as exc:
             record = ResidualReport(name, params, math.nan, math.nan, math.nan, False, exc.required)
         records.append(record)

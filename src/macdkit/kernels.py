@@ -49,13 +49,12 @@ Averaging compositions have weights summing to 1, difference kernels to 0.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .operators import _box_terms, double_right_avg
-from .signals import (ExpansionSpec, UniformSignal, _one_dimensional, _step, lag_size,
+from .signals import (ExpansionSpec, UniformSignal, _Frozen, _one_dimensional, _step, lag_size,
                       window_size)
 
 __all__ = [
@@ -70,19 +69,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class KernelRep:
+class KernelRep(_Frozen):
     """FIR kernel: dense weights on the consecutive lags from ``first`` on.
 
     ``KernelRep(offsets, weights)`` takes strictly increasing integer lags
     that fit int64, with one weight each, as 1-D sequences or scalars, and
     stores the zero-filled span between them.
-    Equality is identity, as the weights are an array.
+    Equality is identity, as the weights are an array, and ``repr`` shows
+    ``first`` and ``scale_note``.
     """
 
     first: int
-    weights: np.ndarray = field(repr=False)
-    scale_note: str = ""
+    weights: np.ndarray
+    scale_note: str
 
     def __init__(self, offsets, weights, scale_note: str = ""):
         lags = _one_dimensional(np.array(offsets, ndmin=1), "offsets")
@@ -110,6 +109,9 @@ class KernelRep:
         dense[lags - first] = w
         dense.flags.writeable = False
         vars(self).update(first=first, weights=dense, scale_note=scale_note)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(first={self.first!r}, scale_note={self.scale_note!r})"
 
     @property
     def offsets(self) -> tuple[int, ...]:

@@ -46,7 +46,6 @@ float64 raises the one ``WINDOW_SUM_OVERFLOW`` error in batch and stream.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -79,8 +78,25 @@ def _check_length(n: int, required: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class UniformSignal:
+class _Frozen:
+    """Refuses assignment and deletion, as a frozen dataclass does, with its error.
+
+    A subclass sets its attributes once, through ``vars(self)``; a cached
+    property writes there too.
+    """
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class UniformSignal(_Frozen):
     """A finite, uniformly sampled real-valued series.
 
     Sample ``i`` represents time ``t0 + i * dt``.  Values are stored as an
@@ -90,33 +106,37 @@ class UniformSignal:
     ``t0 + (n - 1) * dt``, is rejected at construction rather than
     propagated.  Derived signals never start after their input's last sample.
 
-    Equality is identity, as the values are an array.  A signal also holds a
-    private memo of its window means and a slot for its latest MACD (not
-    fields, so they take no part in ``repr`` or ``fields()``): 8 means plus
-    one MACD, read-only arrays of at most ``n`` floats each, ``72 * n``
-    bytes per live signal, and ``max|x|`` and the least nonzero ``|x|``
-    once something asks for them.
+    Equality is identity, as the values are an array, and ``repr`` shows
+    ``t0`` and ``dt``.  A signal also holds a private memo of its window
+    means and a slot for its latest MACD (private, so they take no part in
+    ``repr``): 8 means plus one MACD, read-only arrays of at most ``n``
+    floats each, ``72 * n`` bytes per live signal, and ``max|x|`` and the
+    least nonzero ``|x|`` once something asks for them.
     """
 
     t0: float
     dt: float
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
-    def __post_init__(self):
-        vals = _one_dimensional(np.array(self.values, dtype=np.float64, ndmin=1), "values")
+    def __init__(self, t0: float, dt: float, values: np.ndarray):
+        vals = _one_dimensional(np.array(values, dtype=np.float64, ndmin=1), "values")
         if vals.size < 1:
             raise ValueError("signal needs at least one sample")
-        _step(self.dt)
-        if not _real(self.t0) or not -np.inf < self.t0 < np.inf:
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-        if not abs(self.t0 + (vals.size - 1) * self.dt) < np.inf:
-            raise ValueError(f"last sample time {self.t0} + {vals.size - 1}*{self.dt} overflows")
+        _step(dt)
+        if not _real(t0) or not -np.inf < t0 < np.inf:
+            raise ValueError(f"t0 must be finite, got {t0}")
+        if not abs(t0 + (vals.size - 1) * dt) < np.inf:
+            raise ValueError(f"last sample time {t0} + {vals.size - 1}*{dt} overflows")
         if not np.all(np.isfinite(vals)):
             raise _non_finite(vals)
-        self._set(self.t0, self.dt, vals)
+        self._set(t0, dt, vals)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(t0={self.t0!r}, dt={self.dt!r})"
 
     def _set(self, t0: float, dt: float, values: np.ndarray) -> None:
-        """Set every field, an empty memo and an empty MACD slot; ``values`` turns read-only.
+        """Set ``t0``, ``dt``, ``values``, an empty memo and an empty MACD slot; ``values``
+        turns read-only.
 
         The slot ``_macd`` is ``(k, values)`` of the latest ``macd`` taken,
         and ``(0, None)`` until one is: no window has 0 samples.
@@ -223,20 +243,30 @@ def lag_size(lag) -> int:
     return _count(lag, "lag needs a non-negative integer sample count", 0)
 
 
-@dataclass(frozen=True)
-class ExpansionSpec:
+class ExpansionSpec(_Frozen):
     """Term count ``n`` and block window ``b`` (samples) of the delayed-derivative expansion.
 
     The long window is ``a = n * b`` samples, and the term weights
-    ``2i / (n(n+1))`` for ``i = 1..n`` sum to one.
+    ``2i / (n(n+1))`` for ``i = 1..n`` sum to one.  Two specs are equal, and
+    hash alike, when their ``(n, b)`` are.
     """
 
     n: int
     b: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n, "term count must be a positive integer"))
-        object.__setattr__(self, "b", window_size(self.b))
+    def __init__(self, n: int, b: int):
+        vars(self).update(n=_count(n, "term count must be a positive integer"), b=window_size(b))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, b={self.b!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.b) == (other.n, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.b))
 
     @property
     def a(self) -> int:

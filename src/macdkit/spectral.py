@@ -16,12 +16,12 @@ more than ``N`` lags stay exact, and memory is ``O(G)`` plus the kernel's span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 from .kernels import KernelRep
-from .signals import _count
+from .signals import _count, _Frozen
 
 __all__ = [
     "FrequencyResponse",
@@ -41,36 +41,37 @@ class NotDifferenceKernelError(ValueError):
     """Band-pass analysis applied to a kernel that does not reject DC."""
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyResponse:
-    """Sampled transfer function of one kernel on [0, pi]; equality is identity."""
+class FrequencyResponse(_Frozen):
+    """Sampled transfer function of one kernel on [0, pi]; equality is identity.
 
-    frequencies: np.ndarray = field(repr=False)
-    magnitudes: np.ndarray = field(repr=False)
-    phases: np.ndarray = field(repr=False)
-    kernel_tag: str = ""
+    ``repr`` shows ``kernel_tag``; the three arrays are read-only float64.
+    """
 
-    def __post_init__(self):
-        for name in ("frequencies", "magnitudes", "phases"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    frequencies: np.ndarray
+    magnitudes: np.ndarray
+    phases: np.ndarray
+    kernel_tag: str
+
+    def __init__(self, frequencies, magnitudes, phases, kernel_tag: str = ""):
+        arrays = dict(frequencies=frequencies, magnitudes=magnitudes, phases=phases)
+        for name, arr in arrays.items():
+            arrays[name] = np.asarray(arr, dtype=np.float64)
+            arrays[name].flags.writeable = False
+        vars(self).update(arrays, kernel_tag=kernel_tag)
         if np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(self.magnitudes < 0):
             raise ValueError("magnitudes must be non-negative")
 
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(kernel_tag={self.kernel_tag!r})"
 
-@dataclass(frozen=True)
-class BandpassVerdict:
+
+class BandpassVerdict(namedtuple("BandpassVerdict", "passed dc_magnitude peak_frequency "
+                                 "peak_magnitude nyquist_magnitude failures", defaults=((),))):
     """Outcome of the three band-pass assertions, with diagnostics."""
 
-    passed: bool
-    dc_magnitude: float
-    peak_frequency: float
-    peak_magnitude: float
-    nyquist_magnitude: float
-    failures: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def transfer_function(kernel: KernelRep, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -345,7 +344,7 @@ def test_monotonicity_on_strict_ramp():
     assert result.first_violation is None
     assert result.equality_passed
     verdicts, counts = _oracle_scan(ramp(100), 3, 8)
-    assert dataclasses.astuple(result) == verdicts
+    assert tuple(result) == verdicts
     assert counts["hypothesis"] == counts["scanned"] == 93  # increasing: always fires
     assert counts["ties"] == 0  # the two averages stay (b - a) / 2 apart
 
@@ -355,7 +354,7 @@ def test_monotonicity_vacuous_on_constant():
     assert result.passed
     assert result.equality_passed
     verdicts, counts = _oracle_scan(constant(100), 3, 8)
-    assert dataclasses.astuple(result) == verdicts
+    assert tuple(result) == verdicts
     assert counts["hypothesis"] == 0
     assert counts["ties"] == counts["scanned"] == 93  # every index is a tie
 
@@ -393,7 +392,7 @@ def test_monotonicity_scan_is_the_full_array_scan(rng):
         for a, b in [(1, 2), (2, 4), (3, 8), (4, 12), (8, 20)]:
             want, counts = _oracle_scan(sig, a, b)
             got = check_window_monotonicity(sig, a, b)
-            assert dataclasses.astuple(got) == want, (name, a, b)
+            assert tuple(got) == want, (name, a, b)
             seen.update(tie=counts["ties"] > 0, hypothesis=counts["hypothesis"] > 0,
                         violation=not got.passed)
     assert seen["tie"] and seen["hypothesis"] and seen["violation"], seen
@@ -752,8 +751,8 @@ def test_kept_window_sums_are_invisible(random_signal):
         public = operators.sliding_sums(sig.values, k)
         assert public.flags.writeable and np.array_equal(public / k, kept)
         assert not any(np.shares_memory(public, other) for other in sig._means.values())
-    # The memo is no field, so repr and fields() see only t0, dt, values.
-    assert [f.name for f in dataclasses.fields(UniformSignal)] == ["t0", "dt", "values"]
+    # The memo is private, so repr shows only t0 and dt.
+    assert repr(sig) == f"UniformSignal(t0={sig.t0!r}, dt={sig.dt!r})"
     assert repr(sig) == repr(fresh())
     one = UniformSignal(2.0, 0.5, [3.0])
     right_avg(one, 1)

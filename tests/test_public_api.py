@@ -1,15 +1,22 @@
 import ast
+import copy
 import dataclasses
 import importlib
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import macdkit
-from macdkit import (ExpansionSpec, KernelRep, MonotonicityResult, UniformSignal, check_lp_bound,
+from macdkit import (BandpassVerdict, ExpansionSpec, FrequencyResponse, KernelRep,
+                     MonotonicityResult, ResidualReport, TrendLabel, UniformSignal, check_lp_bound,
                      check_macd_derivative, check_recursive_expansion, check_window_monotonicity,
-                     macd_kernel, transfer_function)
+                     expansion_kernel, macd_kernel, run_checks, transfer_function)
 
 SUBMODULES = ["signals", "operators", "identities", "kernels", "spectral", "streaming", "cli"]
 
@@ -97,8 +104,7 @@ def test_identity_surface_the_benchmark_reads():
     assert type(check_lp_bound(sig, 8, 2)) is float
     scan = check_window_monotonicity(sig, 8, 20)
     assert scan.passed is True and scan.equality_passed is True and scan.first_violation is None
-    fields = [f.name for f in dataclasses.fields(MonotonicityResult)]
-    assert fields == ["passed", "first_violation", "equality_passed"]
+    assert MonotonicityResult._fields == ("passed", "first_violation", "equality_passed")
     spec = ExpansionSpec.of(4, 4, sig.dt)
     assert spec == ExpansionSpec(4, 4)
     assert check_recursive_expansion(sig, spec).max_rel_residual <= 1e-12
@@ -114,3 +120,103 @@ def test_array_holding_types_compare_by_identity():
     for one, twin in twins:
         assert one == one and one != twin
         assert len({one, twin, one}) == 2
+
+
+def test_no_module_holds_a_dataclass():
+    # Building a dataclass generates its methods by exec at import, a cost
+    # every process that imports macdkit pays.
+    src = Path(macdkit.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"macdkit.{path.stem}" if path.stem != "__init__"
+                                         else "macdkit")
+        held = [name for name, obj in vars(module).items()
+                if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+        assert not held, (module.__name__, held)
+
+
+def test_import_loads_no_dataclasses_module():
+    src = Path(macdkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, numpy; before = set(sys.modules); import macdkit; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "macdkit.identities" in added and "dataclasses" not in added, added
+
+
+# Each public record and array holder: its constructor's arguments, its repr,
+# a field, and whether it compares by value.  The reprs are those of the
+# dataclasses these types once were.  Each hashable value record is built from
+# all of its fields, so it hashes as their tuple.
+RECORDS = {
+    UniformSignal: ((1.5, 0.25, [1.0, 2.0, 3.0]), "UniformSignal(t0=1.5, dt=0.25)", "t0", False),
+    KernelRep: (([0, 2], [0.5, -0.5], "note"), "KernelRep(first=0, scale_note='note')", "first",
+                False),
+    FrequencyResponse: (([0.0, 1.0], [0.0, 2.0], [0.0, -1.0], "tag"),
+                        "FrequencyResponse(kernel_tag='tag')", "kernel_tag", False),
+    ExpansionSpec: ((4, 3), "ExpansionSpec(n=4, b=3)", "n", True),
+    ResidualReport: (("x", {"a": 8}, 0.0, 0.0, 1e-12, True),
+                     "ResidualReport(name='x', params={'a': 8}, max_abs_residual=0.0, "
+                     "max_rel_residual=0.0, gate=1e-12, passed=True, required=None, "
+                     "valid_range=None, insufficient=False)", "name", True),
+    TrendLabel: (("increasing", 0.5), "TrendLabel(label='increasing', margin=0.5)", "label",
+                 True),
+    MonotonicityResult: ((True, None, True), "MonotonicityResult(passed=True, "
+                         "first_violation=None, equality_passed=True)", "passed", True),
+    BandpassVerdict: ((False, 0.0, 1.5, 0.75, 0.25, ("x",)),
+                      "BandpassVerdict(passed=False, dc_magnitude=0.0, peak_frequency=1.5, "
+                      "peak_magnitude=0.75, nyquist_magnitude=0.25, failures=('x',))", "passed",
+                      True),
+}
+ARRAYS = {UniformSignal: ["values"], KernelRep: ["weights"],
+          FrequencyResponse: ["frequencies", "magnitudes", "phases"]}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_repr_equality_immutability_and_copies(cls):
+    args, text, field, by_value = RECORDS[cls]
+    one, twin = cls(*args), cls(*args)
+    assert repr(one) == text
+    assert one == one and (one == twin) is by_value and (one != twin) is not by_value
+    if cls is ResidualReport:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(one)
+    else:
+        assert hash(one) == (hash(args) if by_value else object.__hash__(one))
+
+    # A named tuple refuses with AttributeError, the base of the others' error.
+    frozen = not isinstance(one, tuple)
+    refused = dataclasses.FrozenInstanceError if frozen else AttributeError
+    value = getattr(one, field)
+    for act, message in [(lambda: setattr(one, field, 1), "cannot assign to field"),
+                         (lambda: setattr(one, "extra", 1), "cannot assign to field"),
+                         (lambda: delattr(one, field), "cannot delete field")]:
+        with pytest.raises(refused, match=message if frozen else None):
+            act()
+    assert getattr(one, field) is value and not hasattr(one, "extra")
+
+    for twin in (copy.copy(one), copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
+        assert type(twin) is cls and twin is not one and repr(twin) == text
+        assert (twin == one) is by_value
+        for name in ARRAYS.get(cls, []):
+            assert np.array_equal(getattr(twin, name), getattr(one, name)), name
+
+
+SPEC_BUILDERS = {
+    "positional": lambda n, b: ExpansionSpec(n, b),
+    "keywords": lambda n, b: ExpansionSpec(b=b, n=n),
+    "of": lambda n, b: ExpansionSpec.of(n, b, 1.0),
+    "expansion_kernel": lambda n, b: expansion_kernel(n, b),
+    "run_checks": lambda n, b: run_checks(UniformSignal(0.0, 1.0, np.arange(64.0)),
+                                          ["recursive_expansion"], n=n, b=b),
+}
+
+
+@pytest.mark.parametrize("build", SPEC_BUILDERS.values(), ids=SPEC_BUILDERS)
+@pytest.mark.parametrize("n, b, message", [(0, 4, "term count must be a positive integer"),
+                                           (4, True, "window needs a positive integer")],
+                         ids=["n=0", "b=True"])
+def test_every_way_of_building_an_expansion_spec_checks_its_counts(build, n, b, message):
+    with pytest.raises(ValueError, match=message):
+        build(n, b)

@@ -11,9 +11,13 @@ wall time, the median ``wall_time_s`` the CLI prints (the command body) and
 the median of the rest (launch, import and exit), then the median
 change/parent ratio of the wall times, with its quartiles: below 1 the
 change runs faster.  The rejected ``verify`` prints no ``wall_time_s``, so
-it gets wall times only.  Last, it names each command whose exit code,
-stdout (less its ``wall_time_s`` line), stderr or output bytes differ
-between the trees.
+it gets wall times only.  Each round also launches ``python -c "import
+numpy"`` and then ``python -c "import macdkit"`` from each tree, in the same
+alternation, and the tool prints each tree's median macdkit/numpy launch
+ratio, the figure perfbench's ``setup_s`` scales, and the median
+change/parent ratio of those ratios, with its quartiles.  Last, it names
+each command whose exit code, stdout (less its ``wall_time_s`` line),
+stderr or output bytes differ between the trees.
 
     python3 tools/cli_lockstep.py PARENT_SRC CHANGE_SRC [--rows N] [--rounds R] [--seed S]
 
@@ -21,10 +25,10 @@ between the trees.
 such as two checkouts' ``src``.  A tree run against itself reads near 1.
 Each child runs in the temporary directory with this process's environment
 and its tree first on ``PYTHONPATH``, and is killed if it outlives
-``TIMEOUT_S``.  The exit code is 1 if a command on the walk failed or printed
-no ``wall_time_s``, or if the rejected ``verify`` did not exit 2 with the one
-stderr line ``error: could not parse line N`` for the copy's last line N;
-else 0.
+``TIMEOUT_S``.  The exit code is 1 if an import or a command on the walk
+failed, a command printed no ``wall_time_s``, or the rejected ``verify`` did
+not exit 2 with the one stderr line ``error: could not parse line N`` for the
+copy's last line N; else 0.
 """
 
 from __future__ import annotations
@@ -63,16 +67,21 @@ def write_input(path: Path, rows: int, seed: int) -> None:
         fh.write("".join(f"{float(t0 + i)!r},{v!r}\n" for i, v in enumerate(walk(rows, seed))))
 
 
+def run(src: str, args: list[str], work: Path):
+    """One ``python ARGS`` process from ``src``, run to its end: the process and its wall time."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+    return proc, time.perf_counter() - started
+
+
 def launch(src: str, argv: list[str], work: Path, output: Path):
     """One ``python -m macdkit`` process from ``src``: its wall time, the
     ``wall_time_s`` it printed (None if none), and what it left: exit code,
     stdout less the ``wall_time_s`` line, stderr and the output file's bytes."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
-    started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "macdkit", *argv], cwd=work, env=env,
-                          capture_output=True, text=True, timeout=TIMEOUT_S)
-    wall = time.perf_counter() - started
+    proc, wall = run(src, ["-m", "macdkit", *argv], work)
     found = WALL_TIME.search(proc.stdout)
     written = output.read_bytes() if output.exists() else None
     if written is not None:
@@ -102,6 +111,8 @@ def main(argv=None) -> int:
     # walls[c][t], bodies[c][t]: command c's times from tree t, one per round
     walls = [[[] for _ in TREES] for _ in COMMANDS]
     bodies = [[[] for _ in TREES] for _ in COMMANDS]
+    # ratios[t]: tree t's import macdkit / import numpy launch times, one per round
+    ratios = [[] for _ in TREES]
     differ, failed = set(), set()
     with tempfile.TemporaryDirectory(prefix="cli_lockstep_") as tmp:
         work = Path(tmp)
@@ -110,6 +121,15 @@ def main(argv=None) -> int:
         text = data.read_text(encoding="utf-8")
         rejected.write_text(text[:text.rindex(",") + 1] + "x\n", encoding="utf-8")
         for r in range(args.rounds):
+            for t in ((0, 1) if r % 2 == 0 else (1, 0)):
+                launches = []
+                for module in ("numpy", "macdkit"):
+                    proc, wall = run(srcs[t], ["-c", f"import {module}"], work)
+                    if proc.returncode != 0:
+                        failed.add(f"import {module} ({TREES[t]}): exit {proc.returncode}, "
+                                   f"{proc.stderr.strip()[-200:]!r}")
+                    launches.append(wall)
+                ratios[t].append(launches[1] / launches[0])
             for c, (name, template, error) in enumerate(COMMANDS):
                 cmd = [a.format(input=data, rejected=rejected, output=output) for a in template]
                 error = error and error.format(last=args.rows + 1)  # the header is line 1
@@ -126,6 +146,11 @@ def main(argv=None) -> int:
                         bodies[c][t].append(body)
                 if left[0] != left[1]:
                     differ.add(name)
+    print("import macdkit / import numpy launch:")
+    for t, tree in enumerate(TREES):
+        print(f"  {tree}: ratio median {statistics.median(ratios[t]):.3f}")
+    print(f"  change/parent ratio {quartiles([b / a for a, b in zip(*ratios)])} "
+          f"over {args.rounds} rounds")
     for c, (name, _, _) in enumerate(COMMANDS):
         print(f"{name}:")
         for t, tree in enumerate(TREES):
