@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error, or a
 result too large to allocate (``MemoryError``).
 
 Input CSV is value-only or time,value, as its first data row has 1 or 2 columns.
-``ingest_csv`` gives the grammar, and reads the file once, ``_READ_BLOCK`` lines at a time.
+``ingest_csv`` gives the grammar.  One ``np.loadtxt`` pass over the path parses
+an accepted file, and ingest holds its rows, 8 bytes per cell, and no list of its lines.
 
 Output CSV is the text ``%.17g`` gives, so it re-ingests bit for bit.  numpy
 computes its digits ``_WRITE_BLOCK`` rows at a time (``_csv_text``); only a
@@ -19,14 +20,12 @@ value that block arithmetic cannot decide, such as a 17-digit rounding tie or
 a subnormal, is formatted alone by ``_fmt``.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import itertools
 import sys
 import time
-from array import array
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -44,7 +43,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 _WRITE_BLOCK = 2048  # rows formatted and written per block
-_READ_BLOCK = 8192  # lines per np.loadtxt call
 
 
 # The block formatter ``_csv_text``.  Its scaling is exact to the tie guard
@@ -92,16 +90,18 @@ def ingest_csv(path: str) -> UniformSignal:
     increasing and uniformly spaced within 1e-9 relative; value-only input
     gets ``dt = 1`` and ``t0 = 0``.
 
-    The file is read once, in blocks of ``_READ_BLOCK`` lines whose non-blank
-    lines ``np.loadtxt`` parses.  A block it rejects is parsed line by line, up
-    to its first line with invalid UTF-8, a wrong column count or an
-    unparseable cell.  ``_row_fault`` checks each block's rows, with the last
-    row read before them, against the file's first time step.  The read stops
-    at the block's first fault in file order, a broken row rule or a bad line,
-    and raises ``IngestError`` with that line's number.  Ingest holds 8 bytes
-    per cell plus one block of text.
+    The first non-blank lines decide the header and the layout.  Then one
+    ``np.loadtxt`` pass over the path parses every data row; it skips empty
+    lines itself.  A file it rejects, such as one with a whitespace-only
+    line, is parsed once more from a stream of its non-blank lines, and only
+    a file rejected again is scanned line by line (``_scan_lines``), up to
+    its first line with invalid UTF-8, a wrong column count or an
+    unparseable cell.  One ``_row_fault`` call checks all the rows read.
+    The first fault in file order, a broken row rule or a bad line, raises
+    ``IngestError`` with that line's number, which one more streamed pass
+    over the lines finds.  Ingest holds 8 bytes per cell and no list of the
+    file's lines.
     """
-    parsed = array("d")
     try:
         # An undecodable byte reads as a lone surrogate, which no valid text
         # holds; no such byte is a newline, so lines split as in strict decoding.
@@ -122,34 +122,38 @@ def ingest_csv(path: str) -> UniformSignal:
             want = len(_fields(line))
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
-            # ``lines`` has read no further than ``first``, so blocks go on from ``fh``.
-            block = [line, *itertools.islice(fh, _READ_BLOCK - 1)]
-            while block:
-                text = list(itertools.filterfalse(str.isspace, block))
-                if text:  # np.loadtxt warns on a block of blank lines only
-                    try:
-                        rows, bad = np.loadtxt(text, delimiter=",", comments=None, ndmin=2), None
-                    except ValueError:
-                        rows = None
-                    if rows is None or rows.shape != (len(text), want):
-                        rows, bad = _scan_lines(text, want)
-                    before = np.reshape(parsed[-want:], (-1, want))  # the row this block follows
-                    parsed.frombytes(rows.tobytes())
-                    dt = parsed[2] - parsed[0] if want == 2 and len(parsed) >= 4 else 1.0
-                    fault = _row_fault(np.concatenate([before, rows]), dt)
-                    if fault is not None:  # a row before the bad line comes first
-                        bad = fault[0] - len(before), fault[1]
-                    if bad is not None:  # a block with no blank line skips the numbering pass
-                        linenos = range(start, start + len(block)) if len(text) == len(block) else [
-                            start + i for i, raw in enumerate(block) if not raw.isspace()]
-                        raise IngestError(bad[1].format(linenos[bad[0]]))
-                start += len(block)
-                block = text = rows = None  # free this block's text before reading the next
-                block = list(itertools.islice(fh, _READ_BLOCK))
+
+            def data_lines():  # the non-blank lines from the first data row on, numbered
+                fh.seek(0)
+                return ((lineno, line) for lineno, line in
+                        itertools.islice(enumerate(fh, start=1), start - 1, None)
+                        if not line.isspace())
+
+            # numpy opens a path by its suffix, so it would read "a.csv.gz" as gzip.
+            rows = (None if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")) else
+                    _loadtxt(path, skiprows=start - 1, encoding="utf-8-sig"))
+            if rows is None or rows.shape[1] != want:
+                rows = _loadtxt(line for _, line in data_lines())
+            bad = None
+            if rows is None or rows.shape[1] != want:
+                rows, bad = _scan_lines((line for _, line in data_lines()), want)
+            dt = rows[1, 0].item() - rows[0, 0].item() if want == 2 and len(rows) >= 2 else 1.0
+            fault = _row_fault(rows, dt) or bad  # a row before the bad line comes first
+            if fault is not None:
+                lineno = next(itertools.islice(data_lines(), fault[0], None))[0]
+                raise IngestError(fault[1].format(lineno))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    return UniformSignal(parsed[0] if want == 2 else 0.0, dt,
-                         np.frombuffer(parsed, dtype=np.float64)[want - 1::want])
+    return UniformSignal(rows[0, 0] if want == 2 else 0.0, dt, rows[:, want - 1])
+
+
+def _loadtxt(source, **kwargs) -> np.ndarray | None:
+    """The rows ``np.loadtxt`` parses from ``source``, a path or lines, or None if it
+    rejects them (a ``UnicodeDecodeError`` is a ``ValueError``)."""
+    try:
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **kwargs)
+    except ValueError:
+        return None
 
 
 def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
@@ -164,7 +168,8 @@ def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is a fault
         steps = np.diff(rows[:, 0]) if rows.shape[1] == 2 else rows[:0, 0]
         for shift, rule, message in (
-                (0, lambda: ~np.isfinite(rows).all(axis=1), "non-finite value at line {}"),
+                (0, lambda: ~(np.isfinite(rows[:, 0]) & np.isfinite(rows[:, -1])),
+                 "non-finite value at line {}"),
                 (1, lambda: steps <= 0, "timestamps must be strictly increasing (line {})"),
                 (1, lambda: steps == np.inf, "non-finite time step at line {}"),
                 (1, lambda: abs(steps - dt) > 1e-9 * abs(dt), "non-uniform spacing at line {}")):
@@ -174,26 +179,31 @@ def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
     return min(faults, key=lambda f: f[0], default=None)  # ties go to the earlier rule
 
 
-def _scan_lines(lines: list[str], want: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+def _scan_lines(lines: Iterable[str], want: int) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The rows of ``lines`` before the first bad one, and its ``(index, message)`` or None.
 
     ``message`` takes the bad line's number via ``str.format``, as ``_row_fault``'s does.
+    ``np.fromiter`` trims its buffer to the cells it took, so the rows hold no spare room.
     """
-    parsed = array("d")
-    for i, line in enumerate(lines):
-        fields = _fields(line)
-        text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
-        if not _is_utf8(line):
-            message = "invalid UTF-8 at line {}"
-        elif len(fields) != want:
-            message = f"expected {want} column(s) at line {{}}, found {len(fields)}"
-        elif not text.isascii() or "_" in text or (cells := _floats(fields)) is None:
-            message = "could not parse line {}"
-        else:
-            parsed.extend(cells)
-            continue
-        return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), (i, message)
-    return np.frombuffer(parsed, dtype=np.float64).reshape(-1, want), None
+    bad = []  # the first bad line's (index, message), once the scan meets it
+
+    def cells():
+        for i, line in enumerate(lines):
+            fields = _fields(line)
+            text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
+            if not _is_utf8(line):
+                message = "invalid UTF-8 at line {}"
+            elif len(fields) != want:
+                message = f"expected {want} column(s) at line {{}}, found {len(fields)}"
+            elif not text.isascii() or "_" in text or (row := _floats(fields)) is None:
+                message = "could not parse line {}"
+            else:
+                yield from row
+                continue
+            bad.append((i, message))
+            return
+
+    return np.fromiter(cells(), np.float64).reshape(-1, want), next(iter(bad), None)
 
 
 def _is_utf8(line: str) -> bool:

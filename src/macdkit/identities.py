@@ -36,8 +36,6 @@ count and block) and a call that returns its record gated at the run's
 and ``macdkit verify`` prints them, so a new check takes one entry and no CLI edit.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from typing import Callable

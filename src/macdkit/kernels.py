@@ -46,8 +46,6 @@ stage raises "unknown kernel stage", and a composition or sum of nothing
 Averaging compositions have weights summing to 1, difference kernels to 0.
 """
 
-from __future__ import annotations
-
 import numbers
 from functools import reduce
 

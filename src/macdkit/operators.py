@@ -44,8 +44,6 @@ construction and wrap their fresh (or read-only) arrays with no copy;
 only once it is finite, and sends any other to the checked constructor.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .signals import (WINDOW_SUM_OVERFLOW, UniformSignal, _check_length, _non_finite,

@@ -43,8 +43,6 @@ operator, a check, a kernel or a stream.  A window sum that overflows
 float64 raises the one ``WINDOW_SUM_OVERFLOW`` error in batch and stream.
 """
 
-from __future__ import annotations
-
 import numbers
 from functools import cached_property
 

@@ -14,8 +14,6 @@ at its lag modulo ``N``: future taps at negative lags and kernels spanning
 more than ``N`` lags stay exact, and memory is ``O(G)`` plus the kernel's span.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 import numpy as np

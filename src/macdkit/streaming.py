@@ -29,8 +29,6 @@ push that is not finite, or that would make a compensated window sum
 overflow, is rejected and leaves the stream unchanged.
 """
 
-from __future__ import annotations
-
 import math
 
 from .signals import WINDOW_SUM_OVERFLOW, ExpansionSpec, _count

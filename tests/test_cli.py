@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_ingest_non_finite_reports_line_number(write):
         ingest_csv(write("inf.csv", "h\n1\ninf\n"))
 
 
+@pytest.mark.parametrize("text, error", [
+    ("0,1\nnan,inf\n2,3\n", "non-finite value at line 2"),
+    ("0,1\nnan,2\n2,inf\n", "non-finite value at line 2"),
+    ("0,1\n1,inf\nnan,3\n", "non-finite value at line 2"),
+    ("t,v\n0,1\n1,2\n3,3\nnan,inf\n", "non-uniform spacing at line 4"),
+], ids=["same-row", "nan-time-first", "inf-value-first", "spacing-first"])
+def test_ingest_names_a_nan_time_or_an_inf_value_by_its_row(write, text, error):
+    # The non-finite rule ORs a mask per column; either column's cell counts.
+    path = write("non_finite.csv", text)
+    with pytest.raises(IngestError, match=f"^{error}$"):
+        ingest_csv(path)
+    assert outcome(lambda: oracles.naive_ingest(path)) == error
+
+
 def test_ingest_rejects_overflowing_time_step(write):
     # 1e308 - (-1e308) overflows to inf; both parsers must name the line.
     for text, lineno in (("-1e308,1\n1e308,2\n", 2), ("t,v\n-1e308,1\n1e308,2\n", 3)):
@@ -194,40 +209,31 @@ def test_ingest_skips_a_utf8_byte_order_mark_at_the_start(tmp_path):
         ingest_csv(str(path))
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch, block):
-    monkeypatch.setattr(cli, "_READ_BLOCK", block)
+def test_ingest_locator_names_the_oracles_line(write):
     cases = ["t,v\n0,1\n1,2\n3,4\n4,x\n", "0,1\n1,2\n2,3\n3,4\n5,5\n",
              "0,1\n1,2\n3,3\n4,x\n", "1\n2\n3\n\n4\n5\n6,7\n", "1\n2\n3\n4\nnan\n",
              "1\n2\n3\n4\n5\n1_0\n", "0,1\n1,2\n2,3\n3,4\n4,5\n4,6\n",
              "0,1\n\n1,2\n2,3\n\n3,4\n5,5\n", "1\n\n\n\n2\n3\nnan\n"]
     for text in cases:
-        path = write("blocks.csv", text)
+        path = write("lines.csv", text)
         with pytest.raises(IngestError) as err:
             ingest_csv(path)
         assert outcome(lambda: oracles.naive_ingest(path)) == str(err.value), text
-    # Accepted files whose blank lines fill whole blocks: such a block must not
-    # reach np.loadtxt, which warns on input with no data.
+    # Accepted files with runs of blank lines before, between and after the
+    # rows; np.loadtxt warns on input with no data, and warnings fail a test.
     accepted = ["1\n2\n\n \n\t\n\n3\n4\n", "t,v\n\n\n\n\n0,1\n1,2\n2,3\n",
                 "0,1\n1,2\n2,3\n\n\n \n\n", "\n\n\n\nt,v\n\n\n\n0,1\n\n\n\n1,2\n\n\n\n"]
     for text in accepted:
-        path = write("blocks.csv", text)
+        path = write("lines.csv", text)
         expected = outcome(lambda: oracles.naive_ingest(path))
         assert not isinstance(expected, str), text
         assert outcome(lambda: read_ingest(path)) == expected, text
 
 
-@pytest.mark.parametrize("last, error, scans", [
-    (b"99,49.5\n", None, 0),
-    (b"100,49.5\n", "non-uniform spacing at line 100", 0),
-    (b"99,x\n", "could not parse line 100", 1),
-    (b"99,\xff\n", "invalid UTF-8 at line 100", 1),
-], ids=["accepted", "late-row-rule", "late-unparseable", "late-invalid-utf8"])
-def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, scans):
-    """One open per call; np.loadtxt sees each line once; only a rejected block is rescanned."""
-    path = tmp_path / "once.csv"
-    path.write_bytes("".join(f"{i},{i / 2}\n" for i in range(99)).encode() + last)
-    calls = {}
+def counting_ingest(monkeypatch):
+    """Count ``ingest_csv``'s opens and line scans, and log each ``np.loadtxt``
+    call's source: ``"path"`` for a file name, ``"lines"`` for anything else."""
+    calls = {"open": 0, "scan": 0, "loadtxt": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -235,55 +241,101 @@ def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, scans):
             return fn(*args, **kwargs)
         return wrapper
 
+    def loadtxt(source, *args, loadtxt=np.loadtxt, **kwargs):
+        calls["loadtxt"].append("path" if isinstance(source, str) else "lines")
+        return loadtxt(source, *args, **kwargs)
+
     monkeypatch.setattr(cli, "open", counted("open", open), raising=False)
-    monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-    monkeypatch.setattr(cli, "_scan_lines", counted("scan", cli._scan_lines))
-    for block in (cli._READ_BLOCK, 7):
-        monkeypatch.setattr(cli, "_READ_BLOCK", block)
-        calls.update(open=0, loadtxt=0, scan=0)
-        if error is None:
-            assert len(ingest_csv(str(path))) == 100
-        else:
-            with pytest.raises(IngestError, match=f"^{error}$"):
-                ingest_csv(str(path))
-        assert calls == {"open": 1, "loadtxt": math.ceil(100 / block), "scan": scans}, block
-
-
-def test_ingest_stops_at_the_block_holding_a_row_fault(tmp_path, monkeypatch):
-    # A spacing fault at line 5 ends the read after the first 7-line block.
-    path = tmp_path / "early.csv"
-    path.write_text("".join(f"{i + (i == 4)},{i}\n" for i in range(100)))
-    calls = []
-
-    def loadtxt(*args, loadtxt=np.loadtxt, **kwargs):
-        calls.append(1)
-        return loadtxt(*args, **kwargs)
-
     monkeypatch.setattr(np, "loadtxt", loadtxt)
-    monkeypatch.setattr(cli, "_READ_BLOCK", 7)
-    with pytest.raises(IngestError, match="^non-uniform spacing at line 5$"):
-        ingest_csv(str(path))
-    assert len(calls) == 1
+    monkeypatch.setattr(cli, "_scan_lines", counted("scan", cli._scan_lines))
+    return calls
 
 
-def test_ingest_decides_a_block_that_loadtxt_rejects_by_the_line_scan(tmp_path, monkeypatch):
-    # No real input makes np.loadtxt reject a block that the line scan accepts;
-    # if one did, the scan's rows stand, and the read goes on to the next block.
+@pytest.mark.parametrize("last, error, loadtxt, scans", [
+    (b"99,49.5\n", None, ["path"], 0),
+    (b"100,49.5\n", "non-uniform spacing at line 100", ["path"], 0),
+    (b"99,x\n", "could not parse line 100", ["path", "lines"], 1),
+    (b"99,\xff\n", "invalid UTF-8 at line 100", ["path", "lines"], 1),
+], ids=["accepted", "late-row-rule", "late-unparseable", "late-invalid-utf8"])
+def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, loadtxt, scans):
+    """One open per call, and one np.loadtxt pass over the path; only a file that
+    pass rejects is parsed again from its lines, and only one rejected again is scanned."""
+    path = tmp_path / "once.csv"
+    path.write_bytes("".join(f"{i},{i / 2}\n" for i in range(99)).encode() + last)
+    calls = counting_ingest(monkeypatch)
+    if error is None:
+        assert len(ingest_csv(str(path))) == 100
+    else:
+        with pytest.raises(IngestError, match=f"^{error}$"):
+            ingest_csv(str(path))
+    assert calls == {"open": 1, "loadtxt": loadtxt, "scan": scans}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_ingest_parses_empty_lines_in_one_pass_over_the_path(tmp_path, monkeypatch, newline):
+    rows = ["time,value", "", *(f"{1.7e9 + i},{math.sin(i)!r}" for i in range(20)), ""]
+    rows[8:8] = ["", ""]
+    path = tmp_path / "empty_lines.csv"
+    path.write_bytes((newline.join(rows) + newline).encode())
+    expected = outcome(lambda: oracles.naive_ingest(str(path)))
+    calls = counting_ingest(monkeypatch)
+    assert outcome(lambda: read_ingest(str(path))) == expected
+    assert calls == {"open": 1, "loadtxt": ["path"], "scan": 0}
+
+
+def test_ingest_reads_a_file_loadtxt_rejects_over_its_path_from_its_lines(tmp_path, monkeypatch,
+                                                                           no_line_scan):
+    # No real input makes np.loadtxt reject the path but accept its lines; if
+    # one did, the rows from the lines stand and the line scan never runs.
     path = tmp_path / "valid.csv"
     path.write_text("t,v\n" + "".join(f"{1.7e9 + i},{math.sin(i)!r}\n" for i in range(20)))
-    blocks = []
+    sources = []
 
-    def loadtxt(text, *args, loadtxt=np.loadtxt, **kwargs):
-        blocks.append(len(text))
-        if len(blocks) == 2:
+    def loadtxt(source, *args, loadtxt=np.loadtxt, **kwargs):
+        sources.append(source if isinstance(source, str) else "lines")
+        if isinstance(source, str):
             raise ValueError("rejected")
-        return loadtxt(text, *args, **kwargs)
+        return loadtxt(source, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", loadtxt)
-    monkeypatch.setattr(cli, "_READ_BLOCK", 7)
     assert outcome(lambda: read_ingest(str(path))) == outcome(
         lambda: oracles.naive_ingest(str(path)))
-    assert blocks == [7, 7, 6]
+    assert sources == [str(path), "lines"]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_ingest_reads_a_compression_suffix_as_plain_text(write, suffix):
+    # np.loadtxt given a path picks a decompressor by its suffix.
+    text = "t,v\n0,1\n1,2\n2,3\n"
+    assert outcome(lambda: read_ingest(write("plain" + suffix, text))) == outcome(
+        lambda: read_ingest(write("plain.csv", text)))
+    with pytest.raises(IngestError, match="^non-uniform spacing at line 4$"):
+        ingest_csv(write("gap" + suffix, "t,v\n0,1\n1,2\n3,3\n"))
+    # A path object is read as its text is.
+    assert outcome(lambda: read_ingest(Path(write("plain" + suffix, text)))) == outcome(
+        lambda: read_ingest(write("plain.csv", text)))
+
+
+def test_ingest_of_a_late_rejection_holds_no_list_of_lines(tmp_path):
+    # A list of the file's 20,000 lines would hold a str of about 80 bytes and
+    # a pointer per line, 1.8 MB.  Ingest holds its rows, 16 bytes a line, and
+    # a rejected file may add one more array of them: 0.32 MB past the peak of
+    # the same file accepted.
+    rows = "".join(f"{1.7e9 + i!r},{math.sin(i)!r}\n" for i in range(19_999))
+    accepted, rejected = tmp_path / "accepted.csv", tmp_path / "rejected.csv"
+    accepted.write_text(rows + f"{1.7e9 + 19_999!r},0.5\n")
+    rejected.write_text(rows + f"{1.7e9 + 19_999!r},x\n")
+    peaks = []
+    for path in (accepted, rejected):
+        tracemalloc.start()
+        try:
+            ingest_csv(str(path))
+        except IngestError:
+            pass
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 20_000, peaks
 
 
 def test_ingest_missing_file(tmp_path):

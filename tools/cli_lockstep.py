@@ -1,17 +1,18 @@
 """Lockstep CLI launches: two source trees' ``python -m macdkit`` on one input.
 
 Writes one seeded AR(1) walk as an epoch-second ``time,value`` CSV, in
-``repr`` text, into a temporary directory, and a copy of it whose last value
-is ``x``.  Each round runs four commands as fresh processes from each tree:
-``compute macd -k 12 -o OUT``, ``verify`` and ``spectrum macd -k 256 --grid
-65536 -o OUT`` on the walk, and ``verify`` on the copy, which ingest rejects
-at its last line.  Which tree goes first alternates, so both meet the same
-host speed.  For each command and tree it prints the median and minimum
-wall time, the median ``wall_time_s`` the CLI prints (the command body) and
-the median of the rest (launch, import and exit), then the median
-change/parent ratio of the wall times, with its quartiles: below 1 the
-change runs faster.  The rejected ``verify`` prints no ``wall_time_s``, so
-it gets wall times only.  Each round also launches ``python -c "import
+``repr`` text, into a temporary directory, a copy of it whose last value is
+``x`` and a copy whose line 4 time is half a step late.  Each round runs five
+commands as fresh processes from each tree: ``compute macd -k 12 -o OUT``,
+``verify`` and ``spectrum macd -k 256 --grid 65536 -o OUT`` on the walk, and
+``verify`` on each copy, which ingest rejects at its last line and at line 4:
+the cost of a late rejection next to that of an early one.  Which tree goes
+first alternates, so both meet the same host speed.  For each command and
+tree it prints the median and minimum wall time, the median ``wall_time_s``
+the CLI prints (the command body) and the median of the rest (launch, import
+and exit), then the median change/parent ratio of the wall times, with its
+quartiles: below 1 the change runs faster.  A rejected ``verify`` prints no ``wall_time_s``, so it
+gets wall times only.  Each round also launches ``python -c "import
 numpy"`` and then ``python -c "import macdkit"`` from each tree, in the same
 alternation, and the tool prints each tree's median macdkit/numpy launch
 ratio, the figure perfbench's ``setup_s`` scales, and the median
@@ -26,9 +27,10 @@ such as two checkouts' ``src``.  A tree run against itself reads near 1.
 Each child runs in the temporary directory with this process's environment
 and its tree first on ``PYTHONPATH``, and is killed if it outlives
 ``TIMEOUT_S``.  The exit code is 1 if an import or a command on the walk
-failed, a command printed no ``wall_time_s``, or the rejected ``verify`` did
-not exit 2 with the one stderr line ``error: could not parse line N`` for the
-copy's last line N; else 0.
+failed, a command printed no ``wall_time_s``, or a rejected ``verify`` did
+not exit 2 with its one stderr line: ``error: could not parse line N`` for
+the first copy's last line N, ``error: non-uniform spacing at line 4`` for
+the second; else 0.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ COMMANDS = (
     ("spectrum macd -k 256 --grid 65536",
      ["spectrum", "macd", "-k", "256", "--grid", "65536", "-o", "{output}"], None),
     ("verify, last value x", ["verify", "{rejected}"], "error: could not parse line {last}\n"),
+    ("verify, line 4 spacing", ["verify", "{early}"], "error: non-uniform spacing at line 4\n"),
 )
 TIMEOUT_S = 120
 WALL_TIME = re.compile(r"^wall_time_s: ([0-9.]+)$", re.MULTILINE)
@@ -116,10 +119,15 @@ def main(argv=None) -> int:
     differ, failed = set(), set()
     with tempfile.TemporaryDirectory(prefix="cli_lockstep_") as tmp:
         work = Path(tmp)
-        data, rejected, output = work / "input.csv", work / "rejected.csv", work / "output.csv"
+        data, output = work / "input.csv", work / "output.csv"
+        rejected, early = work / "rejected.csv", work / "early.csv"
         write_input(data, args.rows, args.seed)
         text = data.read_text(encoding="utf-8")
         rejected.write_text(text[:text.rindex(",") + 1] + "x\n", encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        t, v = lines[3].split(",")
+        lines[3] = f"{float(t) + 0.5!r},{v}"
+        early.write_text("".join(lines), encoding="utf-8")
         for r in range(args.rounds):
             for t in ((0, 1) if r % 2 == 0 else (1, 0)):
                 launches = []
@@ -131,7 +139,8 @@ def main(argv=None) -> int:
                     launches.append(wall)
                 ratios[t].append(launches[1] / launches[0])
             for c, (name, template, error) in enumerate(COMMANDS):
-                cmd = [a.format(input=data, rejected=rejected, output=output) for a in template]
+                cmd = [a.format(input=data, rejected=rejected, early=early, output=output)
+                       for a in template]
                 error = error and error.format(last=args.rows + 1)  # the header is line 1
                 left = [None, None]
                 for t in ((0, 1) if (r + c) % 2 == 0 else (1, 0)):
