@@ -209,22 +209,34 @@ def test_ingest_skips_a_utf8_byte_order_mark_at_the_start(tmp_path):
         ingest_csv(str(path))
 
 
-def test_ingest_locator_names_the_oracles_line(write):
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_ingest_locator_names_the_same_line_at_any_block_size(write, monkeypatch, block):
+    # ``block`` is the byte count the text layer of ingest's file decodes per
+    # read, so multi-byte characters, the byte-order mark and line ends split
+    # across reads; np.loadtxt opens the path itself and reads as it reads.
+    def small_reads(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        fh._CHUNK_SIZE = block
+        return fh
+
+    monkeypatch.setattr(cli, "open", small_reads, raising=False)
     cases = ["t,v\n0,1\n1,2\n3,4\n4,x\n", "0,1\n1,2\n2,3\n3,4\n5,5\n",
              "0,1\n1,2\n3,3\n4,x\n", "1\n2\n3\n\n4\n5\n6,7\n", "1\n2\n3\n4\nnan\n",
              "1\n2\n3\n4\n5\n1_0\n", "0,1\n1,2\n2,3\n3,4\n4,5\n4,6\n",
-             "0,1\n\n1,2\n2,3\n\n3,4\n5,5\n", "1\n\n\n\n2\n3\nnan\n"]
+             "0,1\n\n1,2\n2,3\n\n3,4\n5,5\n", "1\n\n\n\n2\n3\nnan\n",
+             "\ufeff0,1\n1,2\n2,3\u3000\n\u00a0\n3,\u00e9\n", "\ufeff1\r\n2\r\n \r\n3\r\n4,5\r\n"]
     for text in cases:
-        path = write("lines.csv", text)
+        path = write("blocks.csv", text)
         with pytest.raises(IngestError) as err:
             ingest_csv(path)
         assert outcome(lambda: oracles.naive_ingest(path)) == str(err.value), text
     # Accepted files with runs of blank lines before, between and after the
     # rows; np.loadtxt warns on input with no data, and warnings fail a test.
     accepted = ["1\n2\n\n \n\t\n\n3\n4\n", "t,v\n\n\n\n\n0,1\n1,2\n2,3\n",
-                "0,1\n1,2\n2,3\n\n\n \n\n", "\n\n\n\nt,v\n\n\n\n0,1\n\n\n\n1,2\n\n\n\n"]
+                "0,1\n1,2\n2,3\n\n\n \n\n", "\n\n\n\nt,v\n\n\n\n0,1\n\n\n\n1,2\n\n\n\n",
+                "\ufeff0,1\r\n1,2\u3000\r\n\u00a0\r\n2,3\r\n"]
     for text in accepted:
-        path = write("lines.csv", text)
+        path = write("blocks.csv", text)
         expected = outcome(lambda: oracles.naive_ingest(path))
         assert not isinstance(expected, str), text
         assert outcome(lambda: read_ingest(path)) == expected, text
