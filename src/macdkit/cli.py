@@ -12,7 +12,8 @@ result too large to allocate (``MemoryError``).
 
 Input CSV is value-only or time,value, as its first data row has 1 or 2 columns.
 ``ingest_csv`` gives the grammar.  One ``np.loadtxt`` pass over the path parses
-an accepted file, and ingest holds its rows, 8 bytes per cell, and no list of its lines.
+an accepted regular file, and a pipe is scanned line by line as it streams; ingest
+holds the rows, 8 bytes per cell, and no list of the lines.
 
 Output CSV is the text ``%.17g`` gives, so it re-ingests bit for bit.  numpy
 computes its digits ``_WRITE_BLOCK`` rows at a time (``_csv_text``); only a
@@ -23,6 +24,8 @@ a subnormal, is formatted alone by ``_fmt``.
 import argparse
 import functools
 import itertools
+import os
+import stat
 import sys
 import time
 from collections.abc import Iterable
@@ -96,11 +99,13 @@ def ingest_csv(path: str) -> UniformSignal:
     line, is parsed once more from a stream of its non-blank lines, and only
     a file rejected again is scanned line by line (``_scan_lines``), up to
     its first line with invalid UTF-8, a wrong column count or an
-    unparseable cell.  One ``_row_fault`` call checks all the rows read.
-    The first fault in file order, a broken row rule or a bad line, raises
-    ``IngestError`` with that line's number, which one more streamed pass
-    over the lines finds.  Ingest holds 8 bytes per cell and no list of the
-    file's lines.
+    unparseable cell.  Input that is not a regular file, such as a pipe or
+    ``/dev/stdin``, reads only once, so its lines from the first data row on
+    go straight to ``_scan_lines``.  One ``_row_fault`` call checks all the
+    rows read.  The first fault in file order, a broken row rule or a bad
+    line, raises ``IngestError`` with that line's number, which the scan's
+    line shifts give, or else one more streamed pass over the lines.  Ingest
+    holds 8 bytes per cell and no list of the file's lines.
     """
     try:
         # An undecodable byte reads as a lone surrogate, which no valid text
@@ -123,24 +128,32 @@ def ingest_csv(path: str) -> UniformSignal:
             if want not in (1, 2):
                 raise IngestError(f"expected 1 or 2 columns, found {want} at line {start}")
 
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe reads once
+
             def data_lines():  # the non-blank lines from the first data row on, numbered
+                if not regular:  # the one pass goes on from the first data row
+                    return itertools.chain([first], lines)
                 fh.seek(0)
                 return ((lineno, line) for lineno, line in
                         itertools.islice(enumerate(fh, start=1), start - 1, None)
                         if not line.isspace())
 
-            # numpy opens a path by its suffix, so it would read "a.csv.gz" as gzip.
-            rows = (None if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")) else
-                    _loadtxt(path, skiprows=start - 1, encoding="utf-8-sig"))
-            if rows is None or rows.shape[1] != want:
+            # numpy opens a path by its suffix, so it would read "a.csv.gz" as gzip, and
+            # a name that parses as a URL, such as "s3://b/a.csv", as one.
+            rows = None
+            if regular and not str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+                rows = _loadtxt(os.path.abspath(path), skiprows=start - 1, encoding="utf-8-sig")
+            if regular and (rows is None or rows.shape[1] != want):
                 rows = _loadtxt(line for _, line in data_lines())
-            bad = None
+            bad, shifts = None, []
             if rows is None or rows.shape[1] != want:
-                rows, bad = _scan_lines((line for _, line in data_lines()), want)
+                rows, bad = _scan_lines(data_lines(), want, shifts)
             dt = rows[1, 0].item() - rows[0, 0].item() if want == 2 and len(rows) >= 2 else 1.0
             fault = _row_fault(rows, dt) or bad  # a row before the bad line comes first
             if fault is not None:
-                lineno = next(itertools.islice(data_lines(), fault[0], None))[0]
+                i = fault[0]
+                lineno = ([i + shift for j, shift in shifts if j <= i][-1] if shifts
+                          else next(itertools.islice(data_lines(), i, None))[0])
                 raise IngestError(fault[1].format(lineno))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
@@ -179,16 +192,23 @@ def _row_fault(rows: np.ndarray, dt: float) -> tuple[int, str] | None:
     return min(faults, key=lambda f: f[0], default=None)  # ties go to the earlier rule
 
 
-def _scan_lines(lines: Iterable[str], want: int) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """The rows of ``lines`` before the first bad one, and its ``(index, message)`` or None.
+def _scan_lines(lines: Iterable[tuple[int, str]], want: int,
+                shifts: list[tuple[int, int]]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The rows of numbered ``lines`` before the first bad one, and its ``(index, message)``
+    or None.
 
     ``message`` takes the bad line's number via ``str.format``, as ``_row_fault``'s does.
-    ``np.fromiter`` trims its buffer to the cells it took, so the rows hold no spare room.
+    ``shifts`` gains ``(index, lineno - index)`` at the first line and at each one after
+    skipped lines, so row ``index`` is on line ``index + shift``, with the ``shift`` of
+    the last entry at or before ``index``.  ``np.fromiter`` trims its buffer to the cells it
+    took, so the rows hold no spare room.
     """
     bad = []  # the first bad line's (index, message), once the scan meets it
 
     def cells():
-        for i, line in enumerate(lines):
+        for i, (lineno, line) in enumerate(lines):
+            if not shifts or shifts[-1][1] != lineno - i:
+                shifts.append((i, lineno - i))
             fields = _fields(line)
             text = ",".join(fields)  # in loadtxt's grammar no cell holds "_" or non-ASCII
             if not _is_utf8(line):

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -270,8 +271,9 @@ def counting_ingest(monkeypatch):
     (b"99,\xff\n", "invalid UTF-8 at line 100", ["path", "lines"], 1),
 ], ids=["accepted", "late-row-rule", "late-unparseable", "late-invalid-utf8"])
 def test_ingest_reads_the_file_once(tmp_path, monkeypatch, last, error, loadtxt, scans):
-    """One open per call, and one np.loadtxt pass over the path; only a file that
-    pass rejects is parsed again from its lines, and only one rejected again is scanned."""
+    """One open by ingest, and one np.loadtxt pass over the path, which numpy opens
+    itself; only a file that pass rejects is parsed again from its lines, and only
+    one rejected again is scanned."""
     path = tmp_path / "once.csv"
     path.write_bytes("".join(f"{i},{i / 2}\n" for i in range(99)).encode() + last)
     calls = counting_ingest(monkeypatch)
@@ -316,8 +318,9 @@ def test_ingest_reads_a_file_loadtxt_rejects_over_its_path_from_its_lines(tmp_pa
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-def test_ingest_reads_a_compression_suffix_as_plain_text(write, suffix):
-    # np.loadtxt given a path picks a decompressor by its suffix.
+def test_ingest_reads_a_compression_suffix_as_plain_text(tmp_path, monkeypatch, write, suffix):
+    # np.loadtxt given a path picks a decompressor by its suffix, and reads a
+    # name that parses as a URL as one.
     text = "t,v\n0,1\n1,2\n2,3\n"
     assert outcome(lambda: read_ingest(write("plain" + suffix, text))) == outcome(
         lambda: read_ingest(write("plain.csv", text)))
@@ -326,6 +329,59 @@ def test_ingest_reads_a_compression_suffix_as_plain_text(write, suffix):
     # A path object is read as its text is.
     assert outcome(lambda: read_ingest(Path(write("plain" + suffix, text)))) == outcome(
         lambda: read_ingest(write("plain.csv", text)))
+    # A relative name shaped like an "s3" URL, a scheme urllib has no opener
+    # for, names the local file under the directories "s3:" and "b".
+    (tmp_path / "s3:" / "b").mkdir(parents=True, exist_ok=True)
+    for name in ("plain.csv", "plain" + suffix):
+        write(f"s3:/b/{name}", text)
+        monkeypatch.chdir(tmp_path)
+        assert outcome(lambda: read_ingest(f"s3://b/{name}")) == outcome(
+            lambda: read_ingest(write("plain.csv", text)))
+
+
+def ingest_from_a_pipe(data):
+    """``outcome`` of ingesting ``data`` written into a pipe, read by its ``/dev/fd``
+    name, which an error text shows as ``<path>``."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # ingest stopped at an early fault
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return named(outcome(lambda: read_ingest(f"/dev/fd/{read_end}")), f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join()
+
+
+def named(result, path):
+    return result.replace(path, "<path>") if isinstance(result, str) else result
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_ingest_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    # A pipe reads once: a second open, or a seek, would lose or fail on the
+    # text the first read took, up to 8 KiB.  Each case is read from a pipe
+    # and from a file; the larger ones pass that first read.
+    lines = [f"{1.7e9 + i},{math.sin(i)!r}\n" for i in range(2000)]
+    rows = "".join(lines)
+    cases = [b"t,v\n" + rows.encode(), rows.encode(), b"0,1\n1,2\n2,3\n", b"1\n2\n3\n",
+             b"\xef\xbb\xbft,v\r\n\r\n0,1\r\n \r\n1,2\r\n", b"", b"t,v\n",
+             "".join(lines[:900] + ["\n\n \n"] + lines[900:] + ["9,9\n"]).encode(),
+             (rows + "\n \n\n").encode() + b"x,1\n" + rows.encode(),
+             b"t,v\n\n" + rows.encode() + b"\n" + b"2e9,\xff\n",
+             b"1\n\n2\n \n\n3\n4,5\n", b"1\n\n2\n\n\nnan\n3\n"]
+    for data in cases:
+        path = tmp_path / "same.csv"
+        path.write_bytes(data)
+        expected = named(outcome(lambda: read_ingest(str(path))), str(path))
+        assert ingest_from_a_pipe(data) == expected, data[-40:]
 
 
 def test_ingest_of_a_late_rejection_holds_no_list_of_lines(tmp_path):

@@ -142,20 +142,9 @@ def test_import_loads_no_dataclasses_module():
              "print(' '.join(sorted(set(sys.modules) - before)))")
     added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
-    assert "macdkit.identities" in added and "dataclasses" not in added, added
-
-
-def test_import_loads_no_future_module():
-    # No module needs postponed annotations, so a process that imports numpy
-    # and then macdkit loads nothing outside macdkit for them.
-    src = Path(macdkit.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, numpy; before = set(sys.modules); import macdkit; "
-             "print(' '.join(sorted(set(sys.modules) - before)))")
-    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                           text=True, check=True).stdout.split()
-    assert "macdkit.identities" in added and "__future__" not in added, added
+    # No module needs postponed annotations either, so none loads __future__.
+    assert "macdkit.identities" in added, added
+    assert "dataclasses" not in added and "__future__" not in added, added
 
 
 # Each public record and array holder: its constructor's arguments, its repr,
